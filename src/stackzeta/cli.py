@@ -5,7 +5,8 @@ sym powers, hd / hd-zeta / effective for the Hodge-Deligne side, eval for
 exact rational specialization, verify for the named verification scenarios.
 
 Exit codes: 0 success (and verification pass), 1 verification fail, 2 parse
-or elaboration error, 3 domain error, 4 resource-cap error.
+or elaboration error, 3 domain error, 4 resource-cap error, 5 internal
+inconsistency (a bug, not bad input).
 """
 
 from __future__ import annotations
@@ -45,39 +46,26 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_json(p):
         p.add_argument("--json", action="store_true", help="emit JSON instead of text")
 
-    def add_cap(p):
-        p.add_argument(
-            "--cap-k",
-            type=int,
-            default=8,
-            metavar="K",
-            help="largest symmetric-power index expanded via the closed form (default 8)",
-        )
-
     p = sub.add_parser("zeta", help="zeta series of a class expression")
     p.add_argument("expr")
     p.add_argument("--order", type=int, required=True, metavar="N")
     add_json(p)
-    add_cap(p)
 
     p = sub.add_parser("sym", help="k-th symmetric power of a class expression")
     p.add_argument("k", type=int)
     p.add_argument("expr")
     add_json(p)
-    add_cap(p)
 
     p = sub.add_parser("power", help="raise a series to a class exponent")
     p.add_argument("series")
     p.add_argument("expr")
     p.add_argument("--order", type=int, required=True, metavar="N")
     add_json(p)
-    add_cap(p)
 
     p = sub.add_parser("opposite", help="opposite-structure series of a class expression")
     p.add_argument("expr")
     p.add_argument("--order", type=int, required=True, metavar="N")
     add_json(p)
-    add_cap(p)
 
     p = sub.add_parser("hd", help="Hodge-Deligne realization of a class expression")
     p.add_argument("expr")
@@ -128,13 +116,13 @@ def _emit(args, text_value, json_value) -> int:
 
 def _run(args) -> int:
     if args.command == "zeta":
-        series = zeta_series(parse_class(args.expr), args.order, cap=args.cap_k)
+        series = zeta_series(parse_class(args.expr), args.order)
         return _emit(args, series, series.to_json())
 
     if args.command == "sym":
         if args.k < 0:
             raise DomainError("sym needs k >= 0")
-        value = sym_power(parse_class(args.expr), args.k, cap=args.cap_k)
+        value = sym_power(parse_class(args.expr), args.k)
         return _emit(args, value, value.to_json())
 
     if args.command == "power":
@@ -142,11 +130,11 @@ def _run(args) -> int:
         if not base.coefficient(0) == base.ring.one:
             raise ElaborationError("the base series must have constant term 1")
         exponent = parse_class(args.expr)
-        result = power(base, exponent, motivic_provider(cap=args.cap_k))
+        result = power(base, exponent, motivic_provider())
         return _emit(args, result, result.to_json())
 
     if args.command == "opposite":
-        series = opposite_zeta(parse_class(args.expr), args.order, cap=args.cap_k)
+        series = opposite_zeta(parse_class(args.expr), args.order)
         return _emit(args, series, series.to_json())
 
     if args.command == "hd":
@@ -210,7 +198,7 @@ def main(argv: list[str] | None = None) -> int:
         return 4
     except InternalConsistencyError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
-        return 3
+        return 5
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

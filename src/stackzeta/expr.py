@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from .errors import DomainError, ElaborationError, NonInvertibleError, ParseError
 from .motivic import MotivicClass, bgl_class, gl_class, grassmannian_class
 from .multipoly import MultiPoly
+from .power import check_order
 from .series import TruncatedSeries
 from .zeta import MOTIVIC
 
@@ -341,8 +342,7 @@ class _SeriesEnv(_Env):
     context = "series expression"
 
     def __init__(self, order: int):
-        if order < 0:
-            raise DomainError("series order must be nonnegative")
+        check_order(order)
         self.order = order
         self.classes = _ClassEnv()
 

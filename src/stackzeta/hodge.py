@@ -6,7 +6,9 @@ function acts on an E-polynomial P = sum c_{ab} u^a v^b monomial by monomial:
 
     zeta_P(T) = prod_{a,b} (1 - u^a v^b T)^{-c_{ab}}
 
-which realizes the Kapranov zeta function of any polynomial class.
+which realizes the Kapranov zeta function of any polynomial class.  It is
+computed by Newton's identity on the Adams operations psi^r(P)(u, v) =
+P(u^r, v^r), the same engine as the motivic zeta.
 
 Effectiveness here means "is the class of an actual variety, or a nonnegative
 combination of such".  The checkers are refutation heuristics built on one
@@ -35,30 +37,21 @@ NOT_EFFECTIVE = "not-effective"
 INCONCLUSIVE = "inconclusive (denominator shape)"
 
 
-def hd_zeta(poly: MultiPoly, order: int) -> TruncatedSeries:
-    """zeta of an E-polynomial: the monomial-wise geometric product."""
-    if order < 0:
-        raise DomainError("series order must be nonnegative")
-    ring = hd_ring(poly.nvars)
-    out = TruncatedSeries.one(ring, order)
-    for exps, coeff in poly.items():
-        mono = MultiPoly.monomial(exps)
-        if coeff > 0:
-            geo = TruncatedSeries.build(ring, order, lambda k, m=mono: m ** k)
-            factor = geo ** coeff
-        else:
-            lin = [ring.one]
-            if order >= 1:
-                lin.append(-mono)
-                lin.extend([ring.zero] * (order - 1))
-            factor = TruncatedSeries(ring, lin) ** (-coeff)
-        out = out * factor
-    return out
+def _adams(poly: MultiPoly, r: int) -> MultiPoly:
+    """psi^r(P)(u, v) = P(u^r, v^r)."""
+    if r == 1:
+        return poly
+    return MultiPoly(poly.nvars, {tuple(e * r for e in exps): c for exps, c in poly.items()})
 
 
 def hd_provider(nvars: int = 2) -> LambdaProvider:
     """The E-polynomial zeta function as a lambda provider."""
-    return LambdaProvider("hd-zeta", hd_ring(nvars), hd_zeta)
+    return LambdaProvider("hd-zeta", hd_ring(nvars), _adams)
+
+
+def hd_zeta(poly: MultiPoly, order: int) -> TruncatedSeries:
+    """zeta of an E-polynomial, prod over monomials of (1 - u^a v^b T)^{-c_{ab}}."""
+    return hd_provider(poly.nvars).series(poly, order)
 
 
 def hd_opposite_provider(nvars: int = 2) -> LambdaProvider:

@@ -1,102 +1,131 @@
 """Power structures induced by a pre-lambda structure.
 
-A lambda provider hands out the series lambda_b(T) = 1 + b T + ... for ring
-elements b.  Any series A(T) with constant term 1 then factors uniquely as
+In the rings here a pre-lambda structure is fixed by its Adams operations
+psi^r: the series lambda_x(T) = 1 + x T + ... satisfies
 
-    A(T) = prod_{k>=1} lambda_{b_k}(T^k)
+    T d/dT log lambda_x(T) = sum_{r>=1} psi^r(x) T^r,
 
-(greedily: b_k is the T^k coefficient left after stripping the first k-1
-factors), and the power structure raises A to a ring-element exponent m by
+so its coefficients follow from Newton's identity
+
+    k sigma_k = sum_{r=1..k} psi^r(x) sigma_{k-r}
+
+with an exact integer division by k.  Any series A(T) with constant term 1
+factors uniquely as
+
+    A(T) = prod_{k>=1} lambda_{b_k}(T^k),
+
+and the power structure raises A to a ring-element exponent m by
 
     A(T)^m := prod_{k>=1} lambda_{m * b_k}(T^k).
 
+Both are computed on ghost components g_n, the coefficients of
+T d/dT log A(T).  The factor lambda_b(T^k) contributes k psi^r(b) at T^{kr},
+so g_n = sum_{k r = n} k psi^r(b_k) is a triangular system for the b_k, and
+A^m has the ghosts sum_{k r = n} k psi^r(m * b_k).  Adams operations need not
+be multiplicative (the opposite structure's are not), so psi is always
+applied to the product m * b_k.
+
 Everything here is generic over the coefficient ring; the Kapranov and
-Hodge-Deligne providers live next to their zeta functions.
+Hodge-Deligne Adams operations live next to their zeta functions.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-from .errors import DomainError
+from .errors import DomainError, InternalConsistencyError, ResourceLimitError
+from .motivic import MotivicClass, divide_exact_int
+from .multipoly import MultiPoly
 from .series import Ring, TruncatedSeries
+
+#: Largest truncation order of any series computed here; checked before any work.
+MAX_SERIES_ORDER = 40
+
+
+def check_order(order: int) -> None:
+    """Reject a negative order (DomainError) or one above MAX_SERIES_ORDER."""
+    if order < 0:
+        raise DomainError("series order must be nonnegative")
+    if order > MAX_SERIES_ORDER:
+        raise ResourceLimitError(
+            f"series order {order} exceeds the order cap MAX_SERIES_ORDER = {MAX_SERIES_ORDER}"
+        )
+
+
+def _divide_exact(x: Any, d: int) -> Any:
+    """x/d for a positive integer d that must divide x; failure is a bug."""
+    if d == 1:
+        return x
+    if isinstance(x, MotivicClass):
+        return divide_exact_int(x, d)
+    if isinstance(x, MultiPoly):
+        if any(c % d for _, c in x.items()):
+            raise InternalConsistencyError(f"inexact integer division of {x} by {d}")
+        return MultiPoly(x.nvars, {e: c // d for e, c in x.items()})
+    raise DomainError(f"no exact integer division on {type(x).__name__}")
+
+
+def _from_ghosts(ring: Ring, ghosts: Sequence[Any]) -> TruncatedSeries:
+    """The series 1 + c_1 T + ... whose ghosts[n] is its T^n ghost component
+    (ghosts[0] is unused): n c_n = sum_{j=1..n} g_j c_{n-j}."""
+    coeffs = [ring.one]
+    for n in range(1, len(ghosts)):
+        acc = ring.zero
+        for j in range(1, n + 1):
+            g, c = ghosts[j], coeffs[n - j]
+            if not (g.is_zero or c.is_zero):
+                acc = acc + g * c
+        coeffs.append(_divide_exact(acc, n))
+    return TruncatedSeries(ring, coeffs)
+
+
+def _ghosts(series: TruncatedSeries) -> list:
+    """Ghost components of a series with constant term 1, as [None, g_1, ..., g_N]:
+    g_n = n a_n - sum_{j<n} g_j a_{n-j}."""
+    a = series.coefficients
+    g = [None]
+    for n in range(1, len(a)):
+        acc = n * a[n]
+        for j in range(1, n):
+            if not (g[j].is_zero or a[n - j].is_zero):
+                acc = acc - g[j] * a[n - j]
+        g.append(acc)
+    return g
 
 
 @dataclass(frozen=True, eq=False)
 class LambdaProvider:
-    """A pre-lambda structure: element b and order N give lambda_b(T) to T^N."""
+    """A pre-lambda structure given by its Adams operations psi(x, r)."""
 
     name: str
     ring: Ring
-    fn: Callable[[Any, int], TruncatedSeries]
+    psi: Callable[[Any, int], Any]
 
     def series(self, element: Any, order: int) -> TruncatedSeries:
+        """lambda_element(T) to T^order, by Newton's identity."""
+        check_order(order)
         if not self.ring.is_member(element):
             raise DomainError(f"element does not lie in the {self.ring.name} ring")
-        return self.fn(element, order)
-
-
-def _element_key(element: Any):
-    """A hashable identity for a ring element, or None if it has none."""
-    sk = getattr(element, "structural_key", None)
-    if callable(sk):
-        return ("s", sk())
-    try:
-        hash(element)
-    except TypeError:
-        return None
-    return ("h", element)
-
-
-def _series_key(series: TruncatedSeries):
-    parts = []
-    for c in series.coefficients:
-        k = _element_key(c)
-        if k is None:
-            return None
-        parts.append(k)
-    return (series.ring.name, series.order, tuple(parts))
-
-
-_provider_caches: "weakref.WeakKeyDictionary[LambdaProvider, dict]" = weakref.WeakKeyDictionary()
-
-
-def _cache_for(provider: LambdaProvider) -> dict:
-    cache = _provider_caches.get(provider)
-    if cache is None:
-        cache = {}
-        _provider_caches[provider] = cache
-    return cache
+        return _from_ghosts(self.ring, [None] + [self.psi(element, r) for r in range(1, order + 1)])
 
 
 def lambda_factorize(series: TruncatedSeries, provider: LambdaProvider) -> tuple:
     """The unique elements (b_1, ..., b_N) with series = prod lambda_{b_k}(T^k)."""
+    check_order(series.order)
     if series.ring != provider.ring:
         raise DomainError("series ring does not match the provider")
-    ring = provider.ring
-    if not series.coefficient(0) == ring.one:
+    if not series.coefficient(0) == provider.ring.one:
         raise DomainError("lambda factorization needs constant term 1")
-    skey = _series_key(series)
-    ckey = ("factorize", skey) if skey is not None else None
-    cache = _cache_for(provider)
-    if ckey is not None and ckey in cache:
-        return cache[ckey]
-    order = series.order
-    residual = series
-    out = []
-    for k in range(1, order + 1):
-        bk = residual.coefficient(k)
-        out.append(bk)
-        if bk == ring.zero:
-            continue
-        lam = provider.series(bk, order).substitute_tk(k)
-        residual = residual * lam.inverse()
-    result = tuple(out)
-    if ckey is not None:
-        cache[ckey] = result
-    return result
+    g = _ghosts(series)
+    b = [None]
+    for n in range(1, len(g)):
+        acc = g[n]
+        for k in range(1, n // 2 + 1):
+            if n % k == 0:
+                acc = acc - k * provider.psi(b[k], n // k)
+        b.append(_divide_exact(acc, n))
+    return tuple(b[1:])
 
 
 def power(series: TruncatedSeries, exponent: Any, provider: LambdaProvider) -> TruncatedSeries:
@@ -105,25 +134,17 @@ def power(series: TruncatedSeries, exponent: Any, provider: LambdaProvider) -> T
     The exponent must lie in the provider's coefficient ring; cross-ring
     exponentiation is rejected.
     """
-    if not provider.ring.is_member(exponent):
-        raise DomainError(f"exponent does not lie in the {provider.ring.name} ring")
-    skey = _series_key(series)
-    ekey = _element_key(exponent)
-    ckey = ("power", skey, ekey) if skey is not None and ekey is not None else None
-    cache = _cache_for(provider)
-    if ckey is not None and ckey in cache:
-        return cache[ckey]
-    bs = lambda_factorize(series, provider)
+    check_order(series.order)
     ring = provider.ring
+    if not ring.is_member(exponent):
+        raise DomainError(f"exponent does not lie in the {ring.name} ring")
     order = series.order
-    out = TruncatedSeries.one(ring, order)
-    for k, bk in enumerate(bs, start=1):
-        if bk == ring.zero:
-            continue
-        out = out * provider.series(exponent * bk, order).substitute_tk(k)
-    if ckey is not None:
-        cache[ckey] = out
-    return out
+    ghosts = [None] + [ring.zero] * order
+    for k, bk in enumerate(lambda_factorize(series, provider), start=1):
+        mb = exponent * bk
+        for r in range(1, order // k + 1):
+            ghosts[k * r] = ghosts[k * r] + k * provider.psi(mb, r)
+    return _from_ghosts(ring, ghosts)
 
 
 def binomial_series(exponent: Any, order: int, provider: LambdaProvider) -> TruncatedSeries:
@@ -146,12 +167,14 @@ def opposite_series(series: TruncatedSeries) -> TruncatedSeries:
 
 
 def opposite_provider(provider: LambdaProvider) -> LambdaProvider:
-    """The opposite pre-lambda structure of a provider."""
-    return LambdaProvider(
-        f"{provider.name}-opposite",
-        provider.ring,
-        lambda element, order: opposite_series(provider.fn(element, order)),
-    )
+    """The opposite pre-lambda structure lambda'_x(T) = lambda_x(-T)^{-1}:
+    its Adams operations are (-1)^{r+1} psi^r."""
+
+    def psi(element, r):
+        value = provider.psi(element, r)
+        return value if r % 2 else -value
+
+    return LambdaProvider(f"{provider.name}-opposite", provider.ring, psi)
 
 
 # -- axiom suite ----------------------------------------------------------------

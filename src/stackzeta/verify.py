@@ -198,17 +198,18 @@ def _sample_axioms(ring_name: str, rng: random.Random, count: int, order: int) -
 
 
 def _tampered(provider: LambdaProvider) -> LambdaProvider:
-    """A deliberately broken provider: adds 1 to the T^2 coefficient."""
+    """A deliberately broken provider: psi^r(x) + 2 for even r.
 
-    def fn(element, order):
-        s = provider.fn(element, order)
-        if order < 2:
-            return s
-        coeffs = list(s.coefficients)
-        coeffs[2] = coeffs[2] + provider.ring.one
-        return TruncatedSeries(provider.ring, tuple(coeffs))
+    That makes lambda'_x(T) = lambda_x(T) / (1 - T^2), which adds 1 at T^2
+    and keeps every coefficient integral.
+    """
+    two = provider.ring.one + provider.ring.one
 
-    return LambdaProvider(f"{provider.name}-tampered", provider.ring, fn)
+    def psi(element, r):
+        value = provider.psi(element, r)
+        return value + two if r % 2 == 0 else value
+
+    return LambdaProvider(f"{provider.name}-tampered", provider.ring, psi)
 
 
 def verify_axioms(
@@ -216,8 +217,8 @@ def verify_axioms(
 ) -> VerificationReport:
     """Power-structure axioms 1-7 on seeded random samples.
 
-    ``perturbed`` swaps in a provider whose series are wrong at T^2; the
-    suite must then fail (negative control).
+    ``perturbed`` swaps in a provider whose Adams operations are wrong in
+    even degrees; the suite must then fail (negative control).
     """
     if ring_name not in ("motivic", "hd"):
         raise DomainError(f"unknown ring {ring_name!r}; pick motivic or hd")

@@ -6,8 +6,18 @@ additive-to-multiplicative (zeta_{a+b} = zeta_a zeta_b), and on a Laurent
 polynomial class b = sum c_s L^s it is the product of geometric factors
 prod_s (1 - L^s T)^{-c_s}.
 
-For classes with denominators the engine peels one factor at a time: writing
-a = b * q^m / (1 - q^n) with q = L^{-1}, the coefficient of T^k is
+Every class a is a q-adically convergent signed sum of powers of L (with
+q = L^{-1}), and zeta_{L^s} = 1/(1 - L^s T), so
+
+    log zeta_a(T) = sum_{r>=1} psi^r(a) T^r / r,   psi^r(a)(L) = a(L^r).
+
+The engine is therefore Newton's identity on these Adams operations (see
+``power``): k sym^k(a) = sum_{r=1..k} psi^r(a) sym^{k-r}(a).  The division
+by k is exact by Gauss's lemma, since every denominator factor is primitive.
+
+The paper's own formula stays here as an independent oracle for the tests
+and the verification suite.  Writing a = b * q^m / (1 - q^n), the
+coefficient of T^k is
 
     q^{k m} * sum over partitions (k_1,...,k_s) of k of
         [block-distinct sum at (q^n, q^{2n}, ..., q^{sn}), block sizes k_j]
@@ -32,19 +42,32 @@ from typing import Iterable, Mapping, Sequence
 from .errors import DomainError, ResourceLimitError
 from .laurent import IntLaurent
 from .motivic import DenomForm, MotivicClass
-from .multipoly import MultiPoly
 from .partitions import partitions_of
-from .power import LambdaProvider, opposite_series
+from .power import LambdaProvider, opposite_provider
 from .rfunctions import DEFAULT_PERMUTATION_CAP, block_distinct_sum
 from .series import Ring, TruncatedSeries, motivic_ring
 
 MOTIVIC = motivic_ring()
 
-_zeta_cache: dict[tuple, TruncatedSeries] = {}
-
 
 def _q_power(j: int) -> MotivicClass:
     return MotivicClass.l_power(-j)
+
+
+def _adams(a: MotivicClass, r: int) -> MotivicClass:
+    """psi^r(a): num(L^r) / (L^{r e} prod(L^{r n} - 1)) for a = num / (L^e prod(L^n - 1))."""
+    if r == 1 or a.is_zero:
+        return a
+    num = IntLaurent({d * r: c for d, c in a.num.items()})
+    return MotivicClass(num, DenomForm(a.den.l_exp * r, tuple(n * r for n in a.den.factors)))
+
+
+_KAPRANOV = LambdaProvider("kapranov-zeta", MOTIVIC, _adams)
+_OPPOSITE = opposite_provider(_KAPRANOV)
+
+
+def _as_class(a: MotivicClass | IntLaurent | int) -> MotivicClass:
+    return (a if isinstance(a, MotivicClass) else MotivicClass(a)).normalize()
 
 
 def zeta_of_polynomial(b: IntLaurent, order: int) -> TruncatedSeries:
@@ -103,53 +126,26 @@ def zeta_from_sigma(
     return TruncatedSeries(MOTIVIC, coeffs)
 
 
-def zeta_series(
-    a: MotivicClass | IntLaurent | int, order: int, *, cap: int = DEFAULT_PERMUTATION_CAP
-) -> TruncatedSeries:
-    """zeta_a(T) to the given order, exactly.
-
-    Polynomial classes go through the geometric-product formula; each
-    denominator factor L^n - 1 = (1 - q^n)/q^n is peeled off largest-first
-    through zeta_from_sigma.  Memoized on the normalized representation.
-    """
-    if not isinstance(a, MotivicClass):
-        a = MotivicClass(a)
-    if order < 0:
-        raise DomainError("series order must be nonnegative")
-    norm = a.normalize()
-    key = (norm.structural_key(), order, cap)
-    hit = _zeta_cache.get(key)
-    if hit is not None:
-        return hit
-    if not norm.den.factors:
-        out = zeta_of_polynomial(norm.num.shift(-norm.den.l_exp), order)
-    else:
-        n = norm.den.factors[-1]
-        rest = norm.den.factors[:-1]
-        base = MotivicClass(norm.num, DenomForm(norm.den.l_exp + n, rest))
-        inner = zeta_series(base, order, cap=cap)
-        out = zeta_from_sigma(inner.coefficients[1:], 0, n, order, cap=cap)
-    _zeta_cache[key] = out
-    return out
+def zeta_series(a: MotivicClass | IntLaurent | int, order: int) -> TruncatedSeries:
+    """zeta_a(T) to the given order, exactly, from the normalized class."""
+    return _KAPRANOV.series(_as_class(a), order)
 
 
-def sym_power(a: MotivicClass | IntLaurent | int, k: int, *, cap: int = DEFAULT_PERMUTATION_CAP) -> MotivicClass:
+def sym_power(a: MotivicClass | IntLaurent | int, k: int) -> MotivicClass:
     """sym^k(a): the coefficient of T^k in zeta_a."""
     if k < 0:
         raise DomainError("sym powers are indexed by k >= 0")
-    return zeta_series(a, k, cap=cap).coefficient(k)
+    return zeta_series(a, k).coefficient(k)
 
 
-def opposite_zeta(
-    a: MotivicClass | IntLaurent | int, order: int, *, cap: int = DEFAULT_PERMUTATION_CAP
-) -> TruncatedSeries:
+def opposite_zeta(a: MotivicClass | IntLaurent | int, order: int) -> TruncatedSeries:
     """The opposite pre-lambda structure: (zeta_a(-T))^{-1}."""
-    return opposite_series(zeta_series(a, order, cap=cap))
+    return _OPPOSITE.series(_as_class(a), order)
 
 
-def motivic_provider(cap: int = DEFAULT_PERMUTATION_CAP) -> LambdaProvider:
+def motivic_provider() -> LambdaProvider:
     """The Kapranov zeta function as a lambda provider over motivic classes."""
-    return LambdaProvider("kapranov-zeta", MOTIVIC, lambda a, order: zeta_series(a, order, cap=cap))
+    return _KAPRANOV
 
 
 # -- formal sym-symbol variant --------------------------------------------------
@@ -354,7 +350,6 @@ def check_functional_equation(
     order: int,
     *,
     a: MotivicClass | None = None,
-    cap: int = DEFAULT_PERMUTATION_CAP,
 ) -> FuncEqReport:
     """Check zeta_a(T) = zeta_a(q^n T) * zeta_b(q^m T) for a = b*q^m/(1-q^n).
 
@@ -369,8 +364,8 @@ def check_functional_equation(
     constructed = b * _q_power(m) * (MotivicClass.one() - _q_power(n)).inverse()
     if a is not None and not a == constructed:
         raise DomainError("a must equal b * q^m / (1 - q^n)")
-    za = zeta_series(constructed, order, cap=cap)
-    zb = zeta_series(b, order, cap=cap)
+    za = zeta_series(constructed, order)
+    zb = zeta_series(b, order)
     rhs = za.scale_t(_q_power(n)) * zb.scale_t(_q_power(m))
     idx = za.first_divergence(rhs)
     return FuncEqReport(idx is None, idx, za, rhs)
@@ -408,8 +403,6 @@ def infinite_product_prefix(
     prefix: int,
     order: int,
     q_degree: int = 10,
-    *,
-    cap: int = DEFAULT_PERMUTATION_CAP,
 ) -> PrefixReport:
     """Expand prod_{i=0}^{prefix-1} zeta_b(q^{m+in} T) q-adically.
 
@@ -426,7 +419,7 @@ def infinite_product_prefix(
         raise ResourceLimitError("prefix expansion caps exceeded")
     if not isinstance(b, MotivicClass):
         b = MotivicClass(b)
-    zb = zeta_series(b, order, cap=cap)
+    zb = zeta_series(b, order)
 
     def tables_for(count: int) -> tuple[tuple[tuple[int, int], ...], ...]:
         prod = TruncatedSeries.one(MOTIVIC, order)

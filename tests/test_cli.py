@@ -1,11 +1,18 @@
 """Command-line interface: outputs, JSON forms, exit codes."""
 
 import json
+import time
 
-import pytest
-
-from stackzeta import MotivicClass, TruncatedSeries, motivic_ring, zeta_series
+from stackzeta import (
+    InternalConsistencyError,
+    MotivicClass,
+    TruncatedSeries,
+    cli,
+    motivic_ring,
+    zeta_series,
+)
 from stackzeta.cli import main
+from stackzeta.power import MAX_SERIES_ORDER
 from stackzeta.expr import parse_class
 
 ZETA_BGL1_ORDER3 = (
@@ -122,9 +129,22 @@ def test_domain_error_exit_code(capsys):
 
 
 def test_resource_cap_exit_code(capsys):
-    code, _, err = run(capsys, "zeta", "BGL(1)", "--order", "9", "--cap-k", "8")
+    start = time.perf_counter()
+    code, _, err = run(capsys, "zeta", "1", "--order", "3000")
+    assert time.perf_counter() - start < 0.2
     assert code == 4
     assert "error" in err
+    assert str(MAX_SERIES_ORDER) in err and "3000" in err
+
+
+def test_internal_error_exit_code(capsys, monkeypatch):
+    def broken(*args):
+        raise InternalConsistencyError("two routes disagree")
+
+    monkeypatch.setattr(cli, "zeta_series", broken)
+    code, _, err = run(capsys, "zeta", "L", "--order", "2")
+    assert code == 5
+    assert "internal error" in err
 
 
 def test_verify_pass_and_fail_exit_codes(capsys):

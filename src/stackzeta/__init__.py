@@ -62,16 +62,13 @@ from .hodge import (
     stack_power_counterexample,
 )
 from .zeta import (
-    FormalSigma,
     FuncEqReport,
     PrefixReport,
     check_functional_equation,
-    formal_ring,
     infinite_product_prefix,
     motivic_provider,
     opposite_zeta,
     sym_power,
-    zeta_formal,
     zeta_from_sigma,
     zeta_of_polynomial,
     zeta_series,
@@ -96,7 +93,6 @@ __all__ = [
     "EFFECTIVE_CANDIDATE",
     "EffectivenessResult",
     "ElaborationError",
-    "FormalSigma",
     "FuncEqReport",
     "HDRealization",
     "INCONCLUSIVE",
@@ -128,7 +124,6 @@ __all__ = [
     "distinct_exponent_oracle",
     "distinct_exponent_sum",
     "distinct_exponent_sum_taylor",
-    "formal_ring",
     "gl_class",
     "grassmannian_class",
     "hd_opposite_provider",
@@ -153,7 +148,6 @@ __all__ = [
     "verify_distinct_sum",
     "verify_grassmannian",
     "verify_zeta_closed_form",
-    "zeta_formal",
     "zeta_from_sigma",
     "zeta_of_polynomial",
     "zeta_series",

@@ -166,6 +166,8 @@ def _run(args) -> int:
         return _emit(args, value, {"value": str(value)})
 
     if args.command == "verify":
+        if args.perturb and args.scenario not in ("distinct-sum", "axioms"):
+            raise DomainError(f"--perturb is supported by distinct-sum and axioms, not {args.scenario}")
         if args.scenario == "distinct-sum":
             report = verify_distinct_sum(args.k, args.cap_degree, perturb=args.perturb)
         elif args.scenario == "zeta-closed-form":

@@ -15,7 +15,8 @@ division.
 
 Equality is mathematical, by cross-multiplication, so two representations of
 the same class always compare equal.  Consequently MotivicClass is not
-hashable; caches key on ``structural_key`` of a normalized value instead.
+hashable; ``structural_key`` is a hashable key of one exact representation,
+not of the class.
 
 Writing q = L^{-1}, the fractions above are exactly the classes of the form
 b * q^m / ((1-q^{n_1})...(1-q^{n_r})) that the zeta engine consumes, since

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import DomainError
 
@@ -55,7 +54,6 @@ def _part_lists(k: int, max_part: int):
             yield (p,) + rest
 
 
-@lru_cache(maxsize=None)
 def partitions_of(k: int) -> tuple[Partition, ...]:
     """All partitions of k, deterministic order (largest part descending)."""
     if k < 0:

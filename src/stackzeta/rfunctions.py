@@ -27,68 +27,55 @@ from .errors import DomainError, ResourceLimitError
 from .motivic import MotivicClass, divide_exact_int
 from .multipoly import MultiPoly
 
-#: Largest k for which the k!-term closed form is evaluated by default.
-DEFAULT_PERMUTATION_CAP = 8
+#: Largest k the closed form accepts; it is a sum of k! permutation summands.
+PERMUTATION_CAP = 8
 
 #: Hard caps for the brute-force enumeration oracles.
 ORACLE_MAX_VARS = 4
 ORACLE_MAX_DEGREE = 12
 
-_inv_cache: dict[tuple, MotivicClass] = {}
-_sum_cache: dict[tuple, MotivicClass] = {}
-_block_cache: dict[tuple, MotivicClass] = {}
 
-
-def _inv_one_minus(c: MotivicClass) -> MotivicClass:
-    """(1 - c)^{-1}, cached; the partial products recur constantly."""
-    key = c.structural_key()
-    hit = _inv_cache.get(key)
-    if hit is None:
-        hit = (MotivicClass.one() - c).inverse()
-        _inv_cache[key] = hit
-    return hit
-
-
-def distinct_exponent_sum(args: Sequence[MotivicClass], *, cap: int = DEFAULT_PERMUTATION_CAP) -> MotivicClass:
+def distinct_exponent_sum(args: Sequence[MotivicClass]) -> MotivicClass:
     """Closed form of the pairwise-distinct exponent sum at the given arguments.
 
     Exact over motivic classes; every 1 - (partial product) must be a unit
     of the ring, which holds whenever each argument is a nontrivial power
-    of L or of q.  Enumerates k! permutation summands, so k is capped.
+    of L or of q.  The k! summands are grouped by prefix: for a set S of
+    argument indices (a bitmask), f[S] sums the first |S| numerator and
+    denominator factors over all orderings of S, so
+
+        f[S] = (1 - prod_{i in S} x_i)^{-1} * sum_{i in S} f[S - i] * x_i^{k-|S|}
+
+    and f[all] is the sum, in 2^k * k products instead of k! * 2k.
     """
     k = len(args)
     if k == 0:
         raise DomainError("the distinct-exponent sum needs at least one argument")
-    if k > cap:
-        raise ResourceLimitError(f"closed form with k={k} exceeds the permutation cap {cap}")
+    if k > PERMUTATION_CAP:
+        raise ResourceLimitError(f"closed form with k={k} exceeds the permutation cap {PERMUTATION_CAP}")
     args = tuple(a.normalize() for a in args)
-    key = tuple(a.structural_key() for a in args)
-    hit = _sum_cache.get(key)
-    if hit is not None:
-        return hit
+    one = MotivicClass.one()
     ptab = []
     for a in args:
-        row = [MotivicClass.one()]
+        row = [one]
         for _ in range(1, k):
             row.append(row[-1] * a)
         ptab.append(row)
-    total = MotivicClass.zero()
-    for perm in permutations(range(k)):
-        term = MotivicClass.one()
-        for t in range(k):
-            term = term * ptab[perm[t]][k - 1 - t]
-        partial = MotivicClass.one()
-        for t in range(k):
-            partial = partial * args[perm[t]]
-            term = term * _inv_one_minus(partial)
-        total = total + term
-    _sum_cache[key] = total
-    return total
+    prod = [one] * (1 << k)
+    f = [one] * (1 << k)
+    for mask in range(1, 1 << k):
+        low = (mask & -mask).bit_length() - 1
+        prod[mask] = prod[mask & (mask - 1)] * args[low]
+        exp = k - bin(mask).count("1")
+        acc = MotivicClass.zero()
+        for i in range(k):
+            if mask >> i & 1:
+                acc = acc + f[mask ^ (1 << i)] * ptab[i][exp]
+        f[mask] = acc * (one - prod[mask]).inverse()
+    return f[-1]
 
 
-def block_distinct_sum(
-    mults: Sequence[int], args: Sequence[MotivicClass], *, cap: int = DEFAULT_PERMUTATION_CAP
-) -> MotivicClass:
+def block_distinct_sum(mults: Sequence[int], args: Sequence[MotivicClass]) -> MotivicClass:
     """Block-increasing variant: argument j repeated mults[j] times, exponents
     strictly increasing inside each block and distinct across blocks.
 
@@ -100,21 +87,14 @@ def block_distinct_sum(
         raise DomainError("one multiplicity per argument")
     if any(m < 1 for m in mults):
         raise DomainError("multiplicities must be positive")
-    args = tuple(a.normalize() for a in args)
-    key = (tuple(mults), tuple(a.structural_key() for a in args))
-    hit = _block_cache.get(key)
-    if hit is not None:
-        return hit
     expanded: list[MotivicClass] = []
     for m, a in zip(mults, args):
         expanded.extend([a] * m)
-    full = distinct_exponent_sum(expanded, cap=cap)
+    full = distinct_exponent_sum(expanded)
     denom = 1
     for m in mults:
         denom *= factorial(m)
-    out = divide_exact_int(full, denom)
-    _block_cache[key] = out
-    return out
+    return divide_exact_int(full, denom)
 
 
 # -- truncated Taylor expansions and enumeration oracles -----------------------

@@ -34,10 +34,8 @@ class Ring:
     def is_member(self, x) -> bool:
         if type(x) is not type(self.zero):
             return False
-        for attr in ("nvars", "nsymbols"):  # fixed-arity coefficient types must match
-            if hasattr(self.zero, attr) and getattr(x, attr) != getattr(self.zero, attr):
-                return False
-        return True
+        # polynomial coefficients must also match in their number of variables
+        return getattr(x, "nvars", None) == getattr(self.zero, "nvars", None)
 
 
 def _known_zero(c) -> bool:

@@ -224,6 +224,8 @@ def verify_axioms(
         raise DomainError(f"unknown ring {ring_name!r}; pick motivic or hd")
     if order < 2:
         raise DomainError("axiom checks need order >= 2")
+    if samples < 1:
+        raise DomainError("axiom checks need samples >= 1; zero samples check nothing")
     if order > 5 or samples > 50:
         raise ResourceLimitError("axiom verification is capped at order 5, 50 samples")
 

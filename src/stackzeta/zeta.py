@@ -15,9 +15,8 @@ The engine is therefore Newton's identity on these Adams operations (see
 ``power``): k sym^k(a) = sum_{r=1..k} psi^r(a) sym^{k-r}(a).  The division
 by k is exact by Gauss's lemma, since every denominator factor is primitive.
 
-The paper's own formula stays here as an independent oracle for the tests
-and the verification suite.  Writing a = b * q^m / (1 - q^n), the
-coefficient of T^k is
+The paper's own formula stays here as an independent oracle for the tests.
+Writing a = b * q^m / (1 - q^n), the coefficient of T^k is
 
     q^{k m} * sum over partitions (k_1,...,k_s) of k of
         [block-distinct sum at (q^n, q^{2n}, ..., q^{sn}), block sizes k_j]
@@ -37,15 +36,15 @@ on the series side, since zeta_{-b} is the inverse series of zeta_b.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 from .errors import DomainError, ResourceLimitError
 from .laurent import IntLaurent
 from .motivic import DenomForm, MotivicClass
 from .partitions import partitions_of
 from .power import LambdaProvider, opposite_provider
-from .rfunctions import DEFAULT_PERMUTATION_CAP, block_distinct_sum
-from .series import Ring, TruncatedSeries, motivic_ring
+from .rfunctions import block_distinct_sum
+from .series import TruncatedSeries, motivic_ring
 
 MOTIVIC = motivic_ring()
 
@@ -89,9 +88,7 @@ def zeta_of_polynomial(b: IntLaurent, order: int) -> TruncatedSeries:
     return out
 
 
-def zeta_from_sigma(
-    sigma_b: Sequence[MotivicClass], m: int, n: int, order: int, *, cap: int = DEFAULT_PERMUTATION_CAP
-) -> TruncatedSeries:
+def zeta_from_sigma(sigma_b: Sequence[MotivicClass], m: int, n: int, order: int) -> TruncatedSeries:
     """zeta of b * q^m / (1 - q^n) given sym^1(b)..sym^order(b).
 
     Implements the partition formula from the module docstring; sigma_b[j-1]
@@ -108,7 +105,7 @@ def zeta_from_sigma(
         # 1/(1-q^n) = -q^{-n}/(1-q^{-n}); sym powers of -b come from the inverse series
         zb = TruncatedSeries(MOTIVIC, (MotivicClass.one(),) + sigma_b[:order])
         neg = zb.inverse().coefficients[1:]
-        return zeta_from_sigma(neg, m - n, -n, order, cap=cap)
+        return zeta_from_sigma(neg, m - n, -n, order)
     coeffs = [MotivicClass.one()]
     for k in range(1, order + 1):
         acc = MotivicClass.zero()
@@ -116,7 +113,7 @@ def zeta_from_sigma(
             blocks = part.nonzero_blocks()
             mults = tuple(kj for _, kj in blocks)
             args = tuple(_q_power(j * n) for j, _ in blocks)
-            term = block_distinct_sum(mults, args, cap=cap)
+            term = block_distinct_sum(mults, args)
             for j, kj in blocks:
                 term = term * sigma_b[j - 1] ** kj
             acc = acc + term
@@ -148,189 +145,7 @@ def motivic_provider() -> LambdaProvider:
     return _KAPRANOV
 
 
-# -- formal sym-symbol variant --------------------------------------------------
-
-
-class FormalSigma:
-    """Polynomial in formal symbols s_1..s_J with motivic-class coefficients.
-
-    Stands for an expression in the sym powers of an unspecified base class:
-    substituting actual values for the symbols yields a motivic class.
-    """
-
-    __slots__ = ("_nsymbols", "_terms")
-
-    def __init__(self, nsymbols: int, terms: Mapping[tuple[int, ...], MotivicClass] | Iterable = ()):
-        if nsymbols < 0:
-            raise DomainError("nsymbols must be nonnegative")
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        clean: dict[tuple[int, ...], MotivicClass] = {}
-        for exps, coeff in items:
-            exps = tuple(exps)
-            if len(exps) != nsymbols or any(e < 0 for e in exps):
-                raise DomainError(f"bad symbol exponents {exps!r}")
-            if exps in clean:
-                coeff = clean[exps] + coeff
-            if coeff.is_zero:
-                clean.pop(exps, None)
-            else:
-                clean[exps] = coeff
-        object.__setattr__(self, "_nsymbols", nsymbols)
-        object.__setattr__(self, "_terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FormalSigma is immutable")
-
-    @classmethod
-    def zero(cls, nsymbols: int) -> FormalSigma:
-        return cls(nsymbols)
-
-    @classmethod
-    def one(cls, nsymbols: int) -> FormalSigma:
-        return cls(nsymbols, {(0,) * nsymbols: MotivicClass.one()})
-
-    @classmethod
-    def symbol(cls, nsymbols: int, j: int) -> FormalSigma:
-        if not 1 <= j <= nsymbols:
-            raise DomainError(f"symbol index {j} out of range 1..{nsymbols}")
-        exps = tuple(1 if i == j - 1 else 0 for i in range(nsymbols))
-        return cls(nsymbols, {exps: MotivicClass.one()})
-
-    @property
-    def nsymbols(self) -> int:
-        return self._nsymbols
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def items(self):
-        return iter(sorted(self._terms.items(), key=lambda kv: kv[0], reverse=True))
-
-    def _check(self, other: FormalSigma):
-        if self._nsymbols != other._nsymbols:
-            raise DomainError("symbol-count mismatch")
-
-    def __add__(self, other: FormalSigma) -> FormalSigma:
-        if not isinstance(other, FormalSigma):
-            return NotImplemented
-        self._check(other)
-        out = dict(self._terms)
-        for exps, coeff in other._terms.items():
-            s = out.get(exps)
-            coeff = coeff if s is None else s + coeff
-            if coeff.is_zero:
-                out.pop(exps, None)
-            else:
-                out[exps] = coeff
-        return FormalSigma(self._nsymbols, out)
-
-    def __neg__(self) -> FormalSigma:
-        return FormalSigma(self._nsymbols, {e: -c for e, c in self._terms.items()})
-
-    def __sub__(self, other: FormalSigma) -> FormalSigma:
-        if not isinstance(other, FormalSigma):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other) -> FormalSigma:
-        if isinstance(other, (MotivicClass, int)):
-            other = FormalSigma(self._nsymbols, {(0,) * self._nsymbols: MotivicClass.one() * other})
-        if not isinstance(other, FormalSigma):
-            return NotImplemented
-        self._check(other)
-        out: dict[tuple[int, ...], MotivicClass] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                s = out.get(e)
-                c = c if s is None else s + c
-                if c.is_zero:
-                    out.pop(e, None)
-                else:
-                    out[e] = c
-        return FormalSigma(self._nsymbols, out)
-
-    __rmul__ = __mul__
-
-    def substitute(self, values: Sequence[MotivicClass]) -> MotivicClass:
-        """Evaluate at s_j = values[j-1]."""
-        if len(values) < self._nsymbols:
-            raise DomainError(f"need {self._nsymbols} symbol values")
-        total = MotivicClass.zero()
-        for exps, coeff in self._terms.items():
-            term = coeff
-            for j, e in enumerate(exps):
-                if e:
-                    term = term * values[j] ** e
-            total = total + term
-        return total
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FormalSigma):
-            return NotImplemented
-        return self._nsymbols == other._nsymbols and self._terms == other._terms
-
-    __hash__ = None
-
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        pieces = []
-        for exps, coeff in self.items():
-            syms = "*".join(
-                f"s{j + 1}" if e == 1 else f"s{j + 1}^{e}" for j, e in enumerate(exps) if e
-            )
-            if not syms:
-                pieces.append(f"({coeff})")
-            else:
-                pieces.append(f"({coeff})*{syms}")
-        return " + ".join(pieces)
-
-    def __repr__(self) -> str:
-        return f"FormalSigma({self._nsymbols}, {self})"
-
-
-def formal_ring(nsymbols: int) -> Ring:
-    return Ring(f"formal-sigma-{nsymbols}", FormalSigma.zero(nsymbols), FormalSigma.one(nsymbols))
-
-
-def zeta_formal(
-    nsymbols: int, m: int, n: int, order: int, *, cap: int = DEFAULT_PERMUTATION_CAP
-) -> TruncatedSeries:
-    """zeta of b * q^m / (1 - q^n) with sym^j(b) left as the formal symbol s_j.
-
-    Substituting concrete sym powers must reproduce zeta_from_sigma; that
-    cross-check lives in the test suite.  Negative n is evaluated through
-    the rationally-continued block sums at q^{jn} directly.
-    """
-    if n == 0:
-        raise DomainError("the twist exponent n must be nonzero")
-    if order < 0:
-        raise DomainError("series order must be nonnegative")
-    if nsymbols < order:
-        raise DomainError("need at least as many symbols as the truncation order")
-    ring = formal_ring(nsymbols)
-    coeffs = [ring.one]
-    for k in range(1, order + 1):
-        acc = ring.zero
-        for part in partitions_of(k):
-            blocks = part.nonzero_blocks()
-            mults = tuple(kj for _, kj in blocks)
-            args = tuple(_q_power(j * n) for j, _ in blocks)
-            c = block_distinct_sum(mults, args, cap=cap)
-            if m:
-                c = c * _q_power(k * m)
-            exps = [0] * nsymbols
-            for j, kj in blocks:
-                exps[j - 1] = kj
-            acc = acc + FormalSigma(nsymbols, {tuple(exps): c})
-        coeffs.append(acc)
-    return TruncatedSeries(ring, coeffs)
-
-
-# -- consistency checks used by tests and the verification suite ----------------
+# -- consistency checks used by the tests ----------------------------------------
 
 
 @dataclass(frozen=True)

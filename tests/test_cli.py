@@ -200,3 +200,17 @@ def test_verify_grassmannian_scenario(capsys):
 def test_verify_cap_exit_code(capsys):
     code, _, err = run(capsys, "verify", "distinct-sum", "--k", "9", "--cap-degree", "4")
     assert code == 4
+
+
+
+def test_verify_rejects_vacuous_runs(capsys):
+    code, out, err = run(capsys, "verify", "axioms", "--samples", "0", "--order", "2", "--perturb")
+    assert code == 3
+    assert out == ""
+    assert "samples" in err
+
+    for scenario in ("zeta-closed-form", "grassmannian"):
+        code, out, err = run(capsys, "verify", scenario, "--order", "3", "--perturb")
+        assert code == 3
+        assert out == ""
+        assert "distinct-sum" in err and "axioms" in err and scenario in err

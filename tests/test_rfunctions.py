@@ -15,6 +15,7 @@ from stackzeta import (
     distinct_exponent_sum,
     distinct_exponent_sum_taylor,
 )
+from stackzeta.rfunctions import PERMUTATION_CAP
 
 
 def q_power(j):
@@ -86,8 +87,10 @@ def test_block_validation():
 def test_caps():
     with pytest.raises(DomainError):
         distinct_exponent_sum(())
+    # one over the fixed cap: rejected before any arithmetic
+    assert PERMUTATION_CAP == 8
     with pytest.raises(ResourceLimitError):
-        distinct_exponent_sum(tuple(q_power(j) for j in range(1, 10)))
+        distinct_exponent_sum(tuple(q_power(j) for j in range(1, PERMUTATION_CAP + 2)))
     with pytest.raises(ResourceLimitError):
         distinct_exponent_sum_taylor(5, 4)
     with pytest.raises(ResourceLimitError):
@@ -99,7 +102,3 @@ def test_caps():
     with pytest.raises(DomainError):
         distinct_exponent_sum_taylor(2, 4, var_of=(0,))
 
-
-def test_permutation_cap_is_adjustable():
-    with pytest.raises(ResourceLimitError):
-        distinct_exponent_sum((q_power(1), q_power(2)), cap=1)

@@ -96,6 +96,12 @@ def test_axiom_guards():
         verify_axioms("motivic", 6, 4, 0)
     with pytest.raises(ResourceLimitError):
         verify_axioms("motivic", 2, 51, 0)
+    # zero or negative sample counts would run no check and pass vacuously
+    for samples in (0, -3):
+        with pytest.raises(DomainError):
+            verify_axioms("motivic", 2, samples, 0)
+        with pytest.raises(DomainError):
+            verify_axioms("motivic", 2, samples, 0, perturbed=True)
 
 
 def test_report_rendering():

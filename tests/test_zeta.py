@@ -8,20 +8,17 @@ from hypothesis import given, settings
 from stackzeta import (
     DenomForm,
     DomainError,
-    FormalSigma,
     IntLaurent,
     MotivicClass,
     ResourceLimitError,
     TruncatedSeries,
     bgl_class,
     check_functional_equation,
-    formal_ring,
     grassmannian_class,
     infinite_product_prefix,
     motivic_ring,
     opposite_zeta,
     sym_power,
-    zeta_formal,
     zeta_from_sigma,
     zeta_of_polynomial,
     zeta_series,
@@ -139,7 +136,14 @@ def test_opposite_zeta_of_one():
 
 
 def test_zeta_from_sigma_agrees_with_the_engine():
-    for b, m, n in ((ONE, 0, 1), (ONE + MotivicClass.l_power(1), 1, 2), (bgl_class(1), 0, 1)):
+    cases = (
+        (ONE, 0, 1),
+        (ONE, 1, 2),
+        (ONE + MotivicClass.l_power(1), 0, 1),
+        (ONE + MotivicClass.l_power(1), 1, 2),
+        (bgl_class(1), 0, 1),
+    )
+    for b, m, n in cases:
         sigma = zeta_series(b, 4).coefficients[1:]
         a = b * q_power(m) * (ONE - q_power(n)).inverse()
         assert zeta_from_sigma(sigma, m, n, 4) == zeta_series(a, 4)
@@ -159,62 +163,6 @@ def test_zeta_from_sigma_validation():
         zeta_from_sigma((ONE,), 0, 1, 2)
     with pytest.raises(DomainError):
         zeta_from_sigma((ONE,), 0, 1, -1)
-
-
-# -- formal sym symbols ------------------------------------------------------------
-
-
-def test_formal_zeta_substitutes_to_the_engine():
-    for b, m, n in ((ONE + MotivicClass.l_power(1), 0, 1), (ONE, 1, 2)):
-        sigma = zeta_series(b, 4).coefficients[1:]
-        formal = zeta_formal(4, m, n, 4)
-        a = b * q_power(m) * (ONE - q_power(n)).inverse()
-        engine = zeta_series(a, 4)
-        for k in range(5):
-            assert formal.coefficient(k).substitute(sigma) == engine.coefficient(k)
-
-
-def test_formal_zeta_needs_enough_symbols():
-    with pytest.raises(DomainError):
-        zeta_formal(2, 0, 1, 3)
-    with pytest.raises(DomainError):
-        zeta_formal(3, 0, 0, 3)
-
-
-def test_formal_sigma_algebra():
-    s1 = FormalSigma.symbol(2, 1)
-    s2 = FormalSigma.symbol(2, 2)
-    one = FormalSigma.one(2)
-    zero = FormalSigma.zero(2)
-    assert (s1 + s2) * (s1 - s2) == s1 * s1 - s2 * s2
-    assert s1 * zero == zero
-    assert s1 * one == s1
-    assert (s1 - s1).is_zero
-    assert s1 * MotivicClass.l_power(1) == MotivicClass.l_power(1) * s1
-    assert 2 * s1 == s1 + s1
-
-
-def test_formal_sigma_substitution():
-    s1 = FormalSigma.symbol(2, 1)
-    s2 = FormalSigma.symbol(2, 2)
-    expr = s1 * s1 + s2 * MotivicClass.l_power(1)
-    a, b = MotivicClass(2), MotivicClass(3)
-    assert expr.substitute((a, b)) == a * a + b * MotivicClass.l_power(1)
-    with pytest.raises(DomainError):
-        expr.substitute((a,))
-
-
-def test_formal_sigma_validation():
-    with pytest.raises(DomainError):
-        FormalSigma.symbol(2, 0)
-    with pytest.raises(DomainError):
-        FormalSigma.symbol(2, 3)
-    with pytest.raises(DomainError):
-        FormalSigma(2, {(1,): ONE})
-    with pytest.raises(DomainError):
-        FormalSigma(-1)
-    assert formal_ring(2).is_member(FormalSigma.one(2))
-    assert not formal_ring(2).is_member(FormalSigma.one(3))
 
 
 # -- functional equation -----------------------------------------------------------

@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import (
     DomainError,
@@ -36,7 +37,10 @@ from .verify import (
 from .zeta import motivic_provider, opposite_zeta, sym_power, zeta_series
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls
+    (parse_args leaves the parser unchanged)."""
     parser = argparse.ArgumentParser(
         prog="stackzeta",
         description="Exact Kapranov zeta functions and power structures on motivic classes.",
@@ -187,9 +191,32 @@ def _run(args) -> int:
     raise InternalConsistencyError(f"unhandled command {args.command!r}")
 
 
+def _bind_at_value(argv: list[str]) -> list[str]:
+    """Rewrite '--at VALUE' as '--at=VALUE' when VALUE is a rational.
+
+    argparse reads a token such as -7/3 as an option, not as the value of
+    --at (it makes that exception only for plain negative numbers like -2).
+    """
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] == "--at" and "--" not in out and _is_rational(token):
+            out[-1] = f"--at={token}"
+        else:
+            out.append(token)
+    return out
+
+
+def _is_rational(token: str) -> bool:
+    try:
+        Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        return False
+    return True
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser().parse_args(_bind_at_value(argv))
     try:
         return _run(args)
     except ParseError as exc:

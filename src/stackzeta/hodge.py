@@ -41,7 +41,7 @@ def _adams(poly: MultiPoly, r: int) -> MultiPoly:
     """psi^r(P)(u, v) = P(u^r, v^r)."""
     if r == 1:
         return poly
-    return MultiPoly(poly.nvars, {tuple(e * r for e in exps): c for exps, c in poly.items()})
+    return MultiPoly._raw(poly.nvars, {tuple(e * r for e in exps): c for exps, c in poly.items()})
 
 
 def hd_provider(nvars: int = 2) -> LambdaProvider:

@@ -8,11 +8,18 @@ invariants demand nonnegative numerators.
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DomainError
 from .multipoly import MultiPoly
+
+
+#: Products are packed (Kronecker substitution) when both operands have at
+#: least this many terms and each fills at least half of its degree span;
+#: below that, or on sparser operands, the schoolbook loop is faster.
+KRONECKER_MIN_TERMS = 12
 
 
 class IntLaurent:
@@ -138,10 +145,16 @@ class IntLaurent:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        a, b = self._terms, o._terms
+        if len(a) >= KRONECKER_MIN_TERMS and len(b) >= KRONECKER_MIN_TERMS:
+            lo_a, lo_b = min(a), min(b)
+            span_a, span_b = max(a) - lo_a, max(b) - lo_b
+            if span_a < 2 * len(a) and span_b < 2 * len(b):
+                return _kronecker_mul(a, b, lo_a, lo_b, span_a + span_b + 1)
         out: dict[int, int] = {}
         get = out.get
-        for d1, c1 in self._terms.items():
-            for d2, c2 in o._terms.items():
+        for d1, c1 in a.items():
+            for d2, c2 in b.items():
                 d = d1 + d2
                 v = get(d, 0) + c1 * c2
                 if v:
@@ -259,10 +272,20 @@ class IntLaurent:
         """
         if not self.is_zero and self.min_deg < 0:
             raise DomainError("negative powers of L must be cleared before substitution")
-        out = MultiPoly.zero(image.nvars)
-        for deg, coeff in self._terms.items():
-            out = out + image ** deg * coeff
-        return out
+        if len(image) == 1:
+            # c*x^e: each a*L^d goes to a*c^d*x^(d*e) (a constant image collides)
+            ((exps, c),) = image.items()
+            return MultiPoly(
+                image.nvars,
+                [(tuple(d * e for e in exps), coeff * c ** d) for d, coeff in self._terms.items()],
+            )
+        acc: dict[tuple[int, ...], int] = {}
+        power, at = MultiPoly.one(image.nvars), 0
+        for deg, coeff in sorted(self._terms.items()):
+            power, at = power * image ** (deg - at), deg
+            for exps, c in power.items():
+                acc[exps] = acc.get(exps, 0) + coeff * c
+        return MultiPoly(image.nvars, acc)
 
     def eval_rational(self, t: Fraction | int) -> Fraction:
         """Exact value at L = t."""
@@ -295,6 +318,59 @@ class IntLaurent:
 
     def __repr__(self) -> str:
         return f"IntLaurent({self})"
+
+
+def _kronecker_mul(a: dict[int, int], b: dict[int, int], lo_a: int, lo_b: int, slots: int) -> IntLaurent:
+    """The product of two term maps by Kronecker substitution.
+
+    Both operands are evaluated at X = 2^w, the big ints multiplied, and the
+    product's coefficients read back as w-bit digits.  No product
+    coefficient exceeds bound = min(len) * max|a| * max|b| in magnitude, so
+    w > bit_length(bound) keeps every digit apart; adding 2^(w-1) to each
+    digit makes it nonnegative, so the digits carry nothing into each other.
+    """
+    bound = min(len(a), len(b)) * max(map(abs, a.values())) * max(map(abs, b.values()))
+    width = (bound.bit_length() + 8) // 8  # bytes per digit, sign bit included
+    width = min((word for word in _WORD_FORMATS if word >= width), default=width)
+    half = 1 << (8 * width - 1)
+    offset = int.from_bytes(half.to_bytes(width, "little") * slots, "little")
+    packed = _evaluate(a, lo_a, width)
+    # a square (as in __pow__) lets the big-int multiply use its squaring path
+    value = packed * (packed if b is a else _evaluate(b, lo_b, width)) + offset
+    digits = _from_bytes(value.to_bytes(width * slots, "little"), width)
+    lo = lo_a + lo_b
+    return IntLaurent._raw({lo + i: d - half for i, d in enumerate(digits) if d != half})
+
+
+def _evaluate(terms: dict[int, int], lo: int, width: int) -> int:
+    """sum c * 2^(8*width*(d - lo)) over the terms."""
+    dense = [0] * (max(terms) - lo + 1)
+    for d, c in terms.items():
+        dense[d - lo] = c
+    pos = _to_bytes([c if c > 0 else 0 for c in dense], width)
+    neg = _to_bytes([-c if c < 0 else 0 for c in dense], width)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+#: struct formats of unsigned words by size in bytes: digits of these widths
+#: are converted in one call rather than one at a time.
+_WORD_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _to_bytes(digits: list[int], width: int) -> bytes:
+    """Nonnegative digits below 2^(8*width) as one little-endian byte string."""
+    fmt = _WORD_FORMATS.get(width)
+    if fmt is None:
+        return b"".join(d.to_bytes(width, "little") for d in digits)
+    return struct.pack(f"<{len(digits)}{fmt}", *digits)
+
+
+def _from_bytes(raw: bytes, width: int) -> Sequence[int]:
+    """Inverse of _to_bytes."""
+    fmt = _WORD_FORMATS.get(width)
+    if fmt is None:
+        return [int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
+    return struct.unpack(f"<{len(raw) // width}{fmt}", raw)
 
 
 #: The symbol L itself.

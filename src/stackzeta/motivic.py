@@ -101,7 +101,12 @@ class DenomForm:
 _TRIVIAL_DEN = DenomForm()
 
 
-@lru_cache(maxsize=None)
+#: Distinct denominators kept expanded; one cli-mix pass uses 17 and one
+#: power-axioms pass 69, so the bound only stops unbounded growth.
+EXPAND_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=EXPAND_CACHE_SIZE)
 def _expand(l_exp: int, factors: tuple[int, ...]) -> IntLaurent:
     out = IntLaurent.term(l_exp)
     for n in factors:

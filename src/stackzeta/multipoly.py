@@ -41,6 +41,15 @@ class MultiPoly:
         object.__setattr__(self, "_nvars", nvars)
         object.__setattr__(self, "_terms", clean)
 
+    @classmethod
+    def _raw(cls, nvars: int, terms: dict[Exponents, int]) -> MultiPoly:
+        # internal: exponent tuples must already be valid and coefficients
+        # nonzero; the dict is adopted as is
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "_nvars", nvars)
+        object.__setattr__(obj, "_terms", terms)
+        return obj
+
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
 
@@ -95,7 +104,7 @@ class MultiPoly:
     def top_part(self) -> MultiPoly:
         """Homogeneous part of highest total degree."""
         d = self.total_degree()
-        return MultiPoly(self._nvars, {e: c for e, c in self._terms.items() if sum(e) == d})
+        return MultiPoly._raw(self._nvars, {e: c for e, c in self._terms.items() if sum(e) == d})
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -123,12 +132,12 @@ class MultiPoly:
             out[exps] = out.get(exps, 0) + coeff
             if not out[exps]:
                 del out[exps]
-        return MultiPoly(self._nvars, out)
+        return MultiPoly._raw(self._nvars, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> MultiPoly:
-        return MultiPoly(self._nvars, {e: -c for e, c in self._terms.items()})
+        return MultiPoly._raw(self._nvars, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other) -> MultiPoly:
         o = self._coerce(other)
@@ -153,7 +162,7 @@ class MultiPoly:
                 out[e] = out.get(e, 0) + c1 * c2
                 if not out[e]:
                     del out[e]
-        return MultiPoly(self._nvars, out)
+        return MultiPoly._raw(self._nvars, out)
 
     __rmul__ = __mul__
 
@@ -170,7 +179,7 @@ class MultiPoly:
                 out[e] = out.get(e, 0) + c1 * c2
                 if not out[e]:
                     del out[e]
-        return MultiPoly(self._nvars, out)
+        return MultiPoly._raw(self._nvars, out)
 
     def __pow__(self, n: int) -> MultiPoly:
         if not isinstance(n, int) or n < 0:

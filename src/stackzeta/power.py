@@ -62,7 +62,7 @@ def _divide_exact(x: Any, d: int) -> Any:
     if isinstance(x, MultiPoly):
         if any(c % d for _, c in x.items()):
             raise InternalConsistencyError(f"inexact integer division of {x} by {d}")
-        return MultiPoly(x.nvars, {e: c // d for e, c in x.items()})
+        return MultiPoly._raw(x.nvars, {e: c // d for e, c in x.items()})
     raise DomainError(f"no exact integer division on {type(x).__name__}")
 
 

@@ -3,6 +3,8 @@
 import json
 import time
 
+import pytest
+
 from stackzeta import (
     InternalConsistencyError,
     MotivicClass,
@@ -106,6 +108,36 @@ def test_eval_command(capsys):
     code, out, _ = run(capsys, "eval", "L^2 + L", "--at", "5/2", "--json")
     assert code == 0
     assert json.loads(out) == {"value": "35/4"}
+
+
+def test_eval_at_negative_values(capsys):
+    for at, want in ((["--at", "-7/3"], "-3/10"), (["--at", "-2"], "-1/3"), (["--at=-7/3"], "-3/10")):
+        code, out, err = run(capsys, "eval", "1/(L-1)", *at)
+        assert (code, out.strip(), err) == (0, want, "")
+
+
+def test_parser_is_built_once(capsys):
+    cli._build_parser.cache_clear()
+    for _ in range(5):
+        run(capsys, "sym", "2", "L + 1")
+        run(capsys, "hd", "BGL(1)", "--json")
+    assert cli._build_parser.cache_info().misses == 1
+    assert cli._build_parser.cache_info().hits == 9
+
+
+def test_reused_parser_keeps_no_state_between_calls(capsys):
+    code, out, _ = run(capsys, "hd", "BGL(1)", "--json")
+    assert code == 0
+    json.loads(out)
+    code, out, _ = run(capsys, "sym", "2", "L + 1")
+    assert (code, out.strip()) == (0, "L^2 + L + 1")
+
+    with pytest.raises(SystemExit) as exc:
+        main(["zeta", "L"])  # --order is required
+    assert exc.value.code == 2
+    assert "--order" in capsys.readouterr().err
+    code, out, err = run(capsys, "zeta", "1/(L-1)", "--order", "3")
+    assert (code, out.strip(), err) == (0, ZETA_BGL1_ORDER3, "")
 
 
 def test_eval_error_paths(capsys):

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from stackzeta import DomainError, IntLaurent, L, MultiPoly
+from stackzeta import laurent
 from stackzeta.laurent import l_minus_one
 
 from _strategies import EVAL_POINTS, laurents, polynomials
@@ -113,6 +114,111 @@ def test_substitute_maps_l_to_image():
     assert (L ** 2 + L).substitute(uv) == MultiPoly(2, {(2, 2): 1, (1, 1): 1})
     with pytest.raises(DomainError):
         IntLaurent.term(-1).substitute(uv)
+
+
+def schoolbook(a, b):
+    """Reference product: every pair of terms, one at a time."""
+    out = {}
+    for d1, c1 in a.items():
+        for d2, c2 in b.items():
+            out[d1 + d2] = out.get(d1 + d2, 0) + c1 * c2
+    return IntLaurent(out)
+
+
+@st.composite
+def wide_laurents(draw, min_terms=8, max_terms=200):
+    """8 to 200 terms, gaps of 1 to 3 between degrees (so both dense and
+    sparse operands), negative degrees, coefficients up to 10^40."""
+    n = draw(st.integers(min_terms, max_terms))
+    gaps = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    scale = draw(st.sampled_from((9, 10 ** 6, 10 ** 40)))
+    coeffs = draw(st.lists(st.integers(-scale, scale), min_size=n, max_size=n))
+    deg, terms = draw(st.integers(-60, 10)), {}
+    for gap, c in zip(gaps, coeffs):
+        deg += gap
+        terms[deg] = c
+    return IntLaurent(terms)
+
+
+binomials = st.builds(
+    lambda lo, n, c, d: IntLaurent({lo: c, lo + n: d}),
+    st.integers(-5, 5),
+    st.integers(1, 6),
+    st.sampled_from((1, -1, 10 ** 40)),
+    st.sampled_from((1, -1, -(10 ** 40))),
+)
+
+
+@given(wide_laurents(), st.one_of(wide_laurents(), binomials))
+def test_product_matches_schoolbook(a, b):
+    assert a * b == schoolbook(a, b)
+    assert b * a == schoolbook(a, b)
+    assert a * a == schoolbook(a, a)
+    assert a * b + (-a) * b == IntLaurent.zero()
+
+
+@pytest.mark.parametrize("n", [12, 13, 64, 200])
+@pytest.mark.parametrize("scale", [1, 127, 10 ** 40])
+def test_product_at_the_coefficient_bound(n, scale):
+    # The middle coefficient of each product is exactly +-n * scale^2, the
+    # bound the digit width is sized from.
+    ones = IntLaurent({d: scale for d in range(-(n // 2), n - n // 2)})
+    alternating = IntLaurent({d: scale * (-1) ** d for d in range(n)})
+    for a, b in ((ones, ones), (ones, -ones), (alternating, alternating.shift(-3)), (ones, alternating)):
+        assert a * b == schoolbook(a, b)
+    assert max(c for _, c in (ones * ones).items()) == n * scale * scale
+    # (1 + L + ... + L^(n-1)) (1 - L + L^2 - ...): every odd coefficient cancels
+    cancelled = ones * alternating
+    if n % 2 == 0:
+        assert all(d % 2 == 0 for d, _ in cancelled.items())
+
+
+def test_only_dense_wide_products_are_packed(monkeypatch):
+    calls = []
+    real = laurent._kronecker_mul
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(laurent, "_kronecker_mul", counting)
+    dense = IntLaurent({d: d + 1 for d in range(laurent.KRONECKER_MIN_TERMS)})
+    dense * dense
+    assert len(calls) == 1
+    dense * l_minus_one(3)  # a binomial factor, as in GL(n)
+    dense * IntLaurent({d: 1 for d in range(laurent.KRONECKER_MIN_TERMS - 1)})
+    dense * IntLaurent({3 * d: 1 for d in range(40)})  # fills a third of its span
+    assert len(calls) == 1
+
+
+def term_by_term(p, image):
+    """Reference substitution: sum of coeff * image^deg over the terms."""
+    out = MultiPoly.zero(image.nvars)
+    for deg, coeff in p.items():
+        out = out + image ** deg * coeff
+    return out
+
+
+IMAGES = (
+    MultiPoly.monomial((2, 1), -3),  # a monomial with coefficient != 1
+    MultiPoly.constant(2, 5),  # every term lands on the constant: collisions
+    MultiPoly(2, {(1, 0): 1, (0, 1): 2, (0, 0): -1}),  # not a monomial
+    MultiPoly.zero(2),
+)
+
+
+@given(polynomials(max_deg=8, max_terms=6), st.sampled_from(IMAGES))
+def test_substitute_matches_term_by_term(p, image):
+    assert p.substitute(image) == term_by_term(p, image)
+
+
+def test_substitute_sums_colliding_terms():
+    five = MultiPoly.constant(2, 5)
+    assert (L ** 2 + L + 1).substitute(five) == MultiPoly.constant(2, 31)
+    assert (L - 1).substitute(MultiPoly.constant(2, 1)) == MultiPoly.zero(2)
+    assert (2 * L ** 3 - L).substitute(MultiPoly.monomial((1, 1), -2)) == MultiPoly(
+        2, {(3, 3): -16, (1, 1): 2}
+    )
 
 
 def test_eval_at_zero_with_negative_degrees():

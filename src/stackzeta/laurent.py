@@ -32,7 +32,8 @@ class IntLaurent:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
+        # a dict is tested first: the Mapping check alone is an ABC lookup per call
+        items = terms.items() if isinstance(terms, dict) or isinstance(terms, Mapping) else terms
         clean: dict[int, int] = {}
         for deg, coeff in items:
             if coeff:

@@ -25,7 +25,6 @@ b * q^m / ((1-q^{n_1})...(1-q^{n_r})) that the zeta engine consumes, since
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -39,8 +38,10 @@ from .multipoly import MultiPoly
 class DenomForm:
     """Structured denominator L^l_exp * prod(L^n - 1 for n in factors).
 
-    l_exp is nonnegative; factors is a multiset of integers >= 1, stored as
-    an ascending tuple.  The trivial denominator is DenomForm(0, ()).
+    Invariant: l_exp >= 0, and factors is a multiset of integers >= 1 stored
+    as an ascending tuple.  The public constructor checks the first two and
+    sorts; ``_raw`` trusts a caller that already holds all three.  The
+    trivial denominator is DenomForm(0, ()).
     """
 
     l_exp: int = 0
@@ -53,6 +54,14 @@ class DenomForm:
             raise DomainError("denominator factors must be exponents >= 1")
         object.__setattr__(self, "factors", tuple(sorted(self.factors)))
 
+    @classmethod
+    def _raw(cls, l_exp: int, factors: tuple[int, ...]) -> DenomForm:
+        # internal: the class invariant must already hold
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "l_exp", l_exp)
+        object.__setattr__(obj, "factors", factors)
+        return obj
+
     @property
     def is_trivial(self) -> bool:
         return self.l_exp == 0 and not self.factors
@@ -62,28 +71,35 @@ class DenomForm:
         return _expand(self.l_exp, self.factors)
 
     def times(self, other: DenomForm) -> DenomForm:
-        return DenomForm(self.l_exp + other.l_exp, self.factors + other.factors)
+        return DenomForm._raw(self.l_exp + other.l_exp, tuple(sorted(self.factors + other.factors)))
 
     def lcm(self, other: DenomForm) -> DenomForm:
         """Smallest shape both denominators divide (per-factor max multiplicity)."""
-        mine, theirs = Counter(self.factors), Counter(other.factors)
+        mine, theirs = self.factors, other.factors
         merged: list[int] = []
-        for n in sorted(set(mine) | set(theirs)):
-            merged.extend([n] * max(mine[n], theirs[n]))
-        return DenomForm(max(self.l_exp, other.l_exp), tuple(merged))
+        i = j = 0
+        while i < len(mine) and j < len(theirs):
+            n, m = mine[i], theirs[j]
+            merged.append(min(n, m))
+            i += n <= m
+            j += m <= n
+        merged.extend(mine[i:] or theirs[j:])
+        return DenomForm._raw(max(self.l_exp, other.l_exp), tuple(merged))
 
     def complement_in(self, target: DenomForm) -> IntLaurent:
         """The polynomial target/self; target must be a multiple of self."""
-        mine, theirs = Counter(self.factors), Counter(target.factors)
+        mine, theirs = self.factors, target.factors
         missing: list[int] = []
-        for n in set(mine) | set(theirs):
-            extra = theirs[n] - mine[n]
-            if extra < 0:
-                raise DomainError("complement_in needs a denominator multiple")
-            missing.extend([n] * extra)
-        if target.l_exp < self.l_exp:
+        j = 0
+        for n in theirs:
+            if j < len(mine) and mine[j] == n:
+                j += 1
+            else:
+                missing.append(n)
+        # an unmatched mine[j] is absent from target, or has extra multiplicity
+        if j < len(mine) or target.l_exp < self.l_exp:
             raise DomainError("complement_in needs a denominator multiple")
-        return _expand(target.l_exp - self.l_exp, tuple(sorted(missing)))
+        return _expand(target.l_exp - self.l_exp, tuple(missing))
 
     def __str__(self) -> str:
         parts = []
@@ -169,6 +185,15 @@ class MotivicClass:
         object.__setattr__(self, "_num", num)
         object.__setattr__(self, "_den", den)
 
+    @classmethod
+    def _raw(cls, num: IntLaurent, den: DenomForm) -> MotivicClass:
+        # internal: num has no negative degree; a zero num comes with the
+        # trivial den, or the result is normalized at once
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "_num", num)
+        object.__setattr__(obj, "_den", den)
+        return obj
+
     def __setattr__(self, name, value):
         raise AttributeError("MotivicClass is immutable")
 
@@ -231,6 +256,9 @@ class MotivicClass:
             return o
         if o._num.is_zero:
             return self
+        if self._den == o._den:
+            # what the lcm route computes, with both complements equal to 1
+            return MotivicClass._raw(self._num + o._num, self._den).normalize()
         den = self._den.lcm(o._den)
         num = self._num * self._den.complement_in(den) + o._num * o._den.complement_in(den)
         return MotivicClass(num, den).normalize()
@@ -238,7 +266,7 @@ class MotivicClass:
     __radd__ = __add__
 
     def __neg__(self) -> MotivicClass:
-        return MotivicClass(-self._num, self._den)
+        return MotivicClass._raw(-self._num, self._den)
 
     def __sub__(self, other) -> MotivicClass:
         o = _coerce(other)
@@ -252,21 +280,38 @@ class MotivicClass:
             return NotImplemented
         return o - self
 
-    _ONE_KEY = (((0, 1),), 0, ())
+    @property
+    def _is_one(self) -> bool:
+        return self._den.is_trivial and self._num._terms == {0: 1}
 
     def __mul__(self, other) -> MotivicClass:
+        if isinstance(other, int):
+            return self._scaled(other)
         o = _coerce(other)
         if o is None:
             return NotImplemented
         if self._num.is_zero or o._num.is_zero:
             return MotivicClass.zero()
-        if o.structural_key() == MotivicClass._ONE_KEY:
+        if o._is_one:
             return self
-        if self.structural_key() == MotivicClass._ONE_KEY:
+        if self._is_one:
             return o
-        return MotivicClass(self._num * o._num, self._den.times(o._den)).normalize()
+        num = self._num * o._num
+        if self._den.is_trivial and o._den.is_trivial:
+            return MotivicClass._raw(num, _TRIVIAL_DEN)
+        return MotivicClass._raw(num, self._den.times(o._den)).normalize()
 
     __rmul__ = __mul__
+
+    def _scaled(self, k: int) -> MotivicClass:
+        """k * self.  L^n - 1 is primitive, so it divides k * num exactly when it
+        divides num: normalize() keeps the shape the general product keeps."""
+        if k == 0 or self._num.is_zero:
+            return MotivicClass.zero()
+        if k == 1:
+            return self
+        num = IntLaurent._raw({d: k * c for d, c in self._num._terms.items()})
+        return MotivicClass._raw(num, self._den).normalize()
 
     def __truediv__(self, other) -> MotivicClass:
         o = _coerce(other)
@@ -318,7 +363,8 @@ class MotivicClass:
             g = min(val, l_exp)
             num = num.shift(-g)
             l_exp -= g
-        return MotivicClass(num, DenomForm(l_exp, tuple(kept)))
+        # kept is descending: factors were tried from the largest down
+        return MotivicClass._raw(num, DenomForm._raw(l_exp, tuple(reversed(kept))))
 
     def inverse(self) -> MotivicClass:
         """1/self; defined exactly for units sign * L^a * prod(L^n - 1)."""

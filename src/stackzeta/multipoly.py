@@ -7,6 +7,7 @@ q_1..q_k.  Exponent tuples are the keys; coefficients are nonzero ints.
 
 from __future__ import annotations
 
+from operator import add
 from typing import Iterable, Iterator, Mapping
 
 from .errors import DomainError
@@ -28,7 +29,8 @@ class MultiPoly:
     def __init__(self, nvars: int, terms: Mapping[Exponents, int] | Iterable[tuple[Exponents, int]] = ()):
         if nvars < 1:
             raise DomainError("MultiPoly needs at least one variable")
-        items = terms.items() if isinstance(terms, Mapping) else terms
+        # a dict is tested first: the Mapping check alone is an ABC lookup per call
+        items = terms.items() if isinstance(terms, dict) or isinstance(terms, Mapping) else terms
         clean: dict[Exponents, int] = {}
         for exps, coeff in items:
             exps = tuple(exps)
@@ -156,11 +158,14 @@ class MultiPoly:
         if o is None:
             return NotImplemented
         out: dict[Exponents, int] = {}
+        get = out.get
         for e1, c1 in self._terms.items():
             for e2, c2 in o._terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
-                if not out[e]:
+                e = tuple(map(add, e1, e2))
+                v = get(e, 0) + c1 * c2
+                if v:
+                    out[e] = v
+                elif e in out:
                     del out[e]
         return MultiPoly._raw(self._nvars, out)
 

@@ -57,8 +57,9 @@ def _adams(a: MotivicClass, r: int) -> MotivicClass:
     """psi^r(a): num(L^r) / (L^{r e} prod(L^{r n} - 1)) for a = num / (L^e prod(L^n - 1))."""
     if r == 1 or a.is_zero:
         return a
-    num = IntLaurent({d * r: c for d, c in a.num.items()})
-    return MotivicClass(num, DenomForm(a.den.l_exp * r, tuple(n * r for n in a.den.factors)))
+    # scaling every degree and factor by r >= 1 keeps both invariants
+    num = IntLaurent._raw({d * r: c for d, c in a.num._terms.items()})
+    return MotivicClass._raw(num, DenomForm._raw(a.den.l_exp * r, tuple(n * r for n in a.den.factors)))
 
 
 _KAPRANOV = LambdaProvider("kapranov-zeta", MOTIVIC, _adams)

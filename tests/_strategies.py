@@ -33,10 +33,31 @@ denom_forms = st.builds(
     st.lists(st.integers(min_value=1, max_value=3), max_size=2).map(tuple),
 )
 
+# More factors over more exponents, so repeated and interleaved factors are common.
+wide_denom_forms = st.builds(
+    DenomForm,
+    st.integers(min_value=0, max_value=3),
+    st.lists(st.integers(min_value=1, max_value=4), max_size=4).map(tuple),
+)
+
 
 @st.composite
 def motivic_classes(draw, max_terms=4):
     return MotivicClass(draw(laurents(max_terms=max_terms)), draw(denom_forms))
+
+
+@st.composite
+def shared_denominator_pairs(draw):
+    """Two classes over one denominator; their numerators are often multiples
+    of a factor of it, so a sum or product has something to cancel."""
+    den = draw(wide_denom_forms)
+    pair = []
+    for _ in range(2):
+        num = draw(polynomials(max_terms=4))
+        if den.factors and draw(st.booleans()):
+            num = num * (IntLaurent.term(draw(st.sampled_from(den.factors))) - 1)
+        pair.append(MotivicClass(num, den))
+    return tuple(pair)
 
 
 def nonzero_classes(max_terms=4):

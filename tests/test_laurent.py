@@ -1,5 +1,8 @@
 """Sparse integer Laurent polynomials: ring laws, exact division, rendering."""
 
+from collections import Counter
+from types import MappingProxyType
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -231,6 +234,17 @@ def test_rendering():
     assert str(IntLaurent({2: 2, 0: 3})) == "2*L^2 + 3"
     assert str(IntLaurent({-1: 1, 0: 1})) == "1 + L^-1"
     assert str(IntLaurent.zero()) == "0"
+
+
+def test_constructor_accepts_mappings_and_pairs():
+    want = IntLaurent({2: 3, -1: 1})
+    for terms in (
+        Counter({2: 3, -1: 1}),
+        MappingProxyType({2: 3, -1: 1}),
+        [(2, 1), (-1, 1), (2, 2)],
+        ((d, c) for d, c in [(2, 3), (-1, 1)]),
+    ):
+        assert IntLaurent(terms) == want
 
 
 @given(laurents())

@@ -1,5 +1,6 @@
 """Exact fractions in L with structured denominators."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,15 @@ from stackzeta import (
 from stackzeta.laurent import l_minus_one
 from stackzeta.motivic import divide_exact_int
 
-from _strategies import EVAL_POINTS, denom_forms, laurents, motivic_classes, unit_classes
+from _strategies import (
+    EVAL_POINTS,
+    denom_forms,
+    laurents,
+    motivic_classes,
+    shared_denominator_pairs,
+    unit_classes,
+    wide_denom_forms,
+)
 
 
 def _value(a, t):
@@ -51,11 +60,48 @@ def test_denom_lcm_is_a_common_multiple(d1, d2):
     assert d2.complement_in(m) * d2.expand() == m.expand()
 
 
+def _counter_lcm(d1, d2):
+    merged = Counter(d1.factors) | Counter(d2.factors)
+    return DenomForm(max(d1.l_exp, d2.l_exp), tuple(merged.elements()))
+
+
+def _counter_complement(d, target):
+    """target/d as a DenomForm, or None when target is not a multiple of d."""
+    mine, theirs = Counter(d.factors), Counter(target.factors)
+    if target.l_exp < d.l_exp or mine - theirs:
+        return None
+    return DenomForm(target.l_exp - d.l_exp, tuple((theirs - mine).elements()))
+
+
+@given(wide_denom_forms, wide_denom_forms)
+def test_denom_shape_algebra_matches_a_counter_reference(d1, d2):
+    m, want_m = d1.lcm(d2), _counter_lcm(d1, d2)
+    assert (m.l_exp, m.factors) == (want_m.l_exp, want_m.factors)
+    for d in (d1, d2):
+        assert d.complement_in(m) == _counter_complement(d, m).expand()
+    t = d1.times(d2)
+    assert (t.l_exp, t.factors) == (d1.l_exp + d2.l_exp, tuple(sorted(d1.factors + d2.factors)))
+    want = _counter_complement(d1, d2)
+    if want is None:
+        with pytest.raises(DomainError):
+            d1.complement_in(d2)
+    else:
+        assert d1.complement_in(d2) == want.expand()
+
+
 def test_complement_requires_a_multiple():
-    with pytest.raises(DomainError):
-        DenomForm(0, (2,)).complement_in(DenomForm(0, (1,)))
-    with pytest.raises(DomainError):
-        DenomForm(2, ()).complement_in(DenomForm(1, ()))
+    cases = [
+        ((0, (2,)), (0, (1,))),  # a factor the target lacks
+        ((0, (1, 3)), (0, (1, 2, 2))),  # interleaved: 3 falls between the target's factors
+        ((0, (2, 2)), (0, (1, 2, 3))),  # extra multiplicity
+        ((0, (1, 1)), (0, (1,))),  # extra multiplicity at the end
+        ((0, (4,)), (0, (1, 2, 3))),  # a factor above every target factor
+        ((2, ()), (1, ())),  # a smaller L-exponent
+        ((2, (1,)), (1, (1, 2))),  # a smaller L-exponent over matching factors
+    ]
+    for den, target in cases:
+        with pytest.raises(DomainError):
+            DenomForm(*den).complement_in(DenomForm(*target))
 
 
 def test_denom_expand():
@@ -131,6 +177,48 @@ def test_int_and_laurent_coercion():
     assert a * IntLaurent.term(1) == MotivicClass(IntLaurent.term(1), DenomForm(0, (1,)))
     assert 1 / MotivicClass.l_power(1) == MotivicClass.l_power(-1)
     assert MotivicClass.l_power(2) / MotivicClass.l_power(1) == MotivicClass.l_power(1)
+
+
+# The general route of the class arithmetic, kept as the reference for its
+# fast paths: every sum goes over the lcm with both complements, every product
+# over the concatenated denominators, ints are coerced to classes, and each
+# result is normalized.  Zero and one operands return the other operand as is.
+def _reference_sum(a, b):
+    if a.is_zero:
+        return b
+    if b.is_zero:
+        return a
+    den = _counter_lcm(a.den, b.den)
+    num = a.num * _counter_complement(a.den, den).expand()
+    num = num + b.num * _counter_complement(b.den, den).expand()
+    return MotivicClass(num, den).normalize()
+
+
+def _reference_product(a, b):
+    if isinstance(b, int):
+        b = MotivicClass(b)
+    one = MotivicClass.one().structural_key()
+    if a.is_zero or b.is_zero:
+        return MotivicClass.zero()
+    if b.structural_key() == one:
+        return a
+    if a.structural_key() == one:
+        return b
+    den = DenomForm(a.den.l_exp + b.den.l_exp, a.den.factors + b.den.factors)
+    return MotivicClass(a.num * b.num, den).normalize()
+
+
+@given(
+    st.one_of(shared_denominator_pairs(), st.tuples(motivic_classes(), motivic_classes())),
+    st.integers(min_value=-5, max_value=5).filter(bool),
+)
+def test_fast_paths_keep_the_general_route_shape(pair, k):
+    a, b = pair
+    assert (a + b).structural_key() == _reference_sum(a, b).structural_key()
+    assert (a * b).structural_key() == _reference_product(a, b).structural_key()
+    assert (k * a).structural_key() == _reference_product(a, k).structural_key()
+    assert (a * k).structural_key() == _reference_product(a, k).structural_key()
+    assert (a * 1).structural_key() == a.structural_key()
 
 
 # -- normalization ------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Multivariate integer polynomials with nonnegative exponents."""
 
+from types import MappingProxyType
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -15,6 +17,12 @@ def test_construction_rules():
     with pytest.raises(DomainError):
         MultiPoly(2, {(1,): 1})
     assert MultiPoly(2, {(1, 0): 0}).is_zero
+    want = MultiPoly(2, {(1, 0): 2, (0, 1): 1})
+    for terms in (
+        MappingProxyType({(1, 0): 2, (0, 1): 1}),
+        [((1, 0), 1), ([0, 1], 1), ((1, 0), 1)],
+    ):
+        assert MultiPoly(2, terms) == want
 
 
 @given(multipolys(), multipolys(), multipolys())

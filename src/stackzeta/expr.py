@@ -18,6 +18,7 @@ canonical renderings produced by this package parse back to equal values.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import DomainError, ElaborationError, NonInvertibleError, ParseError
@@ -29,7 +30,9 @@ from .zeta import MOTIVIC
 
 # -- tokens ----------------------------------------------------------------------
 
-_OPS = set("+-*/^(),")
+#: One alternative per token kind.  \d is exactly the decimal digits that int()
+#: accepts, in any script; a NAME starts with any other word character.
+_TOKEN = re.compile(r"(?P<INT>\d+)|(?P<NAME>[^\W\d]\w*)|(?P<OP>[-+*/^(),])|(?P<NL>\n)|(?P<ERR>\S)")
 
 
 @dataclass(frozen=True)
@@ -42,42 +45,16 @@ class Token:
 
 def tokenize(text: str) -> list[Token]:
     out: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            out.append(Token("INT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            out.append(Token("NAME", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in _OPS:
-            out.append(Token("OP", ch, line, col))
-            col += 1
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    out.append(Token("END", "", line, col))
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind, col = m.lastgroup, m.start() - line_start + 1
+        if kind == "NL":
+            line, line_start = line + 1, m.end()
+        elif kind == "ERR":
+            raise ParseError(f"unexpected character {m.group()!r}", line, col)
+        else:
+            out.append(Token(kind, m.group(), line, col))
+    out.append(Token("END", "", line, len(text) - line_start + 1))
     return out
 
 

@@ -37,16 +37,9 @@ NOT_EFFECTIVE = "not-effective"
 INCONCLUSIVE = "inconclusive (denominator shape)"
 
 
-def _adams(poly: MultiPoly, r: int) -> MultiPoly:
-    """psi^r(P)(u, v) = P(u^r, v^r)."""
-    if r == 1:
-        return poly
-    return MultiPoly._raw(poly.nvars, {tuple(e * r for e in exps): c for exps, c in poly.items()})
-
-
 def hd_provider(nvars: int = 2) -> LambdaProvider:
     """The E-polynomial zeta function as a lambda provider."""
-    return LambdaProvider("hd-zeta", hd_ring(nvars), _adams)
+    return LambdaProvider("hd-zeta", hd_ring(nvars), MultiPoly.adams)
 
 
 def hd_zeta(poly: MultiPoly, order: int) -> TruncatedSeries:

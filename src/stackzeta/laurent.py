@@ -143,6 +143,10 @@ class IntLaurent:
         return o - self
 
     def __mul__(self, other) -> IntLaurent:
+        if isinstance(other, int):
+            if not other:
+                return IntLaurent.zero()
+            return IntLaurent._raw({d: other * c for d, c in self._terms.items()})
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -177,6 +181,14 @@ class IntLaurent:
             base = base * base
             n >>= 1
         return out
+
+    def adams(self, r: int) -> IntLaurent:
+        """The Adams operation psi^r: the polynomial at L^r, for r >= 1."""
+        if r < 1:
+            raise DomainError("Adams operations psi^r need r >= 1")
+        if r == 1:
+            return self
+        return IntLaurent._raw({d * r: c for d, c in self._terms.items()})
 
     def shift(self, k: int) -> IntLaurent:
         """Multiply by L^k."""

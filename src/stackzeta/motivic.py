@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Sequence
 
 from .errors import DomainError, InternalConsistencyError, NonInvertibleError
 from .laurent import IntLaurent, l_minus_one
@@ -102,19 +103,30 @@ class DenomForm:
         return _expand(target.l_exp - self.l_exp, tuple(missing))
 
     def __str__(self) -> str:
-        parts = []
-        if self.l_exp == 1:
-            parts.append("L")
-        elif self.l_exp > 1:
-            parts.append(f"L^{self.l_exp}")
-        for n in self.factors:
-            parts.append("(L-1)" if n == 1 else f"(L^{n}-1)")
-        if not parts:
-            return "1"
-        return " * ".join(parts)
+        return " * ".join(_denominator_parts(self.l_exp, self.factors, "L")) or "1"
 
 
 _TRIVIAL_DEN = DenomForm()
+_ONE_NUM = IntLaurent.one()
+
+
+def _denominator_parts(l_exp: int, factors: tuple[int, ...], base: str) -> list[str]:
+    """The factors of base^l_exp * prod(base^n - 1) as text, L-power first."""
+    parts = [base if l_exp == 1 else f"{base}^{l_exp}"] if l_exp else []
+    parts.extend(f"({base}-1)" if n == 1 else f"({base}^{n}-1)" for n in factors)
+    return parts
+
+
+def _render_fraction(num: str, l_exp: int, factors: tuple[int, ...], base: str) -> str:
+    """The text of num / (base^l_exp * prod(base^n - 1)); base is L, or (u*v)
+    for a Hodge-Deligne realization.  A trivial denominator prints num alone."""
+    parts = _denominator_parts(l_exp, factors, base)
+    if not parts:
+        return num
+    if " " in num or num.startswith("-"):
+        num = f"({num})"
+    den = " * ".join(parts)
+    return f"{num} / ({den})" if len(parts) > 1 else f"{num} / {den}"
 
 
 #: Distinct denominators kept expanded; one cli-mix pass uses 17 and one
@@ -122,12 +134,16 @@ _TRIVIAL_DEN = DenomForm()
 EXPAND_CACHE_SIZE = 1024
 
 
-@lru_cache(maxsize=EXPAND_CACHE_SIZE)
-def _expand(l_exp: int, factors: tuple[int, ...]) -> IntLaurent:
-    out = IntLaurent.term(l_exp)
-    for n in factors:
-        out = out * l_minus_one(n)
-    return out
+def _denominator_product(l_exp: int, factors: Sequence[int]) -> IntLaurent:
+    """L^l_exp * prod(L^n - 1 for n in factors), multiplied in balanced halves,
+    so the products of many factors reach the packed multiply of IntLaurent."""
+    if len(factors) > 1:
+        mid = len(factors) // 2
+        return _denominator_product(l_exp, factors[:mid]) * _denominator_product(0, factors[mid:])
+    return (l_minus_one(factors[0]) if factors else _ONE_NUM).shift(l_exp)
+
+
+_expand = lru_cache(maxsize=EXPAND_CACHE_SIZE)(_denominator_product)
 
 
 def unit_part(p: IntLaurent) -> tuple[int, int, tuple[int, ...]] | None:
@@ -282,11 +298,15 @@ class MotivicClass:
 
     @property
     def _is_one(self) -> bool:
-        return self._den.is_trivial and self._num._terms == {0: 1}
+        return self._den.is_trivial and self._num == _ONE_NUM
 
     def __mul__(self, other) -> MotivicClass:
         if isinstance(other, int):
-            return self._scaled(other)
+            # L^n - 1 is primitive, so it divides k * num exactly when it divides
+            # num: normalize() keeps the shape the general product keeps
+            if other == 1:
+                return self
+            return MotivicClass._raw(self._num * other, self._den).normalize()
         o = _coerce(other)
         if o is None:
             return NotImplemented
@@ -303,15 +323,22 @@ class MotivicClass:
 
     __rmul__ = __mul__
 
-    def _scaled(self, k: int) -> MotivicClass:
-        """k * self.  L^n - 1 is primitive, so it divides k * num exactly when it
-        divides num: normalize() keeps the shape the general product keeps."""
-        if k == 0 or self._num.is_zero:
-            return MotivicClass.zero()
-        if k == 1:
+    def divide_exact_int(self, d: int) -> MotivicClass:
+        """self/d for an integer d that must divide every numerator coefficient.
+
+        Failure means an identity that guarantees exactness was violated, so it
+        raises InternalConsistencyError rather than DomainError.
+        """
+        if d == 0:
+            raise DomainError("division by zero")
+        if d == 1:
             return self
-        num = IntLaurent._raw({d: k * c for d, c in self._num._terms.items()})
-        return MotivicClass._raw(num, self._den).normalize()
+        terms = {}
+        for deg, c in self._num.items():
+            if c % d:
+                raise InternalConsistencyError(f"inexact integer division of {self} by {d}")
+            terms[deg] = c // d
+        return MotivicClass(IntLaurent(terms), self._den)
 
     def __truediv__(self, other) -> MotivicClass:
         o = _coerce(other)
@@ -380,6 +407,15 @@ class MotivicClass:
 
     # -- maps out of the ring --------------------------------------------------
 
+    def adams(self, r: int) -> MotivicClass:
+        """The Adams operation psi^r: num(L^r) / (L^{r e} prod(L^{r n} - 1)) for
+        self = num / (L^e prod(L^n - 1)), r >= 1."""
+        if r == 1:
+            return self
+        # scaling every degree and factor by r >= 1 keeps both invariants
+        den = DenomForm._raw(self._den.l_exp * r, tuple(n * r for n in self._den.factors))
+        return MotivicClass._raw(self._num.adams(r), den)
+
     def eval_rational(self, t: Fraction | int) -> Fraction:
         """Exact value at L = t; poles raise DomainError."""
         t = Fraction(t)
@@ -421,16 +457,7 @@ class MotivicClass:
     # -- rendering -----------------------------------------------------------
 
     def __str__(self) -> str:
-        num = str(self._num)
-        if self._den.is_trivial:
-            return num
-        if " " in num or num.startswith("-"):
-            num = f"({num})"
-        den = str(self._den)
-        nparts = (1 if self._den.l_exp else 0) + len(self._den.factors)
-        if nparts > 1:
-            den = f"({den})"
-        return f"{num} / {den}"
+        return _render_fraction(str(self._num), self._den.l_exp, self._den.factors, "L")
 
     def __repr__(self) -> str:
         return f"MotivicClass({self})"
@@ -461,22 +488,6 @@ def _coerce(x) -> MotivicClass | None:
     return None
 
 
-def divide_exact_int(a: MotivicClass, d: int) -> MotivicClass:
-    """a/d for an integer d that must divide every numerator coefficient.
-
-    Failure means an identity that guarantees exactness was violated, so it
-    raises InternalConsistencyError rather than DomainError.
-    """
-    if d == 0:
-        raise DomainError("division by zero")
-    terms = {}
-    for deg, c in a.num.items():
-        if c % d:
-            raise InternalConsistencyError(f"inexact integer division of {a} by {d}")
-        terms[deg] = c // d
-    return MotivicClass(IntLaurent(terms), a.den)
-
-
 @dataclass(frozen=True)
 class HDRealization:
     """Image of a class under E: num(uv) / ((uv)^l_exp * prod((uv)^n - 1))."""
@@ -490,21 +501,7 @@ class HDRealization:
         return self.l_exp == 0 and not self.factors
 
     def __str__(self) -> str:
-        num = str(self.num)
-        if self.l_exp == 0 and not self.factors:
-            return num
-        if " " in num or num.startswith("-"):
-            num = f"({num})"
-        parts = []
-        if self.l_exp == 1:
-            parts.append("(u*v)")
-        elif self.l_exp > 1:
-            parts.append(f"(u*v)^{self.l_exp}")
-        parts.extend("((u*v)-1)" if n == 1 else f"((u*v)^{n}-1)" for n in self.factors)
-        den = " * ".join(parts)
-        if len(parts) > 1:
-            den = f"({den})"
-        return f"{num} / {den}"
+        return _render_fraction(str(self.num), self.l_exp, self.factors, "(u*v)")
 
     def to_json(self) -> dict:
         return {
@@ -517,13 +514,11 @@ class HDRealization:
 
 
 def gl_class(n: int) -> MotivicClass:
-    """[GL(n)] = prod_{j=0}^{n-1} (L^n - L^j), a polynomial class."""
+    """[GL(n)] = prod_{j=0}^{n-1} (L^n - L^j) = L^{n(n-1)/2} prod_{i=1}^{n} (L^i - 1),
+    a polynomial class."""
     if n < 0:
         raise DomainError("GL(n) needs n >= 0")
-    out = IntLaurent.one()
-    for j in range(n):
-        out = out * (IntLaurent.term(n) - IntLaurent.term(j))
-    return MotivicClass(out)
+    return MotivicClass(_denominator_product(n * (n - 1) // 2, range(1, n + 1)))
 
 
 def bgl_class(n: int) -> MotivicClass:
@@ -537,12 +532,7 @@ def grassmannian_class(k: int, n: int) -> MotivicClass:
     """[Gr(k, n)], the Gaussian binomial (n choose k)_L; always a polynomial."""
     if not 0 <= k <= n:
         raise DomainError("Gr(k, n) needs 0 <= k <= n")
-    num = IntLaurent.one()
-    den = IntLaurent.one()
-    for i in range(1, k + 1):
-        num = num * l_minus_one(n - k + i)
-        den = den * l_minus_one(i)
-    q = num.divexact(den)
+    q = _denominator_product(0, range(n - k + 1, n + 1)).divexact(_denominator_product(0, range(1, k + 1)))
     if q is None:
         raise InternalConsistencyError("Gaussian binomial division failed")
     return MotivicClass(q)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from operator import add
 from typing import Iterable, Iterator, Mapping
 
-from .errors import DomainError
+from .errors import DomainError, InternalConsistencyError
 
 Exponents = tuple[int, ...]
 
@@ -197,6 +197,28 @@ class MultiPoly:
             base = base * base
             n >>= 1
         return out
+
+    def adams(self, r: int) -> MultiPoly:
+        """The Adams operation psi^r: P(x_1^r, ..., x_n^r), for r >= 1."""
+        if r < 1:
+            raise DomainError("Adams operations psi^r need r >= 1")
+        if r == 1:
+            return self
+        return MultiPoly._raw(self._nvars, {tuple(e * r for e in exps): c for exps, c in self._terms.items()})
+
+    def divide_exact_int(self, d: int) -> MultiPoly:
+        """self/d for an integer d that must divide every coefficient.
+
+        Failure means an identity that guarantees exactness was violated, so it
+        raises InternalConsistencyError rather than DomainError.
+        """
+        if d == 0:
+            raise DomainError("division by zero")
+        if d == 1:
+            return self
+        if any(c % d for c in self._terms.values()):
+            raise InternalConsistencyError(f"inexact integer division of {self} by {d}")
+        return MultiPoly._raw(self._nvars, {e: c // d for e, c in self._terms.items()})
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):

@@ -25,8 +25,10 @@ A^m has the ghosts sum_{k r = n} k psi^r(m * b_k).  Adams operations need not
 be multiplicative (the opposite structure's are not), so psi is always
 applied to the product m * b_k.
 
-Everything here is generic over the coefficient ring; the Kapranov and
-Hodge-Deligne Adams operations live next to their zeta functions.
+Everything here is generic over the coefficient ring: the Adams operations
+are methods of the coefficient types (``MotivicClass.adams`` for the Kapranov
+zeta function, ``MultiPoly.adams`` for the Hodge-Deligne one), and the exact
+division is the coefficients' ``divide_exact_int``.
 """
 
 from __future__ import annotations
@@ -34,9 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-from .errors import DomainError, InternalConsistencyError, ResourceLimitError
-from .motivic import MotivicClass, divide_exact_int
-from .multipoly import MultiPoly
+from .errors import DomainError, ResourceLimitError
 from .series import Ring, TruncatedSeries
 
 #: Largest truncation order of any series computed here; checked before any work.
@@ -53,19 +53,6 @@ def check_order(order: int) -> None:
         )
 
 
-def _divide_exact(x: Any, d: int) -> Any:
-    """x/d for a positive integer d that must divide x; failure is a bug."""
-    if d == 1:
-        return x
-    if isinstance(x, MotivicClass):
-        return divide_exact_int(x, d)
-    if isinstance(x, MultiPoly):
-        if any(c % d for _, c in x.items()):
-            raise InternalConsistencyError(f"inexact integer division of {x} by {d}")
-        return MultiPoly._raw(x.nvars, {e: c // d for e, c in x.items()})
-    raise DomainError(f"no exact integer division on {type(x).__name__}")
-
-
 def _from_ghosts(ring: Ring, ghosts: Sequence[Any]) -> TruncatedSeries:
     """The series 1 + c_1 T + ... whose ghosts[n] is its T^n ghost component
     (ghosts[0] is unused): n c_n = sum_{j=1..n} g_j c_{n-j}."""
@@ -76,7 +63,7 @@ def _from_ghosts(ring: Ring, ghosts: Sequence[Any]) -> TruncatedSeries:
             g, c = ghosts[j], coeffs[n - j]
             if not (g.is_zero or c.is_zero):
                 acc = acc + g * c
-        coeffs.append(_divide_exact(acc, n))
+        coeffs.append(acc.divide_exact_int(n))
     return TruncatedSeries(ring, coeffs)
 
 
@@ -124,7 +111,7 @@ def lambda_factorize(series: TruncatedSeries, provider: LambdaProvider) -> tuple
         for k in range(1, n // 2 + 1):
             if n % k == 0:
                 acc = acc - k * provider.psi(b[k], n // k)
-        b.append(_divide_exact(acc, n))
+        b.append(acc.divide_exact_int(n))
     return tuple(b[1:])
 
 

@@ -24,7 +24,7 @@ from math import factorial
 from typing import Sequence
 
 from .errors import DomainError, ResourceLimitError
-from .motivic import MotivicClass, divide_exact_int
+from .motivic import MotivicClass
 from .multipoly import MultiPoly
 
 #: Largest k the closed form accepts; it is a sum of k! permutation summands.
@@ -94,7 +94,7 @@ def block_distinct_sum(mults: Sequence[int], args: Sequence[MotivicClass]) -> Mo
     denom = 1
     for m in mults:
         denom *= factorial(m)
-    return divide_exact_int(full, denom)
+    return full.divide_exact_int(denom)
 
 
 # -- truncated Taylor expansions and enumeration oracles -----------------------

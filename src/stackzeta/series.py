@@ -20,8 +20,11 @@ from .multipoly import MultiPoly
 class Ring:
     """Coefficient-ring descriptor: a name plus its zero and one elements.
 
-    Coefficients must support +, -, * among themselves; that is all the
-    series layer uses.
+    Coefficients must support +, -, * and == among themselves and have an
+    ``is_zero`` property; that is all the series layer uses.  The power
+    structure (``power``) also divides them by integers with
+    ``divide_exact_int(d)``, which raises InternalConsistencyError when d
+    does not divide exactly.
     """
 
     name: str
@@ -36,11 +39,6 @@ class Ring:
             return False
         # polynomial coefficients must also match in their number of variables
         return getattr(x, "nvars", None) == getattr(self.zero, "nvars", None)
-
-
-def _known_zero(c) -> bool:
-    """True only when the coefficient advertises is_zero == True."""
-    return getattr(c, "is_zero", False) is True
 
 
 def motivic_ring() -> Ring:
@@ -130,10 +128,10 @@ class TruncatedSeries:
             acc = zero
             for j in range(k + 1):
                 cj = self._coeffs[j]
-                if _known_zero(cj):
+                if cj.is_zero:
                     continue
                 dj = other._coeffs[k - j]
-                if _known_zero(dj):
+                if dj.is_zero:
                     continue
                 acc = acc + cj * dj
             out.append(acc)
@@ -162,7 +160,7 @@ class TruncatedSeries:
             acc = self._ring.zero
             for j in range(1, k + 1):
                 cj = self._coeffs[j]
-                if _known_zero(cj) or _known_zero(inv[k - j]):
+                if cj.is_zero or inv[k - j].is_zero:
                     continue
                 acc = acc + cj * inv[k - j]
             inv.append(-acc)

@@ -40,7 +40,7 @@ from typing import Sequence
 
 from .errors import DomainError, ResourceLimitError
 from .laurent import IntLaurent
-from .motivic import DenomForm, MotivicClass
+from .motivic import MotivicClass
 from .partitions import partitions_of
 from .power import LambdaProvider, opposite_provider
 from .rfunctions import block_distinct_sum
@@ -53,16 +53,7 @@ def _q_power(j: int) -> MotivicClass:
     return MotivicClass.l_power(-j)
 
 
-def _adams(a: MotivicClass, r: int) -> MotivicClass:
-    """psi^r(a): num(L^r) / (L^{r e} prod(L^{r n} - 1)) for a = num / (L^e prod(L^n - 1))."""
-    if r == 1 or a.is_zero:
-        return a
-    # scaling every degree and factor by r >= 1 keeps both invariants
-    num = IntLaurent._raw({d * r: c for d, c in a.num._terms.items()})
-    return MotivicClass._raw(num, DenomForm._raw(a.den.l_exp * r, tuple(n * r for n in a.den.factors)))
-
-
-_KAPRANOV = LambdaProvider("kapranov-zeta", MOTIVIC, _adams)
+_KAPRANOV = LambdaProvider("kapranov-zeta", MOTIVIC, MotivicClass.adams)
 _OPPOSITE = opposite_provider(_KAPRANOV)
 
 

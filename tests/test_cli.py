@@ -155,6 +155,16 @@ def test_parse_error_exit_code(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv, col",
+    [(("zeta", "L^²", "--order", "2"), 3), (("eval", "²", "--at", "2"), 1), (("eval", "①", "--at", "2"), 1)],
+)
+def test_non_decimal_digits_exit_with_a_parse_error(capsys, argv, col):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"(line 1, col {col})" in err
+
+
 def test_domain_error_exit_code(capsys):
     code, _, err = run(capsys, "sym", "-1", "L")
     assert code == 3

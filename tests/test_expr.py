@@ -86,6 +86,19 @@ def test_parse_errors_carry_positions():
         parse_class("")
 
 
+@pytest.mark.parametrize("text, col", [("L^²", 3), ("²", 1), ("①", 1), ("2 + 3²", 6)])
+def test_non_decimal_digits_are_parse_errors(text, col):
+    # str.isdigit() accepts these, int() does not
+    with pytest.raises(ParseError) as exc:
+        parse_class(text)
+    assert (exc.value.line, exc.value.col) == (1, col)
+
+
+def test_decimal_digits_of_any_script_are_integers():
+    assert parse_class("L^٣") == MotivicClass.l_power(3)
+    assert parse_class("١٢") == MotivicClass(12)
+
+
 @given(motivic_classes())
 def test_class_rendering_round_trips(a):
     assert parse_class(str(a)) == a

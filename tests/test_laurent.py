@@ -35,6 +35,23 @@ def test_evaluation_respects_arithmetic(a, b):
         assert (a * b).eval_rational(t) == a.eval_rational(t) * b.eval_rational(t)
 
 
+@given(laurents(), laurents(), st.integers(1, 4), st.integers(1, 4))
+def test_adams_is_multiplicative_and_composes(p, q, r, s):
+    assert (p * q).adams(r) == p.adams(r) * q.adams(r)
+    assert p.adams(r).adams(s) == p.adams(r * s)
+
+
+def test_adams_needs_a_positive_index():
+    for r in (0, -1):
+        with pytest.raises(DomainError):
+            L.adams(r)
+
+
+@given(laurents(), st.integers(-5, 5))
+def test_int_scaling_matches_the_constant_product(p, k):
+    assert p * k == k * p == p * IntLaurent.from_int(k)
+
+
 @given(laurents())
 def test_coeff_sum_is_value_at_one(a):
     assert a.coeff_sum() == a.eval_rational(1)

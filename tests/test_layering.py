@@ -1,0 +1,52 @@
+"""Each storage format is read only by the module that owns it.
+
+The term maps of ``IntLaurent`` and ``MultiPoly`` (``_terms``) are read only
+in ``laurent.py`` and ``multipoly.py``, and a class's unchecked constructor
+``X._raw`` is called only in the module that defines X.  Every other module
+goes through the public methods, so changing a representation touches one
+module.
+"""
+
+import ast
+from pathlib import Path
+
+import stackzeta
+
+TERMS_OWNERS = {"laurent.py", "multipoly.py"}
+
+
+def foreign_accesses(src: Path) -> list[str]:
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(src.glob("*.py"))}
+    owner = {
+        node.name: module
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+    }
+    found = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Attribute):
+                continue
+            if node.attr == "_terms" and module not in TERMS_OWNERS:
+                found.append(f"{module}:{node.lineno}: ._terms")
+            if (
+                node.attr == "_raw"
+                and isinstance(node.value, ast.Name)
+                and owner.get(node.value.id, module) != module
+            ):
+                found.append(f"{module}:{node.lineno}: {node.value.id}._raw")
+    return found
+
+
+def test_formats_are_read_only_by_their_owners():
+    assert foreign_accesses(Path(stackzeta.__file__).parent) == []
+
+
+def test_the_scan_sees_foreign_accesses(tmp_path):
+    (tmp_path / "laurent.py").write_text("class IntLaurent:\n    pass\n")
+    (tmp_path / "other.py").write_text(
+        "def f(p):\n    return IntLaurent._raw(p._terms)\n\n"
+        "class Local:\n    def g(self, cls):\n        return Local._raw(cls._raw)\n"
+    )
+    assert sorted(foreign_accesses(tmp_path)) == ["other.py:2: ._terms", "other.py:2: IntLaurent._raw"]

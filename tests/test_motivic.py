@@ -19,8 +19,8 @@ from stackzeta import (
     gl_class,
     grassmannian_class,
 )
+from stackzeta import laurent
 from stackzeta.laurent import l_minus_one
-from stackzeta.motivic import divide_exact_int
 
 from _strategies import (
     EVAL_POINTS,
@@ -304,6 +304,23 @@ def test_hd_realization():
     assert str(p) == "u^2*v^2 + u*v"
 
 
+@given(motivic_classes())
+def test_hd_realization_prints_the_class_denominator(a):
+    def den_text(x):
+        return str(x).partition(" / ")[2]
+
+    assert den_text(a.hd_realization()) == den_text(a.normalize()).replace("L", "(u*v)")
+
+
+# -- Adams operations -----------------------------------------------------------------
+
+
+@given(motivic_classes(), st.integers(min_value=1, max_value=4))
+def test_adams_evaluates_at_a_power_of_l(a, r):
+    for t in (Fraction(2), Fraction(5, 2)):
+        assert a.adams(r).eval_rational(t) == a.eval_rational(t ** r)
+
+
 # -- serialization ------------------------------------------------------------------
 
 
@@ -315,6 +332,28 @@ def test_json_round_trip(a):
 
 
 # -- named classes -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 16, 24, 40])
+def test_gl_class_matches_the_naive_product(n, monkeypatch):
+    packed = []
+    kronecker_mul = laurent._kronecker_mul
+
+    def counting(*args):
+        packed.append(args)
+        return kronecker_mul(*args)
+
+    monkeypatch.setattr(laurent, "_kronecker_mul", counting)
+    g = gl_class(n)
+    monkeypatch.undo()
+    naive = IntLaurent.one()
+    for j in range(n):
+        naive = naive * (IntLaurent.term(n) - IntLaurent.term(j))
+    assert g.den.is_trivial
+    assert g.num == naive
+    assert g * bgl_class(n) == 1
+    # from 16 factors on, the balanced halves are long and dense enough to pack
+    assert bool(packed) == (n >= 16)
 
 
 def test_gl_classes():
@@ -346,7 +385,7 @@ def test_grassmannian_values_and_symmetry():
 
 def test_grassmannian_recurrence():
     # (n choose k)_L = (n-1 choose k)_L + L^{n-k} (n-1 choose k-1)_L
-    for n in range(1, 7):
+    for n in range(1, 25):
         for k in range(1, n):
             lhs = grassmannian_class(k, n)
             rhs = grassmannian_class(k, n - 1) + MotivicClass.l_power(n - k) * grassmannian_class(
@@ -356,13 +395,13 @@ def test_grassmannian_recurrence():
 
 
 def test_divide_exact_int():
-    assert divide_exact_int(MotivicClass(IntLaurent({1: 2, 0: 4})), 2) == MotivicClass(
+    assert MotivicClass(IntLaurent({1: 2, 0: 4})).divide_exact_int(2) == MotivicClass(
         IntLaurent({1: 1, 0: 2})
     )
     with pytest.raises(InternalConsistencyError):
-        divide_exact_int(MotivicClass.one(), 2)
+        MotivicClass.one().divide_exact_int(2)
     with pytest.raises(DomainError):
-        divide_exact_int(MotivicClass.one(), 0)
+        MotivicClass.one().divide_exact_int(0)
 
 
 # -- rendering ---------------------------------------------------------------------

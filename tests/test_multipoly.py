@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from stackzeta import DomainError, MultiPoly
+from stackzeta import DomainError, InternalConsistencyError, MultiPoly
 
 from _strategies import multipolys
 
@@ -51,6 +51,29 @@ def test_pow_matches_repeated_product(a, n):
     for _ in range(n):
         expected = expected * a
     assert a ** n == expected
+
+
+@given(multipolys(), multipolys(), st.integers(1, 4), st.integers(1, 4))
+def test_adams_is_multiplicative_and_composes(p, q, r, s):
+    assert (p * q).adams(r) == p.adams(r) * q.adams(r)
+    assert p.adams(r).adams(s) == p.adams(r * s)
+
+
+def test_adams_needs_a_positive_index():
+    for r in (0, -1):
+        with pytest.raises(DomainError):
+            MultiPoly.variable(2, 0).adams(r)
+
+
+def test_divide_exact_int():
+    p = MultiPoly(2, {(1, 0): 4, (0, 2): -6})
+    assert p.divide_exact_int(2) == MultiPoly(2, {(1, 0): 2, (0, 2): -3})
+    assert p.divide_exact_int(-2) == MultiPoly(2, {(1, 0): -2, (0, 2): 3})
+    assert p.divide_exact_int(1) is p
+    with pytest.raises(InternalConsistencyError):
+        p.divide_exact_int(4)
+    with pytest.raises(DomainError):
+        p.divide_exact_int(0)
 
 
 def test_degree_and_top_part():

@@ -219,8 +219,8 @@ class _Env:
         if isinstance(node, Neg):
             return -self.run(node.operand)
         if isinstance(node, Pow):
-            return self.pow(self.run(node.base), node.exponent, node.tok)
-        if isinstance(node, BinOp):
+            step, args = self.pow, (self.run(node.base), node.exponent, node.tok)
+        elif isinstance(node, BinOp):
             left = self.run(node.left)
             right = self.run(node.right)
             if node.op == "+":
@@ -229,8 +229,14 @@ class _Env:
                 return left - right
             if node.op == "*":
                 return left * right
-            return self.div(left, right, node.tok)
-        raise ElaborationError(f"cannot elaborate {node!r}")
+            step, args = self.div, (left, right, node.tok)
+        else:
+            raise ElaborationError(f"cannot elaborate {node!r}")
+        # a non-unit divisor or negative-power base fails at this node's token
+        try:
+            return step(*args)
+        except NonInvertibleError as exc:
+            raise ElaborationError(str(exc), node.tok.line, node.tok.col) from exc
 
     def of_int(self, n: int):
         raise NotImplementedError
@@ -289,16 +295,10 @@ class _ClassEnv(_Env):
             raise ElaborationError(str(exc), node.tok.line, node.tok.col) from exc
 
     def div(self, a, b, tok: Token):
-        try:
-            return a / b
-        except NonInvertibleError as exc:
-            raise ElaborationError(str(exc), tok.line, tok.col) from exc
+        return a / b
 
     def pow(self, a, n: int, tok: Token):
-        try:
-            return a ** n
-        except NonInvertibleError as exc:
-            raise ElaborationError(str(exc), tok.line, tok.col) from exc
+        return a ** n
 
 
 class _PolyEnv(_Env):
@@ -352,10 +352,7 @@ class _SeriesEnv(_Env):
         c = self._t_free(b)
         if c is None:
             raise ElaborationError("series division needs a T-free divisor", tok.line, tok.col)
-        try:
-            return a * self._constant(c.inverse())
-        except NonInvertibleError as exc:
-            raise ElaborationError(str(exc), tok.line, tok.col) from exc
+        return a * self._constant(c.inverse())
 
     def pow(self, a, n: int, tok: Token):
         if n >= 0:
@@ -365,10 +362,7 @@ class _SeriesEnv(_Env):
             raise ElaborationError(
                 "negative powers need a T-free invertible base", tok.line, tok.col
             )
-        try:
-            return self._constant(c.inverse() ** (-n))
-        except NonInvertibleError as exc:
-            raise ElaborationError(str(exc), tok.line, tok.col) from exc
+        return self._constant(c.inverse() ** (-n))
 
 
 def parse_class(text: str) -> MotivicClass:

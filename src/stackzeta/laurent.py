@@ -1,9 +1,14 @@
 """Exact integer Laurent polynomials in the Lefschetz symbol L.
 
 Polynomials are sparse maps from degree to nonzero integer coefficient, so
-arithmetic is exact at every step.  Negative degrees are allowed; the class
-layer on top of this module is responsible for clearing them where its
-invariants demand nonnegative numerators.
+arithmetic is exact at every step.  The key-blind part of the arithmetic
+(addition, negation, subtraction, powers, exact division by an int,
+rendering) is the term-map kernel ``multipoly._TermPoly``, shared with
+``MultiPoly``; this module adds what reads the degrees: products, exact
+division by a polynomial, Adams operations, shifts and maps out of the ring.
+Negative degrees are allowed; the class layer on top of this module is
+responsible for clearing them where its invariants demand nonnegative
+numerators.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DomainError
-from .multipoly import MultiPoly
+from .multipoly import MultiPoly, _TermPoly
 
 
 #: Products are packed (Kronecker substitution) when both operands have at
@@ -22,14 +27,14 @@ from .multipoly import MultiPoly
 KRONECKER_MIN_TERMS = 12
 
 
-class IntLaurent:
+class IntLaurent(_TermPoly):
     """Sparse Laurent polynomial in one symbol with int coefficients.
 
     Immutable and hashable.  The zero polynomial is the empty term map; no
     stored coefficient is ever zero.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
     def __init__(self, terms: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
         # a dict is tested first: the Mapping check alone is an ABC lookup per call
@@ -49,8 +54,7 @@ class IntLaurent:
         object.__setattr__(obj, "_terms", terms)
         return obj
 
-    def __setattr__(self, name, value):
-        raise AttributeError("IntLaurent is immutable")
+    _new = _raw
 
     # -- constructors ------------------------------------------------------
 
@@ -71,10 +75,6 @@ class IntLaurent:
         return cls({0: n})
 
     # -- inspection --------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
 
     @property
     def min_deg(self) -> int:
@@ -99,12 +99,6 @@ class IntLaurent:
         """Terms as (degree, coefficient), ascending by degree."""
         return iter(sorted(self._terms.items()))
 
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
     # -- ring operations ---------------------------------------------------
 
     def _coerce(self, other) -> IntLaurent | None:
@@ -113,34 +107,6 @@ class IntLaurent:
         if isinstance(other, int):
             return IntLaurent.from_int(other)
         return None
-
-    def __add__(self, other) -> IntLaurent:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        out = dict(self._terms)
-        for deg, coeff in o._terms.items():
-            out[deg] = out.get(deg, 0) + coeff
-            if not out[deg]:
-                del out[deg]
-        return IntLaurent._raw(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> IntLaurent:
-        return IntLaurent._raw({d: -c for d, c in self._terms.items()})
-
-    def __sub__(self, other) -> IntLaurent:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other) -> IntLaurent:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
 
     def __mul__(self, other) -> IntLaurent:
         if isinstance(other, int):
@@ -169,18 +135,6 @@ class IntLaurent:
         return IntLaurent._raw(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> IntLaurent:
-        if not isinstance(n, int) or n < 0:
-            raise DomainError("IntLaurent exponents must be nonnegative integers")
-        out = IntLaurent.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def adams(self, r: int) -> IntLaurent:
         """The Adams operation psi^r: the polynomial at L^r, for r >= 1."""
@@ -312,22 +266,9 @@ class IntLaurent:
 
     # -- rendering -----------------------------------------------------------
 
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        pieces: list[str] = []
-        for deg, coeff in sorted(self._terms.items(), reverse=True):
-            mag = abs(coeff)
-            if deg == 0:
-                body = str(mag)
-            else:
-                sym = "L" if deg == 1 else f"L^{deg}"
-                body = sym if mag == 1 else f"{mag}*{sym}"
-            if not pieces:
-                pieces.append(body if coeff > 0 else f"-{body}")
-            else:
-                pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
-        return " ".join(pieces)
+    @staticmethod
+    def _monomial(deg: int) -> str:
+        return "" if deg == 0 else "L" if deg == 1 else f"L^{deg}"
 
     def __repr__(self) -> str:
         return f"IntLaurent({self})"

@@ -149,32 +149,29 @@ _expand = lru_cache(maxsize=EXPAND_CACHE_SIZE)(_denominator_product)
 def unit_part(p: IntLaurent) -> tuple[int, int, tuple[int, ...]] | None:
     """Factor p as sign * L^a * prod(L^n - 1), or None if p is not of that shape.
 
-    These are exactly the units of the ring, so this is the invertibility
-    test.  Greedy extraction of the largest dividing L^n - 1 is correct: if
-    p has that shape, the largest n with (L^n - 1) | p equals the largest
-    n_i present (a primitive n-th root of unity must be a root, which forces
-    n among the n_i).
+    This is the invertibility test: only units of this shape are inverted.
+    They are not all the units of the ring: L + 1 = (L^2 - 1)/(L - 1) is one,
+    but it has no such factorization, so 1/(L + 1) is rejected.  Factors
+    peel off from the bottom: once L^a is stripped, the lowest non-constant
+    term of sign * prod(L^{n_i} - 1) has degree m = min n_i and a coefficient
+    of -sign times the multiplicity of m, never 0, so each factor costs one
+    exact division by L^m - 1.
     """
     if p.is_zero:
         return None
     val = p.min_deg
     body = p.shift(-val)
-    factors: list[int] = []
-    while True:
-        top = body.max_deg
-        if top == 0:
-            c = body.coefficient(0)
-            if c in (1, -1):
-                return c, val, tuple(sorted(factors))
+    factors: list[int] = []  # ascending: no factor of a quotient is below m
+    while len(body) > 1:
+        terms = body.items()
+        next(terms)  # the constant term, which every quotient keeps
+        m = next(terms)[0]
+        body = body.divexact(l_minus_one(m))
+        if body is None:
             return None
-        for n in range(top, 0, -1):
-            q = body.divexact(l_minus_one(n))
-            if q is not None:
-                body = q
-                factors.append(n)
-                break
-        else:
-            return None
+        factors.append(m)
+    c = body.coefficient(0)
+    return (c, val, tuple(factors)) if c in (1, -1) else None
 
 
 class MotivicClass:
@@ -329,16 +326,7 @@ class MotivicClass:
         Failure means an identity that guarantees exactness was violated, so it
         raises InternalConsistencyError rather than DomainError.
         """
-        if d == 0:
-            raise DomainError("division by zero")
-        if d == 1:
-            return self
-        terms = {}
-        for deg, c in self._num.items():
-            if c % d:
-                raise InternalConsistencyError(f"inexact integer division of {self} by {d}")
-            terms[deg] = c // d
-        return MotivicClass(IntLaurent(terms), self._den)
+        return MotivicClass._raw(self._num.divide_exact_int(d), self._den)
 
     def __truediv__(self, other) -> MotivicClass:
         o = _coerce(other)

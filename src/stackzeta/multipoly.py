@@ -1,8 +1,12 @@
-"""Sparse multivariate integer polynomials.
+"""Sparse integer polynomials: the term-map kernel and multivariate polynomials.
 
-Used for Hodge-Deligne polynomials in u, v (two variables) and for the
-truncated expansions of the distinct-exponent generating functions in
-q_1..q_k.  Exponent tuples are the keys; coefficients are nonzero ints.
+``_TermPoly`` is the kernel shared with ``laurent.IntLaurent``: a polynomial
+is a sparse dict from a monomial key to a nonzero int coefficient, and every
+operation that never looks inside a key (immutability, size, addition,
+negation, subtraction, powers, exact division by an int, rendering) is
+written once there.  ``MultiPoly`` keys the map by exponent tuples; it holds
+Hodge-Deligne polynomials in u, v (two variables) and the truncated
+expansions of the distinct-exponent generating functions in q_1..q_k.
 """
 
 from __future__ import annotations
@@ -21,10 +25,100 @@ def _names(nvars: int) -> tuple[str, ...]:
     return tuple(f"q{i + 1}" for i in range(nvars))
 
 
-class MultiPoly:
+class _TermPoly:
+    """Immutable sparse map from a monomial key to a nonzero int coefficient.
+
+    The zero polynomial is the empty map.  A subclass supplies three hooks:
+    ``_coerce`` (an operand in the subclass's ring, or None), ``_new`` (the
+    result built from a zero-free dict, adopted as is) and ``_monomial``
+    (the text of a key, empty for the unit monomial).
+    """
+
+    __slots__ = ("_terms",)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __len__(self) -> int:
+        return len(self._terms)
+
+    def __bool__(self) -> bool:
+        return bool(self._terms)
+
+    def __add__(self, other) -> _TermPoly:
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        out = dict(self._terms)
+        for key, coeff in o._terms.items():
+            out[key] = out.get(key, 0) + coeff
+            if not out[key]:
+                del out[key]
+        return self._new(out)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> _TermPoly:
+        return self._new({k: -c for k, c in self._terms.items()})
+
+    def __sub__(self, other) -> _TermPoly:
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other) -> _TermPoly:
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o - self
+
+    def __pow__(self, n: int) -> _TermPoly:
+        if not isinstance(n, int) or n < 0:
+            raise DomainError(f"{type(self).__name__} exponents must be nonnegative integers")
+        out = self._coerce(1)
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
+        return out
+
+    def divide_exact_int(self, d: int) -> _TermPoly:
+        """self/d for an integer d that must divide every coefficient.
+
+        Failure means an identity that guarantees exactness was violated, so it
+        raises InternalConsistencyError rather than DomainError.
+        """
+        if d == 0:
+            raise DomainError("division by zero")
+        if d == 1:
+            return self
+        if any(c % d for c in self._terms.values()):
+            raise InternalConsistencyError(f"inexact integer division of {self} by {d}")
+        return self._new({k: c // d for k, c in self._terms.items()})
+
+    def __str__(self) -> str:
+        pieces: list[str] = []
+        for key, coeff in sorted(self._terms.items(), reverse=True):
+            stem, mag = self._monomial(key), abs(coeff)
+            body = (stem if mag == 1 else f"{mag}*{stem}") if stem else str(mag)
+            if pieces:
+                pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
+            else:
+                pieces.append(body if coeff > 0 else f"-{body}")
+        return " ".join(pieces) or "0"
+
+
+class MultiPoly(_TermPoly):
     """Immutable sparse polynomial in a fixed number of variables."""
 
-    __slots__ = ("_nvars", "_terms")
+    __slots__ = ("_nvars",)
 
     def __init__(self, nvars: int, terms: Mapping[Exponents, int] | Iterable[tuple[Exponents, int]] = ()):
         if nvars < 1:
@@ -52,8 +146,8 @@ class MultiPoly:
         object.__setattr__(obj, "_terms", terms)
         return obj
 
-    def __setattr__(self, name, value):
-        raise AttributeError("MultiPoly is immutable")
+    def _new(self, terms: dict[Exponents, int]) -> MultiPoly:
+        return MultiPoly._raw(self._nvars, terms)
 
     # -- constructors ------------------------------------------------------
 
@@ -87,10 +181,6 @@ class MultiPoly:
     def nvars(self) -> int:
         return self._nvars
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def coefficient(self, exps: Iterable[int]) -> int:
         return self._terms.get(tuple(exps), 0)
 
@@ -108,12 +198,6 @@ class MultiPoly:
         d = self.total_degree()
         return MultiPoly._raw(self._nvars, {e: c for e, c in self._terms.items() if sum(e) == d})
 
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
     # -- ring operations ---------------------------------------------------
 
     def _coerce(self, other) -> MultiPoly | None:
@@ -124,34 +208,6 @@ class MultiPoly:
         if isinstance(other, int):
             return MultiPoly.constant(self._nvars, other)
         return None
-
-    def __add__(self, other) -> MultiPoly:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        out = dict(self._terms)
-        for exps, coeff in o._terms.items():
-            out[exps] = out.get(exps, 0) + coeff
-            if not out[exps]:
-                del out[exps]
-        return MultiPoly._raw(self._nvars, out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> MultiPoly:
-        return MultiPoly._raw(self._nvars, {e: -c for e, c in self._terms.items()})
-
-    def __sub__(self, other) -> MultiPoly:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other) -> MultiPoly:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
 
     def __mul__(self, other) -> MultiPoly:
         o = self._coerce(other)
@@ -186,18 +242,6 @@ class MultiPoly:
                     del out[e]
         return MultiPoly._raw(self._nvars, out)
 
-    def __pow__(self, n: int) -> MultiPoly:
-        if not isinstance(n, int) or n < 0:
-            raise DomainError("MultiPoly exponents must be nonnegative integers")
-        out = MultiPoly.one(self._nvars)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def adams(self, r: int) -> MultiPoly:
         """The Adams operation psi^r: P(x_1^r, ..., x_n^r), for r >= 1."""
         if r < 1:
@@ -205,20 +249,6 @@ class MultiPoly:
         if r == 1:
             return self
         return MultiPoly._raw(self._nvars, {tuple(e * r for e in exps): c for exps, c in self._terms.items()})
-
-    def divide_exact_int(self, d: int) -> MultiPoly:
-        """self/d for an integer d that must divide every coefficient.
-
-        Failure means an identity that guarantees exactness was violated, so it
-        raises InternalConsistencyError rather than DomainError.
-        """
-        if d == 0:
-            raise DomainError("division by zero")
-        if d == 1:
-            return self
-        if any(c % d for c in self._terms.values()):
-            raise InternalConsistencyError(f"inexact integer division of {self} by {d}")
-        return MultiPoly._raw(self._nvars, {e: c // d for e, c in self._terms.items()})
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
@@ -232,29 +262,9 @@ class MultiPoly:
 
     # -- rendering -----------------------------------------------------------
 
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        names = _names(self._nvars)
-        pieces: list[str] = []
-        for exps, coeff in sorted(self._terms.items(), reverse=True):
-            mag = abs(coeff)
-            syms = []
-            for name, e in zip(names, exps):
-                if e == 1:
-                    syms.append(name)
-                elif e > 1:
-                    syms.append(f"{name}^{e}")
-            if not syms:
-                body = str(mag)
-            else:
-                stem = "*".join(syms)
-                body = stem if mag == 1 else f"{mag}*{stem}"
-            if not pieces:
-                pieces.append(body if coeff > 0 else f"-{body}")
-            else:
-                pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
-        return " ".join(pieces)
+    @staticmethod
+    def _monomial(exps: Exponents) -> str:
+        return "*".join(name if e == 1 else f"{name}^{e}" for name, e in zip(_names(len(exps)), exps) if e)
 
     def __repr__(self) -> str:
         return f"MultiPoly({self._nvars}, {self})"

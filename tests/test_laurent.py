@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from stackzeta import DomainError, IntLaurent, L, MultiPoly
+from stackzeta import DomainError, IntLaurent, InternalConsistencyError, L, MultiPoly
 from stackzeta import laurent
 from stackzeta.laurent import l_minus_one
 
@@ -108,6 +108,18 @@ def test_divexact_known_quotients():
 def test_divexact_rejects_zero_divisor():
     with pytest.raises(DomainError):
         L.divexact(IntLaurent.zero())
+
+
+def test_divide_exact_int():
+    p = IntLaurent({3: 4, 0: -6, -1: 2})
+    assert p.divide_exact_int(2) == IntLaurent({3: 2, 0: -3, -1: 1})
+    assert p.divide_exact_int(-2) == IntLaurent({3: -2, 0: 3, -1: -1})
+    assert p.divide_exact_int(1) is p
+    assert IntLaurent.zero().divide_exact_int(7) == IntLaurent.zero()
+    with pytest.raises(InternalConsistencyError):
+        p.divide_exact_int(4)
+    with pytest.raises(DomainError):
+        p.divide_exact_int(0)
 
 
 def test_degree_bounds():

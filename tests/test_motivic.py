@@ -4,7 +4,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from stackzeta import (
@@ -21,6 +21,7 @@ from stackzeta import (
 )
 from stackzeta import laurent
 from stackzeta.laurent import l_minus_one
+from stackzeta.motivic import unit_part
 
 from _strategies import (
     EVAL_POINTS,
@@ -256,6 +257,21 @@ def test_non_units_are_rejected():
             MotivicClass(num).inverse()
     with pytest.raises(NonInvertibleError):
         MotivicClass.zero().inverse()
+
+
+@given(
+    st.sampled_from((1, -1)),
+    st.integers(min_value=0, max_value=5),
+    st.lists(st.integers(min_value=1, max_value=30), max_size=8),
+)
+@example(-1, 3, [2, 2, 5, 1, 1, 30, 30, 15])
+def test_unit_part_recovers_sign_l_power_and_factors(sign, a, ns):
+    p = IntLaurent.term(a, sign)
+    for n in ns:
+        p = p * l_minus_one(n)
+    assert unit_part(p) == (sign, a, tuple(sorted(ns)))
+    for non_unit in (IntLaurent.from_int(2), IntLaurent({1: 1, 0: -2}), IntLaurent({3: 1, 1: 1, 0: 1})):
+        assert unit_part(p * non_unit) is None
 
 
 def test_inverse_of_gl_is_bgl():

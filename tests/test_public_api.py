@@ -1,4 +1,5 @@
-"""The public namespace: every name in ``__all__`` must resolve."""
+"""The public namespace: every name in ``__all__`` must resolve, and the
+polynomial types keep every public method and operator they define."""
 
 import stackzeta
 
@@ -12,3 +13,36 @@ def test_star_import_succeeds():
 def test_every_exported_name_resolves():
     missing = [name for name in stackzeta.__all__ if not hasattr(stackzeta, name)]
     assert missing == []
+
+
+#: The operators the polynomial types define for themselves.
+POLY_OPERATORS = {
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__neg__", "__pow__",
+    "__eq__", "__hash__", "__len__", "__bool__", "__str__", "__repr__", "__setattr__",
+}
+#: Public methods and properties of the polynomial types.
+POLY_PUBLIC = {
+    stackzeta.IntLaurent: {
+        "adams", "coeff_sum", "coefficient", "divexact", "divide_exact_int", "eval_rational",
+        "from_int", "is_zero", "items", "max_deg", "min_deg", "one", "shift", "substitute",
+        "term", "zero",
+    },
+    stackzeta.MultiPoly: {
+        "adams", "coefficient", "constant", "divide_exact_int", "from_json", "is_zero", "items",
+        "monomial", "mul_truncated", "nvars", "one", "to_json", "top_part", "total_degree",
+        "variable", "zero",
+    },
+}
+
+
+def test_polynomial_types_keep_their_methods_and_operators():
+    for cls, public in POLY_PUBLIC.items():
+        assert {name for name in dir(cls) if not name.startswith("_")} == public, cls
+        inherited_from_object = {op for op in POLY_OPERATORS if getattr(cls, op) is getattr(object, op, None)}
+        assert inherited_from_object == set(), cls
+
+
+def test_the_term_map_kernel_is_private():
+    assert not any(name.startswith("_") for name in stackzeta.__all__)
+    assert "_TermPoly" not in stackzeta.__all__
+    assert not hasattr(stackzeta, "_TermPoly")

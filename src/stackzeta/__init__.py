@@ -46,7 +46,7 @@ from .rfunctions import (
     distinct_exponent_sum,
     distinct_exponent_sum_taylor,
 )
-from .series import Ring, TruncatedSeries, hd_ring, motivic_ring
+from .series import Ring, TruncatedSeries
 from .hodge import (
     EFFECTIVE_CANDIDATE,
     INCONCLUSIVE,
@@ -58,6 +58,7 @@ from .hodge import (
     curve_opposite_counterexample,
     hd_opposite_provider,
     hd_provider,
+    hd_ring,
     hd_zeta,
     stack_power_counterexample,
 )
@@ -67,6 +68,7 @@ from .zeta import (
     check_functional_equation,
     infinite_product_prefix,
     motivic_provider,
+    motivic_ring,
     opposite_zeta,
     sym_power,
     zeta_from_sigma,

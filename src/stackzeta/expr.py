@@ -196,12 +196,12 @@ def parse_ast(text: str):
 # -- elaboration --------------------------------------------------------------------
 
 
-def _int_literal(node, what: str) -> int:
+def _int_literal(node, call: Call) -> int:
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Neg) and isinstance(node.operand, Num):
         return -node.operand.value
-    raise ElaborationError(f"{what} arguments must be integer literals")
+    raise ElaborationError(f"{call.name} arguments must be integer literals", call.tok.line, call.tok.col)
 
 
 class _Env:
@@ -284,7 +284,7 @@ class _ClassEnv(_Env):
             raise ElaborationError(
                 f"{node.name} takes {arity} argument(s)", node.tok.line, node.tok.col
             )
-        args = [_int_literal(a, node.name) for a in node.args]
+        args = [_int_literal(a, node) for a in node.args]
         try:
             if node.name == "GL":
                 return gl_class(args[0])

@@ -29,12 +29,16 @@ from .laurent import IntLaurent
 from .motivic import DenomForm, MotivicClass, bgl_class
 from .multipoly import MultiPoly
 from .power import LambdaProvider, binomial_series, opposite_provider, opposite_series
-from .series import TruncatedSeries, hd_ring
+from .series import Ring, TruncatedSeries
 from .zeta import motivic_provider, zeta_series
 
 EFFECTIVE_CANDIDATE = "effective-candidate"
 NOT_EFFECTIVE = "not-effective"
 INCONCLUSIVE = "inconclusive (denominator shape)"
+
+
+def hd_ring(nvars: int = 2) -> Ring:
+    return Ring(f"int-poly-{nvars}", MultiPoly.zero(nvars), MultiPoly.one(nvars))
 
 
 def hd_provider(nvars: int = 2) -> LambdaProvider:
@@ -168,28 +172,18 @@ def curve_opposite_counterexample() -> CounterexampleReport:
     expected = (
         -(u ** 2 * v) - u * v ** 2 + u ** 2 + v ** 2 + 2 * u * v - u - v
     )
-    notes = []
-    passed = True
-    if not opp.coefficient(1) == e:
-        passed = False
-        notes.append(f"T coefficient {opp.coefficient(1)} != {e}")
-    if not c2 == expected:
-        passed = False
-        notes.append(f"T^2 coefficient differs from {expected}")
     binom = binomial_series(e, 2, hd_opposite_provider())
-    if not binom.coefficient(2) == c2:
-        passed = False
-        notes.append("(1+T)^e under the opposite provider disagrees with the direct series")
     eff = check_polynomial_effectiveness(c2)
-    if not eff.refuted:
-        passed = False
-        notes.append("expected a refutation")
     expected_witness = -(u ** 2 * v) - u * v ** 2
-    if eff.witness is None or not eff.witness == expected_witness:
-        passed = False
-        notes.append(f"expected witness {expected_witness}, got {eff.witness}")
-    notes.append(f"series: {opp}")
-    return CounterexampleReport("curve-opposite", passed, c2, eff, tuple(notes))
+    checks = (
+        (opp.coefficient(1) == e, f"T coefficient {opp.coefficient(1)} != {e}"),
+        (c2 == expected, f"T^2 coefficient differs from {expected}"),
+        (binom.coefficient(2) == c2, "(1+T)^e under the opposite provider disagrees with the direct series"),
+        (eff.refuted, "expected a refutation"),
+        (eff.witness == expected_witness, f"expected witness {expected_witness}, got {eff.witness}"),
+    )
+    notes = tuple(note for holds, note in checks if not holds) + (f"series: {opp}",)
+    return CounterexampleReport("curve-opposite", all(holds for holds, _ in checks), c2, eff, notes)
 
 
 def stack_power_counterexample(order: int = 2) -> CounterexampleReport:
@@ -209,22 +203,14 @@ def stack_power_counterexample(order: int = 2) -> CounterexampleReport:
     zm = zeta_series(m, order)
     via_ratio = zm * zm.substitute_tk(2).inverse()
     target = MotivicClass(IntLaurent({3: -1, 2: 1, 1: 1}), DenomForm(1, (1, 2)))
-    notes = []
-    passed = True
     div = via_power.first_divergence(via_ratio)
-    if div is not None:
-        passed = False
-        notes.append(f"power and ratio routes diverge at T^{div}")
-    if not via_power.coefficient(1) == m:
-        passed = False
-        notes.append("T coefficient is not [BGL(1)]")
     c2 = via_power.coefficient(2)
-    if not c2 == target:
-        passed = False
-        notes.append(f"T^2 coefficient {c2} != {target}")
     eff = check_class_effectiveness(c2)
-    if not eff.refuted:
-        passed = False
-        notes.append("expected a refutation")
-    notes.append(f"series: {via_power}")
-    return CounterexampleReport("stack-power", passed, c2, eff, tuple(notes))
+    checks = (
+        (div is None, f"power and ratio routes diverge at T^{div}"),
+        (via_power.coefficient(1) == m, "T coefficient is not [BGL(1)]"),
+        (c2 == target, f"T^2 coefficient {c2} != {target}"),
+        (eff.refuted, "expected a refutation"),
+    )
+    notes = tuple(note for holds, note in checks if not holds) + (f"series: {via_power}",)
+    return CounterexampleReport("stack-power", all(holds for holds, _ in checks), c2, eff, notes)

@@ -25,10 +25,11 @@ A^m has the ghosts sum_{k r = n} k psi^r(m * b_k).  Adams operations need not
 be multiplicative (the opposite structure's are not), so psi is always
 applied to the product m * b_k.
 
-Everything here is generic over the coefficient ring: the Adams operations
-are methods of the coefficient types (``MotivicClass.adams`` for the Kapranov
-zeta function, ``MultiPoly.adams`` for the Hodge-Deligne one), and the exact
-division is the coefficients' ``divide_exact_int``.
+The ghost transforms are ``TruncatedSeries.ghosts`` and ``from_ghosts``; this
+module keeps the solve for the b_k and the ghost assembly of A^m.  It is
+generic over the coefficient ring: the Adams operations are methods of the
+coefficient types (``MotivicClass.adams`` for the Kapranov zeta function,
+``MultiPoly.adams`` for the Hodge-Deligne one).
 """
 
 from __future__ import annotations
@@ -53,34 +54,6 @@ def check_order(order: int) -> None:
         )
 
 
-def _from_ghosts(ring: Ring, ghosts: Sequence[Any]) -> TruncatedSeries:
-    """The series 1 + c_1 T + ... whose ghosts[n] is its T^n ghost component
-    (ghosts[0] is unused): n c_n = sum_{j=1..n} g_j c_{n-j}."""
-    coeffs = [ring.one]
-    for n in range(1, len(ghosts)):
-        acc = ring.zero
-        for j in range(1, n + 1):
-            g, c = ghosts[j], coeffs[n - j]
-            if not (g.is_zero or c.is_zero):
-                acc = acc + g * c
-        coeffs.append(acc.divide_exact_int(n))
-    return TruncatedSeries(ring, coeffs)
-
-
-def _ghosts(series: TruncatedSeries) -> list:
-    """Ghost components of a series with constant term 1, as [None, g_1, ..., g_N]:
-    g_n = n a_n - sum_{j<n} g_j a_{n-j}."""
-    a = series.coefficients
-    g = [None]
-    for n in range(1, len(a)):
-        acc = n * a[n]
-        for j in range(1, n):
-            if not (g[j].is_zero or a[n - j].is_zero):
-                acc = acc - g[j] * a[n - j]
-        g.append(acc)
-    return g
-
-
 @dataclass(frozen=True, eq=False)
 class LambdaProvider:
     """A pre-lambda structure given by its Adams operations psi(x, r)."""
@@ -94,7 +67,8 @@ class LambdaProvider:
         check_order(order)
         if not self.ring.is_member(element):
             raise DomainError(f"element does not lie in the {self.ring.name} ring")
-        return _from_ghosts(self.ring, [None] + [self.psi(element, r) for r in range(1, order + 1)])
+        ghosts = [self.ring.zero] + [self.psi(element, r) for r in range(1, order + 1)]
+        return TruncatedSeries.from_ghosts(self.ring, ghosts)
 
 
 def lambda_factorize(series: TruncatedSeries, provider: LambdaProvider) -> tuple:
@@ -102,9 +76,7 @@ def lambda_factorize(series: TruncatedSeries, provider: LambdaProvider) -> tuple
     check_order(series.order)
     if series.ring != provider.ring:
         raise DomainError("series ring does not match the provider")
-    if not series.coefficient(0) == provider.ring.one:
-        raise DomainError("lambda factorization needs constant term 1")
-    g = _ghosts(series)
+    g = series.ghosts()
     b = [None]
     for n in range(1, len(g)):
         acc = g[n]
@@ -126,12 +98,12 @@ def power(series: TruncatedSeries, exponent: Any, provider: LambdaProvider) -> T
     if not ring.is_member(exponent):
         raise DomainError(f"exponent does not lie in the {ring.name} ring")
     order = series.order
-    ghosts = [None] + [ring.zero] * order
+    ghosts = [ring.zero] * (order + 1)
     for k, bk in enumerate(lambda_factorize(series, provider), start=1):
         mb = exponent * bk
         for r in range(1, order // k + 1):
             ghosts[k * r] = ghosts[k * r] + k * provider.psi(mb, r)
-    return _from_ghosts(ring, ghosts)
+    return TruncatedSeries.from_ghosts(ring, ghosts)
 
 
 def binomial_series(exponent: Any, order: int, provider: LambdaProvider) -> TruncatedSeries:

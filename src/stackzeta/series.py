@@ -4,27 +4,30 @@ Series are eager tuples of coefficients, not lazy streams: every zeta and
 power-structure computation here works to a fixed order, and eager tuples
 keep equality, hashing of keys, and JSON forms trivial.  Binary operations
 require the same coefficient ring and truncate to the smaller order.
+
+This module owns the triangular recurrences (product, inverse and the ghost
+transforms of T d/dT log), all one zero-skipping fold, and knows coefficients
+only through the ``Ring`` protocol: ``zeta`` and ``hodge`` build the rings.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Sequence
 
 from .errors import DomainError
-from .motivic import MotivicClass
-from .multipoly import MultiPoly
 
 
 @dataclass(frozen=True, eq=False)
 class Ring:
     """Coefficient-ring descriptor: a name plus its zero and one elements.
 
-    Coefficients must support +, -, * and == among themselves and have an
-    ``is_zero`` property; that is all the series layer uses.  The power
-    structure (``power``) also divides them by integers with
-    ``divide_exact_int(d)``, which raises InternalConsistencyError when d
-    does not divide exactly.
+    Coefficients must support +, -, * and == among themselves, be
+    multiplied by ints, and have an ``is_zero`` property.  The ghost
+    transform ``TruncatedSeries.from_ghosts`` also divides them by integers
+    with ``divide_exact_int(d)``, which raises InternalConsistencyError when
+    d does not divide exactly.
     """
 
     name: str
@@ -41,11 +44,14 @@ class Ring:
         return getattr(x, "nvars", None) == getattr(self.zero, "nvars", None)
 
 
-def motivic_ring() -> Ring:
-    return Ring("motivic", MotivicClass.zero(), MotivicClass.one())
-
-def hd_ring(nvars: int = 2) -> Ring:
-    return Ring(f"int-poly-{nvars}", MultiPoly.zero(nvars), MultiPoly.one(nvars))
+def _fold(acc, xs, ys, lo, hi, top, op=operator.add):
+    """acc op xs[j] * ys[top - j] for j = lo, ..., hi in turn, skipping pairs with
+    a zero factor; normalize() is not canonical, so the order fixes the shapes."""
+    for j in range(lo, hi + 1):
+        x, y = xs[j], ys[top - j]
+        if not (x.is_zero or y.is_zero):
+            acc = op(acc, x * y)
+    return acc
 
 
 class TruncatedSeries:
@@ -76,6 +82,15 @@ class TruncatedSeries:
     @classmethod
     def build(cls, ring: Ring, order: int, fn: Callable[[int], Any]) -> TruncatedSeries:
         return cls(ring, tuple(fn(k) for k in range(order + 1)))
+
+    @classmethod
+    def from_ghosts(cls, ring: Ring, ghosts: Sequence[Any]) -> TruncatedSeries:
+        """The series 1 + c_1 T + ... + c_N T^N whose ghost components are
+        ghosts[1..N] (ghosts[0] is ignored): n c_n = sum_{j=1..n} g_j c_{n-j}."""
+        coeffs = [ring.one]
+        for n in range(1, len(ghosts)):
+            coeffs.append(_fold(ring.zero, ghosts, coeffs, 1, n, n).divide_exact_int(n))
+        return cls(ring, coeffs)
 
     # -- inspection --------------------------------------------------------
 
@@ -121,21 +136,9 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_ring(other)
+        a, b, zero = self._coeffs, other._coeffs, self._ring.zero
         n = min(self.order, other.order)
-        zero = self._ring.zero
-        out = []
-        for k in range(n + 1):
-            acc = zero
-            for j in range(k + 1):
-                cj = self._coeffs[j]
-                if cj.is_zero:
-                    continue
-                dj = other._coeffs[k - j]
-                if dj.is_zero:
-                    continue
-                acc = acc + cj * dj
-            out.append(acc)
-        return TruncatedSeries(self._ring, tuple(out))
+        return TruncatedSeries(self._ring, tuple(_fold(zero, a, b, 0, k, k) for k in range(n + 1)))
 
     def __pow__(self, n: int) -> TruncatedSeries:
         if not isinstance(n, int):
@@ -157,14 +160,20 @@ class TruncatedSeries:
             raise DomainError("series inverse needs constant term 1")
         inv = [self._ring.one]
         for k in range(1, self.order + 1):
-            acc = self._ring.zero
-            for j in range(1, k + 1):
-                cj = self._coeffs[j]
-                if cj.is_zero or inv[k - j].is_zero:
-                    continue
-                acc = acc + cj * inv[k - j]
-            inv.append(-acc)
+            inv.append(-_fold(self._ring.zero, self._coeffs, inv, 1, k, k))
         return TruncatedSeries(self._ring, tuple(inv))
+
+    def ghosts(self) -> tuple:
+        """Ghost components (0, g_1, ..., g_N): the coefficients of
+        T d/dT log of this series, which needs constant term exactly one.
+        g_n = n a_n - sum_{j=1..n-1} g_j a_{n-j}."""
+        a = self._coeffs
+        if not a[0] == self._ring.one:
+            raise DomainError("ghost components need constant term 1")
+        g = [self._ring.zero]
+        for n in range(1, len(a)):
+            g.append(_fold(n * a[n], g, a, 1, n - 1, n, operator.sub))
+        return tuple(g)
 
     def scale_t(self, c: Any) -> TruncatedSeries:
         """Substitute T -> c*T: coefficient k becomes c^k * c_k."""
@@ -199,11 +208,8 @@ class TruncatedSeries:
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return (
-            self._ring == other._ring
-            and self.order == other.order
-            and all(a == b for a, b in zip(self._coeffs, other._coeffs))
-        )
+        same_shape = self._ring == other._ring and self.order == other.order
+        return same_shape and self.first_divergence(other) is None
 
     __hash__ = None
 

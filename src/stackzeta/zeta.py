@@ -44,7 +44,12 @@ from .motivic import MotivicClass
 from .partitions import partitions_of
 from .power import LambdaProvider, opposite_provider
 from .rfunctions import block_distinct_sum
-from .series import TruncatedSeries, motivic_ring
+from .series import Ring, TruncatedSeries
+
+
+def motivic_ring() -> Ring:
+    return Ring("motivic", MotivicClass.zero(), MotivicClass.one())
+
 
 MOTIVIC = motivic_ring()
 

@@ -58,6 +58,20 @@ def test_power_command(capsys):
     assert out.strip() == "1 + (1 / (L-1))*T + ((-L^2 + L + 1) / ((L-1) * (L^2-1)))*T^2"
 
 
+def test_power_series_takes_negative_powers_of_t_free_units(capsys):
+    code, out, err = run(capsys, "power", "1 + BGL(1)^-1*T", "L", "--order", "2")
+    assert (code, out.strip(), err) == (0, "1 + (L^2 - L)*T + (L^4 - 2*L^3 + L^2)*T^2", "")
+    code, out, err = run(capsys, "power", "1 + (L+1)^-1*T", "L", "--order", "2")
+    assert (code, out) == (2, "")
+    assert err.rstrip().endswith("(line 1, col 10)")
+
+
+def test_constructor_argument_errors_carry_a_position(capsys):
+    code, out, err = run(capsys, "hd", "1 + GL(L)")
+    assert (code, out) == (2, "")
+    assert err.rstrip().endswith("GL arguments must be integer literals (line 1, col 5)")
+
+
 def test_power_needs_constant_term_one(capsys):
     code, _, err = run(capsys, "power", "2 + T", "L", "--order", "2")
     assert code == 2

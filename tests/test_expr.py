@@ -51,6 +51,15 @@ def test_parse_class_named_calls():
         parse_class("Sp(2)")
 
 
+@pytest.mark.parametrize(
+    "text, col", [("1 + GL(L)", 5), ("Gr(2, L)", 1), ("BGL(2*1)", 1), ("GL(-1)", 1), ("GL(1,2)", 1)]
+)
+def test_constructor_errors_carry_the_constructor_position(text, col):
+    with pytest.raises(ElaborationError) as exc:
+        parse_class(text)
+    assert (exc.value.line, exc.value.col) == (1, col)
+
+
 def test_parse_class_precedence():
     assert parse_class("1 + 2*3") == MotivicClass(7)
     assert parse_class("2*L^3") == MotivicClass(IntLaurent({3: 2}))
@@ -76,6 +85,9 @@ def test_parse_errors_carry_positions():
     assert exc.value.col == 1
     with pytest.raises(ParseError):
         parse_class("1 + ")
+    with pytest.raises(ParseError) as exc:
+        parse_class("L +\n)")
+    assert (exc.value.line, exc.value.col) == (2, 1)
     with pytest.raises(ParseError):
         parse_class("(1")
     with pytest.raises(ParseError):

@@ -12,6 +12,7 @@ from stackzeta import (
     IntLaurent,
     MotivicClass,
     MultiPoly,
+    TruncatedSeries,
     bgl_class,
     check_class_effectiveness,
     check_polynomial_effectiveness,
@@ -22,6 +23,8 @@ from stackzeta import (
     stack_power_counterexample,
     zeta_series,
 )
+
+from stackzeta import hodge
 
 from _strategies import multipolys
 
@@ -147,6 +150,31 @@ def test_stack_power_counterexample():
     target = MotivicClass(IntLaurent({3: -1, 2: 1, 1: 1}), DenomForm(1, (1, 2)))
     assert report.coefficient == target
     assert report.effectiveness.refuted
+
+
+def _bump(series, k, by):
+    coeffs = list(series.coefficients)
+    coeffs[k] = coeffs[k] + by
+    return TruncatedSeries(series.ring, coeffs)
+
+
+def test_curve_report_fails_on_a_wrong_t_coefficient(monkeypatch):
+    real = hodge.opposite_series
+    monkeypatch.setattr(hodge, "opposite_series", lambda s: _bump(real(s), 1, MultiPoly.one(2)))
+    report = curve_opposite_counterexample()
+    assert not report.passed
+    e = MultiPoly.one(2) - U - V + U * V
+    assert report.notes[:-1] == (f"T coefficient {e + 1} != {e}",)
+    assert str(report).startswith("curve-opposite: FAILED")
+
+
+def test_stack_report_fails_when_the_ratio_route_breaks(monkeypatch):
+    real = hodge.zeta_series
+    monkeypatch.setattr(hodge, "zeta_series", lambda a, order: _bump(real(a, order), 2, MotivicClass.one()))
+    report = stack_power_counterexample()
+    assert not report.passed
+    assert report.notes[:-1] == ("power and ratio routes diverge at T^2",)
+    assert str(report).startswith("stack-power: FAILED")
 
 
 def test_stack_power_counterexample_needs_order_two():

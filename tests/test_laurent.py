@@ -274,6 +274,15 @@ def test_constructor_accepts_mappings_and_pairs():
         ((d, c) for d, c in [(2, 3), (-1, 1)]),
     ):
         assert IntLaurent(terms) == want
+    assert IntLaurent([(1, 2), (1, -2)]).is_zero
+
+
+@given(laurents(), laurents())
+def test_equal_laurents_hash_equal(a, b):
+    same = (a + b) - b
+    assert same == a
+    assert hash(same) == hash(a)
+    assert len({a, same, IntLaurent(list(a.items())[::-1])}) == 1
 
 
 @given(laurents())

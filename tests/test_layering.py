@@ -5,6 +5,9 @@ in ``laurent.py`` and ``multipoly.py``, and a class's unchecked constructor
 ``X._raw`` is called only in the module that defines X.  Every other module
 goes through the public methods, so changing a representation touches one
 module.
+
+The generic layers, ``series.py`` and ``power.py``, import no coefficient
+type: they know coefficients only through the ``Ring`` protocol.
 """
 
 import ast
@@ -13,6 +16,8 @@ from pathlib import Path
 import stackzeta
 
 TERMS_OWNERS = {"laurent.py", "multipoly.py"}
+GENERIC_LAYERS = {"series.py", "power.py"}
+COEFFICIENT_MODULES = {"laurent", "multipoly", "motivic"}
 
 
 def foreign_accesses(src: Path) -> list[str]:
@@ -50,3 +55,46 @@ def test_the_scan_sees_foreign_accesses(tmp_path):
         "class Local:\n    def g(self, cls):\n        return Local._raw(cls._raw)\n"
     )
     assert sorted(foreign_accesses(tmp_path)) == ["other.py:2: ._terms", "other.py:2: IntLaurent._raw"]
+
+
+def coefficient_imports(src: Path) -> list[str]:
+    """Imports of a coefficient module in a generic layer, in any spelling:
+    ``from .motivic import X``, ``from . import motivic``,
+    ``import stackzeta.motivic``, ``from stackzeta.motivic import X``."""
+    found = []
+    for name in sorted(GENERIC_LAYERS):
+        path = src / name
+        if not path.exists():
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom):
+                parts = (node.module or "").split(".")
+                if not node.module or (node.level == 0 and parts[-1] == "stackzeta"):
+                    parts += [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                parts = [p for alias in node.names for p in alias.name.split(".")]
+            else:
+                continue
+            for module in sorted(COEFFICIENT_MODULES.intersection(parts)):
+                found.append(f"{name}:{node.lineno}: {module}")
+    return found
+
+
+def test_generic_layers_import_no_coefficient_type():
+    assert coefficient_imports(Path(stackzeta.__file__).parent) == []
+
+
+def test_the_scan_sees_coefficient_imports(tmp_path):
+    (tmp_path / "series.py").write_text(
+        "from .errors import DomainError\nfrom .motivic import MotivicClass\nfrom . import laurent, zeta\n"
+    )
+    (tmp_path / "power.py").write_text(
+        "import stackzeta.multipoly\nfrom stackzeta.motivic import MotivicClass\nfrom .series import Ring\n"
+    )
+    (tmp_path / "zeta.py").write_text("from .motivic import MotivicClass\n")
+    assert coefficient_imports(tmp_path) == [
+        "power.py:1: multipoly",
+        "power.py:2: motivic",
+        "series.py:2: motivic",
+        "series.py:3: laurent",
+    ]

@@ -44,6 +44,10 @@ def test_blocks_match_enumeration():
         for m in mults:
             scale *= factorial(m)
         assert taylor == block_distinct_oracle(mults, 8) * scale
+    # without nvars, the variables are 0..max(var_of)
+    inferred = distinct_exponent_sum_taylor(2, 4, var_of=(0, 0))
+    assert inferred.nvars == 1
+    assert inferred == block_distinct_oracle((2,), 4) * 2
 
 
 def test_closed_form_q_expansion_matches_taylor():

@@ -1,10 +1,11 @@
 """Truncated power series over exact coefficient rings."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from stackzeta import (
+    DenomForm,
     DomainError,
     IntLaurent,
     MotivicClass,
@@ -14,7 +15,7 @@ from stackzeta import (
     motivic_ring,
 )
 
-from _strategies import motivic_classes
+from _strategies import motivic_classes, multipolys
 
 MOT = motivic_ring()
 
@@ -33,6 +34,139 @@ def unit_series(draw, order=3):
     return series_of(
         [MotivicClass.one()] + [draw(motivic_classes(max_terms=2)) for _ in range(order)]
     )
+
+
+def _cls(num, factors):
+    return MotivicClass(IntLaurent(num), DenomForm(0, factors))
+
+
+# Classes written over a larger denominator than they need, as Adams operations
+# leave them: (L + 1)/(L^2 - 1) is 1/(L - 1).  Normalization keeps such shapes,
+# so their sums depend on the order in which they are added.
+SHAPES = {
+    "1": MotivicClass.one(),
+    "1/(L-1)": _cls({0: 1}, (1,)),
+    "(L+1)/(L^2-1)": _cls({1: 1, 0: 1}, (2,)),
+    "L/(L^2-1)": _cls({1: 1}, (2,)),
+    "1/(L^2-1)": _cls({0: 1}, (2,)),
+    "(L^2+L+1)/(L^3-1)": _cls({2: 1, 1: 1, 0: 1}, (3,)),
+    "1/((L-1)(L^2-1))": _cls({0: 1}, (1, 2)),
+}
+
+
+def shaped(*names, unit=False):
+    return series_of([MotivicClass.one()] * unit + [SHAPES[n] for n in names])
+
+
+def sparse_coefficients():
+    """Zeros, redundant shapes and random classes."""
+    scaled = st.builds(lambda c, k: c * k, st.sampled_from(tuple(SHAPES.values())), st.sampled_from((1, -1, 2)))
+    return st.one_of(st.just(MotivicClass.zero()), scaled, motivic_classes(max_terms=2))
+
+
+@st.composite
+def sparse_series(draw, order=4, unit=False):
+    head = [MotivicClass.one()] if unit else [draw(sparse_coefficients())]
+    return series_of(head + [draw(sparse_coefficients()) for _ in range(order)])
+
+
+@st.composite
+def hd_unit_series(draw, order=4):
+    ring = hd_ring(2)
+    return TruncatedSeries(ring, [ring.one] + [draw(multipolys(max_terms=3)) for _ in range(order)])
+
+
+# Reference loops: the four triangular recurrences as separate loops, each with
+# its own start value and left-to-right order, which fix the printed shapes.
+
+
+def ref_mul(a, b):
+    out = []
+    for k in range(min(len(a), len(b))):
+        acc = MOT.zero
+        for j in range(k + 1):
+            if not (a[j].is_zero or b[k - j].is_zero):
+                acc = acc + a[j] * b[k - j]
+        out.append(acc)
+    return out
+
+
+def ref_inverse(a):
+    inv = [MOT.one]
+    for k in range(1, len(a)):
+        acc = MOT.zero
+        for j in range(1, k + 1):
+            if not (a[j].is_zero or inv[k - j].is_zero):
+                acc = acc + a[j] * inv[k - j]
+        inv.append(-acc)
+    return inv
+
+
+def ref_ghosts(a):
+    g = [None]
+    for n in range(1, len(a)):
+        acc = n * a[n]
+        for j in range(1, n):
+            if not (g[j].is_zero or a[n - j].is_zero):
+                acc = acc - g[j] * a[n - j]
+        g.append(acc)
+    return g
+
+
+def ref_from_ghosts(ghosts):
+    coeffs = [MOT.one]
+    for n in range(1, len(ghosts)):
+        acc = MOT.zero
+        for j in range(1, n + 1):
+            if not (ghosts[j].is_zero or coeffs[n - j].is_zero):
+                acc = acc + ghosts[j] * coeffs[n - j]
+        coeffs.append(acc.divide_exact_int(n))
+    return coeffs
+
+
+def keys(coeffs):
+    return [c.structural_key() for c in coeffs]
+
+
+# The random draws seldom reach a sum whose shape depends on its order; these
+# four do, for the product, the inverse, the ghost components and from_ghosts.
+@example(
+    a=shaped("1", "(L^2+L+1)/(L^3-1)", unit=True),
+    b=shaped("(L^2+L+1)/(L^3-1)", "L/(L^2-1)", "1/(L-1)"),
+)
+@example(
+    a=shaped("(L+1)/(L^2-1)", "L/(L^2-1)", "1/((L-1)(L^2-1))", unit=True),
+    b=TruncatedSeries.one(MOT, 3),
+)
+@example(
+    a=shaped("(L^2+L+1)/(L^3-1)", "1", "1/(L-1)", "(L+1)/(L^2-1)", unit=True),
+    b=TruncatedSeries.one(MOT, 4),
+)
+@example(a=shaped("1", "1/(L-1)", "L/(L^2-1)", "1/(L-1)", unit=True), b=TruncatedSeries.one(MOT, 4))
+@given(sparse_series(unit=True), sparse_series())
+def test_the_fold_keeps_each_recurrence_route(a, b):
+    assert keys((a * b).coefficients) == keys(ref_mul(a.coefficients, b.coefficients))
+    assert keys((b * a).coefficients) == keys(ref_mul(b.coefficients, a.coefficients))
+    assert keys(a.inverse().coefficients) == keys(ref_inverse(a.coefficients))
+    g = a.ghosts()
+    assert g[0].is_zero
+    assert keys(g[1:]) == keys(ref_ghosts(a.coefficients)[1:])
+    assert keys(TruncatedSeries.from_ghosts(MOT, g).coefficients) == keys(ref_from_ghosts(g))
+
+
+@given(sparse_series(unit=True), hd_unit_series())
+def test_from_ghosts_inverts_ghosts(a, p):
+    assert TruncatedSeries.from_ghosts(MOT, a.ghosts()) == a
+    assert TruncatedSeries.from_ghosts(p.ring, p.ghosts()) == p
+
+
+def test_ghosts_of_a_geometric_series_and_their_guard():
+    # T d/dT log 1/(1 - L T) = sum_{n>=1} L^n T^n
+    l = MotivicClass.l_power(1)
+    geo = TruncatedSeries.build(MOT, 4, lambda k: l ** k)
+    assert geo.ghosts() == (MotivicClass.zero(),) + tuple(l ** n for n in range(1, 5))
+    with pytest.raises(DomainError):
+        series_of([l, MotivicClass.one()]).ghosts()
 
 
 def test_ring_descriptor():

@@ -169,7 +169,8 @@ def test_zeta_from_sigma_validation():
 
 
 def test_functional_equation_holds():
-    bs = (ONE, ONE + MotivicClass.l_power(1), bgl_class(1))
+    # the base may also be an int or an IntLaurent
+    bs = (ONE, ONE + MotivicClass.l_power(1), bgl_class(1), 2, IntLaurent({1: 1, 0: -1}))
     for b in bs:
         for m in (0, 1):
             for n in (1, 2):

@@ -24,7 +24,7 @@ from .errors import (
     ParseError,
     ResourceLimitError,
 )
-from .expr import mentioned_names, parse_class, parse_poly, parse_series
+from .expr import evaluate_class, mentioned_names, parse_class, parse_poly, parse_series
 from .hodge import check_class_effectiveness, check_polynomial_effectiveness, hd_zeta
 from .power import power
 from .verify import (
@@ -84,7 +84,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("expr")
     add_json(p)
 
-    p = sub.add_parser("eval", help="evaluate a class expression at a rational L")
+    p = sub.add_parser(
+        "eval",
+        help="evaluate a class expression at a rational L",
+        description=(
+            "Evaluate a class expression at L = P/Q. Away from 0, 1 and -1 the"
+            " expression is evaluated on exact fractions without expanding the"
+            " class; at those three points the class is built first, and a"
+            " denominator that vanishes there exits 3."
+        ),
+    )
     p.add_argument("expr")
     p.add_argument("--at", required=True, metavar="P/Q", help="rational value for L")
     add_json(p)
@@ -111,10 +120,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(args, text_value, json_value) -> int:
-    if args.json:
-        print(json.dumps(json_value))
-    else:
-        print(text_value)
+    """Print the result; json_value may hold Fractions, written as strings."""
+    try:
+        text = json.dumps(json_value, default=str) if args.json else str(text_value)
+    except ValueError as exc:  # raised by int-to-decimal conversion only
+        raise ResourceLimitError(
+            f"the result has an integer above the limit of {sys.get_int_max_str_digits()}"
+            " digits for integer-to-string conversion"
+        ) from exc
+    print(text)
     return 0
 
 
@@ -166,8 +180,8 @@ def _run(args) -> int:
             at = Fraction(args.at)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"--at expects a rational like 3 or 5/2, got {args.at!r}") from exc
-        value = parse_class(args.expr).eval_rational(at)
-        return _emit(args, value, {"value": str(value)})
+        value = evaluate_class(args.expr, at)
+        return _emit(args, value, {"value": value})
 
     if args.command == "verify":
         if args.perturb and args.scenario not in ("distinct-sum", "axioms"):

@@ -19,10 +19,12 @@ canonical renderings produced by this package parse back to equal values.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .errors import DomainError, ElaborationError, NonInvertibleError, ParseError
-from .motivic import MotivicClass, bgl_class, gl_class, grassmannian_class
+from .errors import DomainError, ElaborationError, NonInvertibleError, ParseError, ResourceLimitError
+from .motivic import MotivicClass, bgl_class, gl_class, grassmannian_class, standard_forms
 from .multipoly import MultiPoly
 from .power import check_order
 from .series import TruncatedSeries
@@ -113,6 +115,17 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def integer(self) -> int:
+        tok = self.next()
+        try:
+            return int(tok.text)
+        except ValueError as exc:  # the only failure of int() on \d+ is the digit limit
+            raise ResourceLimitError(
+                f"integer literal of {len(tok.text)} digits is above the limit of"
+                f" {sys.get_int_max_str_digits()} digits for integer conversion"
+                f" (line {tok.line}, col {tok.col})"
+            ) from exc
+
     def expect_op(self, text: str) -> Token:
         tok = self.peek()
         if tok.kind != "OP" or tok.text != text:
@@ -161,15 +174,13 @@ class _Parser:
             itok = self.peek()
             if itok.kind != "INT":
                 raise ParseError("exponent must be an integer literal", itok.line, itok.col)
-            self.next()
-            node = Pow(node, sign * int(itok.text), tok)
+            node = Pow(node, sign * self.integer(), tok)
         return node
 
     def atom(self):
         tok = self.peek()
         if tok.kind == "INT":
-            self.next()
-            return Num(int(tok.text), tok)
+            return Num(self.integer(), tok)
         if tok.kind == "NAME":
             self.next()
             if self.at_op("("):
@@ -232,11 +243,7 @@ class _Env:
             step, args = self.div, (left, right, node.tok)
         else:
             raise ElaborationError(f"cannot elaborate {node!r}")
-        # a non-unit divisor or negative-power base fails at this node's token
-        try:
-            return step(*args)
-        except NonInvertibleError as exc:
-            raise ElaborationError(str(exc), node.tok.line, node.tok.col) from exc
+        return _at_token(node.tok, step, *args)
 
     def of_int(self, n: int):
         raise NotImplementedError
@@ -260,7 +267,16 @@ class _Env:
         return a ** n
 
 
+def _at_token(tok: Token, step, *args):
+    """step(*args); a non-unit divisor or negative-power base fails at tok."""
+    try:
+        return step(*args)
+    except NonInvertibleError as exc:
+        raise ElaborationError(str(exc), tok.line, tok.col) from exc
+
+
 _CONSTRUCTOR_ARITY = {"GL": 1, "BGL": 1, "Gr": 2}
+_CLASS_CONSTRUCTORS = {"GL": gl_class, "BGL": bgl_class, "Gr": grassmannian_class}
 
 
 class _ClassEnv(_Env):
@@ -286,19 +302,59 @@ class _ClassEnv(_Env):
             )
         args = [_int_literal(a, node) for a in node.args]
         try:
-            if node.name == "GL":
-                return gl_class(args[0])
-            if node.name == "BGL":
-                return bgl_class(args[0])
-            return grassmannian_class(args[0], args[1])
+            return self.construct(node.name, args)
         except DomainError as exc:
             raise ElaborationError(str(exc), node.tok.line, node.tok.col) from exc
+
+    def construct(self, name: str, args: list[int]):
+        return _CLASS_CONSTRUCTORS[name](*args)
 
     def div(self, a, b, tok: Token):
         return a / b
 
     def pow(self, a, n: int, tok: Token):
         return a ** n
+
+
+class _PointEnv(_ClassEnv):
+    """A class expression's value at L = t, walked on Fractions.
+
+    For t outside {0, 1, -1} no denominator L^a * prod(L^n - 1) vanishes, so
+    evaluation at t is a ring homomorphism to Q and each node's value is the
+    image of the class it would elaborate to.  A divisor or negative-power
+    base is still elaborated as a class, so it passes the same unit check and
+    fails with the same message and position.
+    """
+
+    def __init__(self, t: Fraction):
+        self.t = t
+        self.classes = _ClassEnv()
+
+    def run(self, node):
+        if isinstance(node, BinOp) and node.op == "/":
+            left = self.run(node.left)
+            return left * self._inverse_at(node.right, node.tok)
+        if isinstance(node, Pow) and node.exponent < 0:
+            return self._inverse_at(node.base, node.tok) ** -node.exponent
+        return super().run(node)
+
+    def _inverse_at(self, node, tok: Token) -> Fraction:
+        unit = self.classes.run(node)
+        return _at_token(tok, unit.inverse).eval_rational(self.t)
+
+    def of_int(self, n: int):
+        return Fraction(n)
+
+    def symbol(self, node: Sym):
+        if node.name == "L":
+            return self.t
+        if node.name == "q":
+            return 1 / self.t
+        return _Env.symbol(self, node)
+
+    def construct(self, name: str, args: list[int]):
+        top, bottom = standard_forms(name, args)
+        return top.eval_rational(self.t) / bottom.eval_rational(self.t)
 
 
 class _PolyEnv(_Env):
@@ -368,6 +424,20 @@ class _SeriesEnv(_Env):
 def parse_class(text: str) -> MotivicClass:
     """Elaborate a class expression in L, q, GL, BGL, Gr."""
     return _ClassEnv().run(parse_ast(text))
+
+
+def evaluate_class(text: str, t: Fraction) -> Fraction:
+    """The value of a class expression at L = t.
+
+    Away from {0, 1, -1} the tree is evaluated on Fractions (``_PointEnv``),
+    so no class is expanded.  At those three points a stored denominator can
+    vanish, and whether it does depends on the shape that normalize() leaves
+    (``(L+1)/(L^2-1)`` has a pole at -1, ``BGL(1)*(L-1)`` is 1 at 1), so the
+    class is elaborated first and then evaluated.
+    """
+    if t in (0, 1, -1):
+        return parse_class(text).eval_rational(t)
+    return _PointEnv(t).run(parse_ast(text))
 
 
 def parse_poly(text: str) -> MultiPoly:

@@ -102,6 +102,15 @@ class DenomForm:
             raise DomainError("complement_in needs a denominator multiple")
         return _expand(target.l_exp - self.l_exp, tuple(missing))
 
+    def eval_rational(self, t: Fraction) -> Fraction:
+        """The value at L = t, on integers: for t = p/r in lowest terms,
+        p^l_exp * prod(p^n - r^n) / r^(l_exp + sum(n)) is in lowest terms too."""
+        p, r = t.numerator, t.denominator
+        num = p ** self.l_exp
+        for n in self.factors:
+            num *= p ** n - r ** n
+        return Fraction(num, r ** (self.l_exp + sum(self.factors)))
+
     def __str__(self) -> str:
         return " * ".join(_denominator_parts(self.l_exp, self.factors, "L")) or "1"
 
@@ -407,9 +416,7 @@ class MotivicClass:
     def eval_rational(self, t: Fraction | int) -> Fraction:
         """Exact value at L = t; poles raise DomainError."""
         t = Fraction(t)
-        den = t ** self._den.l_exp
-        for n in self._den.factors:
-            den *= t ** n - 1
+        den = self._den.eval_rational(t)
         if den == 0:
             raise DomainError(f"denominator vanishes at L = {t}")
         return self._num.eval_rational(t) / den
@@ -501,26 +508,38 @@ class HDRealization:
 # -- standard classes ---------------------------------------------------------
 
 
+def standard_forms(name: str, args: Sequence[int]) -> tuple[DenomForm, DenomForm]:
+    """The standard class GL(n), BGL(n) or Gr(k, n) as the quotient top/bottom
+    of two shapes L^a * prod(L^n - 1); the class constructors and evaluation
+    at a point both read it from here, so they share one domain check."""
+    if name == "Gr":
+        k, n = args
+        if not 0 <= k <= n:
+            raise DomainError("Gr(k, n) needs 0 <= k <= n")
+        return DenomForm._raw(0, tuple(range(n - k + 1, n + 1))), DenomForm._raw(0, tuple(range(1, k + 1)))
+    (n,) = args
+    if n < 0:
+        raise DomainError(f"{name}(n) needs n >= 0")
+    gl = DenomForm._raw(n * (n - 1) // 2, tuple(range(1, n + 1)))
+    return (gl, _TRIVIAL_DEN) if name == "GL" else (_TRIVIAL_DEN, gl)
+
+
 def gl_class(n: int) -> MotivicClass:
     """[GL(n)] = prod_{j=0}^{n-1} (L^n - L^j) = L^{n(n-1)/2} prod_{i=1}^{n} (L^i - 1),
     a polynomial class."""
-    if n < 0:
-        raise DomainError("GL(n) needs n >= 0")
-    return MotivicClass(_denominator_product(n * (n - 1) // 2, range(1, n + 1)))
+    gl, _ = standard_forms("GL", (n,))
+    return MotivicClass(_denominator_product(gl.l_exp, gl.factors))
 
 
 def bgl_class(n: int) -> MotivicClass:
     """[BGL(n)] = 1/[GL(n)], stored with the denominator in factored shape."""
-    if n < 0:
-        raise DomainError("BGL(n) needs n >= 0")
-    return MotivicClass(IntLaurent.one(), DenomForm(n * (n - 1) // 2, tuple(range(1, n + 1))))
+    return MotivicClass(IntLaurent.one(), standard_forms("BGL", (n,))[1])
 
 
 def grassmannian_class(k: int, n: int) -> MotivicClass:
     """[Gr(k, n)], the Gaussian binomial (n choose k)_L; always a polynomial."""
-    if not 0 <= k <= n:
-        raise DomainError("Gr(k, n) needs 0 <= k <= n")
-    q = _denominator_product(0, range(n - k + 1, n + 1)).divexact(_denominator_product(0, range(1, k + 1)))
+    top, bottom = standard_forms("Gr", (k, n))
+    q = _denominator_product(0, top.factors).divexact(_denominator_product(0, bottom.factors))
     if q is None:
         raise InternalConsistencyError("Gaussian binomial division failed")
     return MotivicClass(q)

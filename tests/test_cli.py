@@ -155,12 +155,31 @@ def test_reused_parser_keeps_no_state_between_calls(capsys):
 
 
 def test_eval_error_paths(capsys):
-    code, _, err = run(capsys, "eval", "1/(L-1)", "--at", "1")
-    assert code == 3
-    assert "error" in err
+    code, out, err = run(capsys, "eval", "1/(L-1)", "--at", "1")
+    assert (code, out, err) == (3, "", "error: denominator vanishes at L = 1\n")
 
-    code, _, err = run(capsys, "eval", "L", "--at", "banana")
-    assert code == 2
+    code, out, err = run(capsys, "eval", "L", "--at", "banana")
+    assert (code, out) == (2, "")
+    assert err == "error: --at expects a rational like 3 or 5/2, got 'banana'\n"
+
+    for text, unit in (("1/(L+1)", "L + 1"), ("2/2", "2"), ("0^-1", "0")):
+        code, out, err = run(capsys, "eval", text, "--at", "2")
+        assert (code, out) == (2, "")
+        assert err == f"error: class is not a unit of the ring: {unit} (line 1, col 2)\n"
+
+
+@pytest.mark.parametrize(
+    "text, at, code, out, err",
+    [
+        ("(L+1)/(L^2-1)", "-1", 3, "", "error: denominator vanishes at L = -1\n"),
+        ("BGL(1)*(L-1)", "1", 0, "1\n", ""),
+        ("L*q", "0", 0, "1\n", ""),
+        ("q", "0", 3, "", "error: denominator vanishes at L = 0\n"),
+    ],
+)
+def test_eval_at_zero_and_plus_minus_one_reads_the_normalized_class(capsys, text, at, code, out, err):
+    # at these points a stored denominator can vanish, so the shape matters
+    assert run(capsys, "eval", text, "--at", at) == (code, out, err)
 
 
 def test_parse_error_exit_code(capsys):

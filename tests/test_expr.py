@@ -1,5 +1,7 @@
 """Expression parsing and elaboration into classes, polynomials, and series."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 
@@ -10,6 +12,7 @@ from stackzeta import (
     MotivicClass,
     MultiPoly,
     ParseError,
+    ResourceLimitError,
     TruncatedSeries,
     bgl_class,
     gl_class,
@@ -109,6 +112,19 @@ def test_non_decimal_digits_are_parse_errors(text, col):
 def test_decimal_digits_of_any_script_are_integers():
     assert parse_class("L^٣") == MotivicClass.l_power(3)
     assert parse_class("١٢") == MotivicClass(12)
+
+
+@pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no int-to-string digit limit")
+@pytest.mark.parametrize("prefix", ["", "GL(2) *\n ", "L^"])
+def test_literals_above_the_digit_limit_are_resource_errors(prefix):
+    limit = sys.get_int_max_str_digits()
+    line, col = (2, 2) if "\n" in prefix else (1, len(prefix) + 1)
+    with pytest.raises(ResourceLimitError) as exc:
+        parse_class(prefix + "7" * (limit + 1))
+    assert str(exc.value) == (
+        f"integer literal of {limit + 1} digits is above the limit of {limit} digits"
+        f" for integer conversion (line {line}, col {col})"
+    )
 
 
 @given(motivic_classes())

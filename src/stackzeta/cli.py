@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -23,9 +24,11 @@ from .errors import (
     InternalConsistencyError,
     ParseError,
     ResourceLimitError,
+    int_text_limit,
 )
-from .expr import evaluate_class, mentioned_names, parse_class, parse_poly, parse_series
+from .expr import evaluate_class, parse_class, parse_class_or_poly, parse_poly, parse_series
 from .hodge import check_class_effectiveness, check_polynomial_effectiveness, hd_zeta
+from .multipoly import MultiPoly
 from .power import power
 from .verify import (
     SCENARIOS,
@@ -120,14 +123,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(args, text_value, json_value) -> int:
-    """Print the result; json_value may hold Fractions, written as strings."""
-    try:
+    """Print the result; json_value may hold Fractions and polynomials, written as strings."""
+    with int_text_limit():
         text = json.dumps(json_value, default=str) if args.json else str(text_value)
-    except ValueError as exc:  # raised by int-to-decimal conversion only
-        raise ResourceLimitError(
-            f"the result has an integer above the limit of {sys.get_int_max_str_digits()}"
-            " digits for integer-to-string conversion"
-        ) from exc
     print(text)
     return 0
 
@@ -164,23 +162,14 @@ def _run(args) -> int:
         return _emit(args, series, series.to_json())
 
     if args.command == "effective":
-        if mentioned_names(args.expr) & {"u", "v"}:
-            result = check_polynomial_effectiveness(parse_poly(args.expr))
-        else:
-            result = check_class_effectiveness(parse_class(args.expr))
-        payload = {
-            "verdict": result.verdict,
-            "witness": str(result.witness) if result.witness is not None else None,
-            "detail": result.detail,
-        }
+        value = parse_class_or_poly(args.expr)
+        check = check_polynomial_effectiveness if isinstance(value, MultiPoly) else check_class_effectiveness
+        result = check(value)
+        payload = {"verdict": result.verdict, "witness": result.witness, "detail": result.detail}
         return _emit(args, result, payload)
 
     if args.command == "eval":
-        try:
-            at = Fraction(args.at)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"--at expects a rational like 3 or 5/2, got {args.at!r}") from exc
-        value = evaluate_class(args.expr, at)
+        value = evaluate_class(args.expr, _at_value(args.at))
         return _emit(args, value, {"value": value})
 
     if args.command == "verify":
@@ -203,6 +192,20 @@ def _run(args) -> int:
         return 0 if report.passed else 1
 
     raise InternalConsistencyError(f"unhandled command {args.command!r}")
+
+
+def _at_value(text: str) -> Fraction:
+    """The rational of --at; an integer above the digit limit of int() exits 4, unechoed."""
+    limit = sys.get_int_max_str_digits()
+    digits = max(map(len, re.findall(r"\d+", text.replace("_", ""))), default=0)
+    if 0 < limit < digits:
+        raise ResourceLimitError(
+            f"--at value has an integer of {digits} digits, above the limit of {limit} digits for integer conversion"
+        )
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"--at expects a rational like 3 or 5/2, got {text!r}") from exc
 
 
 def _bind_at_value(argv: list[str]) -> list[str]:

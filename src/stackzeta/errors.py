@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+from contextlib import contextmanager
+
 
 class StackZetaError(Exception):
     """Base class for every error raised by this package."""
@@ -17,6 +20,18 @@ class NonInvertibleError(DomainError):
 
 class ResourceLimitError(StackZetaError, RuntimeError):
     """A computation exceeded a configured size cap before starting."""
+
+
+@contextmanager
+def int_text_limit():
+    """Around ints written as text: the digit-limit ValueError becomes ResourceLimitError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ResourceLimitError(
+            f"the result has an integer above the limit of {sys.get_int_max_str_digits()}"
+            " digits for integer-to-string conversion"
+        ) from exc
 
 
 class InternalConsistencyError(StackZetaError, RuntimeError):

@@ -445,11 +445,14 @@ def parse_poly(text: str) -> MultiPoly:
     return _PolyEnv().run(parse_ast(text))
 
 
+def parse_class_or_poly(text: str) -> MotivicClass | MultiPoly:
+    """Elaborate an E-polynomial expression if the text names u or v, and a
+    class expression otherwise; the text is tokenized once for both."""
+    tokens = tokenize(text)
+    env = _PolyEnv() if any(tok.kind == "NAME" and tok.text in ("u", "v") for tok in tokens) else _ClassEnv()
+    return env.run(_Parser(tokens).parse())
+
+
 def parse_series(text: str, order: int) -> TruncatedSeries:
     """Elaborate a series expression in T with motivic-class coefficients."""
     return _SeriesEnv(order).run(parse_ast(text))
-
-
-def mentioned_names(text: str) -> set[str]:
-    """The identifiers appearing in an expression, for context dispatch."""
-    return {tok.text for tok in tokenize(text) if tok.kind == "NAME"}

@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, int_text_limit
 from .laurent import IntLaurent
 from .motivic import DenomForm, MotivicClass, bgl_class
 from .multipoly import MultiPoly
@@ -94,9 +94,9 @@ def check_polynomial_effectiveness(poly: MultiPoly) -> EffectivenessResult:
     if len(terms) == 1:
         (a, b), coeff = terms[0]
         if a == b and coeff > 0:
-            return EffectivenessResult(
-                EFFECTIVE_CANDIDATE, detail=f"top part {coeff}*(uv)^{a}"
-            )
+            with int_text_limit():
+                detail = f"top part {coeff}*(uv)^{a}"
+            return EffectivenessResult(EFFECTIVE_CANDIDATE, detail=detail)
     return EffectivenessResult(NOT_EFFECTIVE, witness=top, detail="top-degree part not ell*(uv)^n")
 
 

@@ -2,9 +2,9 @@
 
 Polynomials are sparse maps from degree to nonzero integer coefficient, so
 arithmetic is exact at every step.  The key-blind part of the arithmetic
-(addition, negation, subtraction, powers, exact division by an int,
-rendering) is the term-map kernel ``multipoly._TermPoly``, shared with
-``MultiPoly``; this module adds what reads the degrees: products, exact
+(accumulating terms, addition, negation, subtraction, powers, exact division
+by an int, rendering) is the term-map kernel ``multipoly._TermPoly``, shared
+with ``MultiPoly``; this module adds what reads the degrees: products, exact
 division by a polynomial, Adams operations, shifts and maps out of the ring.
 Negative degrees are allowed; the class layer on top of this module is
 responsible for clearing them where its invariants demand nonnegative
@@ -37,15 +37,7 @@ class IntLaurent(_TermPoly):
     __slots__ = ()
 
     def __init__(self, terms: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        # a dict is tested first: the Mapping check alone is an ABC lookup per call
-        items = terms.items() if isinstance(terms, dict) or isinstance(terms, Mapping) else terms
-        clean: dict[int, int] = {}
-        for deg, coeff in items:
-            if coeff:
-                clean[deg] = clean.get(deg, 0) + coeff
-                if not clean[deg]:
-                    del clean[deg]
-        object.__setattr__(self, "_terms", clean)
+        object.__setattr__(self, "_terms", self._accumulate({}, self._pairs(terms)))
 
     @classmethod
     def _raw(cls, terms: dict[int, int]) -> IntLaurent:
@@ -242,17 +234,14 @@ class IntLaurent(_TermPoly):
         if len(image) == 1:
             # c*x^e: each a*L^d goes to a*c^d*x^(d*e) (a constant image collides)
             ((exps, c),) = image.items()
-            return MultiPoly(
-                image.nvars,
-                [(tuple(d * e for e in exps), coeff * c ** d) for d, coeff in self._terms.items()],
-            )
-        acc: dict[tuple[int, ...], int] = {}
-        power, at = MultiPoly.one(image.nvars), 0
-        for deg, coeff in sorted(self._terms.items()):
-            power, at = power * image ** (deg - at), deg
-            for exps, c in power.items():
-                acc[exps] = acc.get(exps, 0) + coeff * c
-        return MultiPoly(image.nvars, acc)
+            pairs = [(tuple(d * e for e in exps), coeff * c ** d) for d, coeff in self._terms.items()]
+        else:
+            pairs = []
+            power, at = MultiPoly.one(image.nvars), 0
+            for deg, coeff in sorted(self._terms.items()):
+                power, at = power * image ** (deg - at), deg
+                pairs.extend((exps, coeff * c) for exps, c in power.items())
+        return MultiPoly(image.nvars, pairs)
 
     def eval_rational(self, t: Fraction | int) -> Fraction:
         """Exact value at L = t."""

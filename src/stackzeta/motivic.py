@@ -429,10 +429,7 @@ class MotivicClass:
         """
         e = self._den.l_exp
         shift = e + sum(self._den.factors)
-        cur: dict[int, int] = {}
-        for d, c in self._num.items():
-            k = shift - d
-            cur[k] = cur.get(k, 0) + c
+        cur = {shift - d: c for d, c in self._num.items()}  # one key per numerator degree
         for n in self._den.factors:
             nxt: dict[int, int] = {}
             for exp, c in cur.items():
@@ -516,6 +513,7 @@ def standard_forms(name: str, args: Sequence[int]) -> tuple[DenomForm, DenomForm
         k, n = args
         if not 0 <= k <= n:
             raise DomainError("Gr(k, n) needs 0 <= k <= n")
+        k = min(k, n - k)  # Gr(k, n) = Gr(n - k, n): the shorter products
         return DenomForm._raw(0, tuple(range(n - k + 1, n + 1))), DenomForm._raw(0, tuple(range(1, k + 1)))
     (n,) = args
     if n < 0:
@@ -537,9 +535,10 @@ def bgl_class(n: int) -> MotivicClass:
 
 
 def grassmannian_class(k: int, n: int) -> MotivicClass:
-    """[Gr(k, n)], the Gaussian binomial (n choose k)_L; always a polynomial."""
+    """[Gr(k, n)], the Gaussian binomial (n choose k)_L; normalize() cancels the
+    bottom shape, one factor L^m - 1 at a time, so it is always a polynomial."""
     top, bottom = standard_forms("Gr", (k, n))
-    q = _denominator_product(0, top.factors).divexact(_denominator_product(0, bottom.factors))
-    if q is None:
+    gr = MotivicClass._raw(_denominator_product(0, top.factors), bottom).normalize()
+    if not gr.den.is_trivial:
         raise InternalConsistencyError("Gaussian binomial division failed")
-    return MotivicClass(q)
+    return gr

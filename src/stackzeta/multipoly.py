@@ -2,11 +2,11 @@
 
 ``_TermPoly`` is the kernel shared with ``laurent.IntLaurent``: a polynomial
 is a sparse dict from a monomial key to a nonzero int coefficient, and every
-operation that never looks inside a key (immutability, size, addition,
-negation, subtraction, powers, exact division by an int, rendering) is
-written once there.  ``MultiPoly`` keys the map by exponent tuples; it holds
-Hodge-Deligne polynomials in u, v (two variables) and the truncated
-expansions of the distinct-exponent generating functions in q_1..q_k.
+operation that never looks inside a key (immutability, size, accumulating
+terms, addition, negation, subtraction, powers, exact division by an int,
+rendering) is written once there.  ``MultiPoly`` keys the map by exponent
+tuples; it holds Hodge-Deligne polynomials in u, v (two variables) and the
+truncated expansions of the distinct-exponent generating functions in q_1..q_k.
 """
 
 from __future__ import annotations
@@ -49,16 +49,25 @@ class _TermPoly:
     def __bool__(self) -> bool:
         return bool(self._terms)
 
+    @staticmethod
+    def _pairs(terms: Mapping | Iterable[tuple]) -> Iterable[tuple]:
+        # a dict is tested first: the Mapping check alone is an ABC lookup per call
+        return terms.items() if isinstance(terms, dict) or isinstance(terms, Mapping) else terms
+
+    @staticmethod
+    def _accumulate(out: dict, pairs: Iterable[tuple]) -> dict:
+        """Add (key, coefficient) pairs into the zero-free dict out, in place."""
+        for key, coeff in pairs:
+            out[key] = out.get(key, 0) + coeff
+            if not out[key]:
+                del out[key]
+        return out
+
     def __add__(self, other) -> _TermPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out = dict(self._terms)
-        for key, coeff in o._terms.items():
-            out[key] = out.get(key, 0) + coeff
-            if not out[key]:
-                del out[key]
-        return self._new(out)
+        return self._new(self._accumulate(dict(self._terms), o._terms.items()))
 
     __radd__ = __add__
 
@@ -123,19 +132,12 @@ class MultiPoly(_TermPoly):
     def __init__(self, nvars: int, terms: Mapping[Exponents, int] | Iterable[tuple[Exponents, int]] = ()):
         if nvars < 1:
             raise DomainError("MultiPoly needs at least one variable")
-        # a dict is tested first: the Mapping check alone is an ABC lookup per call
-        items = terms.items() if isinstance(terms, dict) or isinstance(terms, Mapping) else terms
-        clean: dict[Exponents, int] = {}
-        for exps, coeff in items:
-            exps = tuple(exps)
-            if len(exps) != nvars or any(e < 0 for e in exps):
+        pairs = [(tuple(exps), coeff) for exps, coeff in self._pairs(terms)]
+        for exps, _ in pairs:
+            if len(exps) != nvars or min(exps) < 0:
                 raise DomainError(f"bad exponent tuple {exps!r} for {nvars} variables")
-            if coeff:
-                clean[exps] = clean.get(exps, 0) + coeff
-                if not clean[exps]:
-                    del clean[exps]
         object.__setattr__(self, "_nvars", nvars)
-        object.__setattr__(self, "_terms", clean)
+        object.__setattr__(self, "_terms", self._accumulate({}, pairs))
 
     @classmethod
     def _raw(cls, nvars: int, terms: dict[Exponents, int]) -> MultiPoly:
@@ -229,18 +231,7 @@ class MultiPoly(_TermPoly):
 
     def mul_truncated(self, other: MultiPoly, max_total: int) -> MultiPoly:
         """Product with terms above the given total degree discarded."""
-        o = self._coerce(other)
-        out: dict[Exponents, int] = {}
-        for e1, c1 in self._terms.items():
-            d1 = sum(e1)
-            for e2, c2 in o._terms.items():
-                if d1 + sum(e2) > max_total:
-                    continue
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
-                if not out[e]:
-                    del out[e]
-        return MultiPoly._raw(self._nvars, out)
+        return MultiPoly._raw(self._nvars, {e: c for e, c in (self * other)._terms.items() if sum(e) <= max_total})
 
     def adams(self, r: int) -> MultiPoly:
         """The Adams operation psi^r: P(x_1^r, ..., x_n^r), for r >= 1."""

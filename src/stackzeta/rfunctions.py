@@ -160,14 +160,8 @@ def distinct_exponent_sum_taylor(
 def distinct_exponent_oracle(k: int, degree_cap: int) -> MultiPoly:
     """Brute-force enumeration of distinct-exponent monomials, degree <= cap."""
     _check_oracle_caps(k, degree_cap)
-    terms: dict[tuple[int, ...], int] = {}
-    for tup in product(range(degree_cap + 1), repeat=k):
-        if sum(tup) > degree_cap:
-            continue
-        if len(set(tup)) != k:
-            continue
-        terms[tup] = terms.get(tup, 0) + 1
-    return MultiPoly(k, terms)
+    tuples = product(range(degree_cap + 1), repeat=k)
+    return MultiPoly(k, {tup: 1 for tup in tuples if sum(tup) <= degree_cap and len(set(tup)) == k})
 
 
 def block_distinct_oracle(mults: Sequence[int], degree_cap: int) -> MultiPoly:

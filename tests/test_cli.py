@@ -158,9 +158,10 @@ def test_eval_error_paths(capsys):
     code, out, err = run(capsys, "eval", "1/(L-1)", "--at", "1")
     assert (code, out, err) == (3, "", "error: denominator vanishes at L = 1\n")
 
-    code, out, err = run(capsys, "eval", "L", "--at", "banana")
-    assert (code, out) == (2, "")
-    assert err == "error: --at expects a rational like 3 or 5/2, got 'banana'\n"
+    for at in ("banana", "1/0", "1/2/3", ""):
+        code, out, err = run(capsys, "eval", "L", "--at", at)
+        assert (code, out) == (2, "")
+        assert err == f"error: --at expects a rational like 3 or 5/2, got {at!r}\n"
 
     for text, unit in (("1/(L+1)", "L + 1"), ("2/2", "2"), ("0^-1", "0")):
         code, out, err = run(capsys, "eval", text, "--at", "2")

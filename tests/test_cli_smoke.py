@@ -31,6 +31,16 @@ HOSTILE = [
     ("big-power-json", ("eval", "(L+1)^10000", "--at", "2", "--json"), RESULT_ERROR),
     ("big-hd-coefficient", ("hd", "(L+10^100)^50"), RESULT_ERROR),
     ("big-sym-coefficient-json", ("sym", "1", "10^5000", "--json"), RESULT_ERROR),
+    ("big-effective-witness", ("effective", "-(10^100)^50*L^3 + L"), RESULT_ERROR),
+    ("big-effective-witness-json", ("effective", "-(10^100)^50*L^3 + L", "--json"), RESULT_ERROR),
+    ("big-effective-detail", ("effective", "(10^100)^50*L^3 + L"), RESULT_ERROR),
+    ("big-effective-detail-json", ("effective", "(10^100)^50*L^3 + L", "--json"), RESULT_ERROR),
+    (
+        "big-at-value",
+        ("eval", "L", "--at", BIG),
+        f"error: --at value has an integer of {len(BIG)} digits, above the limit of {LIMIT} digits"
+        " for integer conversion",
+    ),
 ]
 
 

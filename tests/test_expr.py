@@ -22,7 +22,7 @@ from stackzeta import (
     parse_poly,
     parse_series,
 )
-from stackzeta.expr import mentioned_names
+from stackzeta.expr import parse_class_or_poly
 
 from _strategies import motivic_classes, multipolys
 
@@ -192,7 +192,10 @@ def test_series_rendering_round_trips(a, b, c):
 # -- dispatch helpers -------------------------------------------------------------
 
 
-def test_mentioned_names():
-    assert mentioned_names("GL(2) + u*v") == {"GL", "u", "v"}
-    assert mentioned_names("1 + 2") == set()
-    assert mentioned_names("L^2 - q") == {"L", "q"}
+def test_parse_class_or_poly_picks_the_context_from_u_and_v():
+    assert parse_class_or_poly("u*v + 1") == parse_poly("u*v + 1")
+    assert parse_class_or_poly("L^2 - q") == parse_class("L^2 - q")
+    assert parse_class_or_poly("1 + 2") == MotivicClass(3)
+    # naming u or v makes the whole text a polynomial expression
+    with pytest.raises(ElaborationError, match="unknown identifier 'L' in a polynomial expression"):
+        parse_class_or_poly("L + u")

@@ -8,6 +8,10 @@ module.
 
 The generic layers, ``series.py`` and ``power.py``, import no coefficient
 type: they know coefficients only through the ``Ring`` protocol.
+
+Outside ``laurent.py`` the library divides polynomials only by binomials
+L^n - 1: every ``.divexact(...)`` call takes an ``l_minus_one(...)``
+argument, so the general long division serves only public callers.
 """
 
 import ast
@@ -97,4 +101,46 @@ def test_the_scan_sees_coefficient_imports(tmp_path):
         "power.py:2: motivic",
         "series.py:2: motivic",
         "series.py:3: laurent",
+    ]
+
+
+def general_divisions(src: Path) -> list[str]:
+    """``.divexact(...)`` calls outside laurent.py whose argument is not a
+    direct ``l_minus_one(...)`` call, in either spelling of the name."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "laurent.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                continue
+            if node.func.attr != "divexact":
+                continue
+            arg = node.args[0] if len(node.args) == 1 and not node.keywords else None
+            callee = arg.func if isinstance(arg, ast.Call) else None
+            name = callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", None)
+            if name != "l_minus_one":
+                found.append(f"{path.name}:{node.lineno}: .divexact")
+    return found
+
+
+def test_the_library_divides_only_by_binomials():
+    assert general_divisions(Path(stackzeta.__file__).parent) == []
+
+
+def test_the_scan_sees_general_divisions(tmp_path):
+    (tmp_path / "laurent.py").write_text("def f(p, q):\n    return p.divexact(q)\n")
+    (tmp_path / "motivic.py").write_text(
+        "from . import laurent\nfrom .laurent import l_minus_one\n\n"
+        "def f(p, q):\n"
+        "    a = p.divexact(l_minus_one(3))\n"
+        "    b = p.divexact(laurent.l_minus_one(2))\n"
+        "    c = p.divexact(q)\n"
+        "    d = p.divexact(l_minus_one(2) * q)\n"
+        "    return a, b, c, d, p.divexact(other=q)\n"
+    )
+    assert general_divisions(tmp_path) == [
+        "motivic.py:7: .divexact",
+        "motivic.py:8: .divexact",
+        "motivic.py:9: .divexact",
     ]

@@ -410,6 +410,16 @@ def test_grassmannian_recurrence():
             assert lhs == rhs
 
 
+def test_grassmannian_keeps_the_shape_of_the_long_division_route():
+    # the reference route: both products expanded, then the general long division
+    for n in range(25):
+        for k in range(n + 1):
+            top = DenomForm(0, tuple(range(n - k + 1, n + 1))).expand()
+            bottom = DenomForm(0, tuple(range(1, k + 1))).expand()
+            want = MotivicClass(top.divexact(bottom)).structural_key()
+            assert grassmannian_class(k, n).structural_key() == want, (k, n)
+
+
 def test_divide_exact_int():
     assert MotivicClass(IntLaurent({1: 2, 0: 4})).divide_exact_int(2) == MotivicClass(
         IntLaurent({1: 1, 0: 2})

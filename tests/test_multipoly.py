@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from stackzeta import DomainError, InternalConsistencyError, MultiPoly
+from stackzeta import DomainError, IntLaurent, InternalConsistencyError, MultiPoly
 
 from _strategies import multipolys
 
@@ -16,6 +16,9 @@ def test_construction_rules():
         MultiPoly(2, {(-1, 0): 1})
     with pytest.raises(DomainError):
         MultiPoly(2, {(1,): 1})
+    # every exponent tuple is checked, in order, whatever the coefficients
+    with pytest.raises(DomainError, match=r"bad exponent tuple \(1, 2, 3\) for 2 variables"):
+        MultiPoly(2, [((1, 0), 0), ((1, 2, 3), 1), ((-1, 0), 1)])
     assert MultiPoly(2, {(1, 0): 0}).is_zero
     want = MultiPoly(2, {(1, 0): 2, (0, 1): 1})
     for terms in (
@@ -23,6 +26,51 @@ def test_construction_rules():
         [((1, 0), 1), ([0, 1], 1), ((1, 0), 1)],
     ):
         assert MultiPoly(2, terms) == want
+
+
+def _reference_terms(pairs) -> dict:
+    """The zero-free sum of (key, coefficient) pairs, one pair at a time."""
+    sums: dict = {}
+    for key, coeff in pairs:
+        sums[key] = sums.get(key, 0) + coeff
+    return {key: coeff for key, coeff in sums.items() if coeff}
+
+
+@st.composite
+def term_pairs(draw, keys):
+    """Pairs with repeated keys and zero coefficients, plus negated copies of
+    some of them, so that terms cancel."""
+    pairs = draw(st.lists(st.tuples(keys, st.integers(-3, 3)), max_size=12))
+    cancelling = draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))) if pairs else []
+    return draw(st.permutations(pairs + [(key, -coeff) for key, coeff in cancelling]))
+
+
+def _mapping_forms(pairs):
+    """The same terms as a dict, as a read-only mapping and as a list of pairs."""
+    summed: dict = {}
+    for key, coeff in pairs:
+        summed[key] = summed.get(key, 0) + coeff  # may leave zero coefficients
+    return summed, MappingProxyType(summed), list(pairs)
+
+
+@given(term_pairs(st.integers(-3, 3)))
+def test_laurent_constructor_matches_a_reference_accumulation(pairs):
+    want = _reference_terms(pairs)
+    for terms in _mapping_forms(pairs):
+        p = IntLaurent(terms)
+        assert dict(p.items()) == want
+        assert len(p) == len(want)
+
+
+@given(term_pairs(st.tuples(st.integers(0, 2), st.integers(0, 2))))
+def test_multipoly_constructor_matches_a_reference_accumulation(pairs):
+    want = _reference_terms(pairs)
+    for terms in _mapping_forms(pairs):
+        p = MultiPoly(2, terms)
+        assert dict(p.items()) == want
+        assert len(p) == len(want)
+    # exponents given as lists are keyed as tuples
+    assert dict(MultiPoly(2, [(list(e), c) for e, c in pairs]).items()) == want
 
 
 @given(multipolys(), multipolys(), multipolys())

@@ -2,8 +2,11 @@
 
 import pytest
 
+from stackzeta import verify
+
 from stackzeta import (
     DomainError,
+    MotivicClass,
     ResourceLimitError,
     verify_axioms,
     verify_distinct_sum,
@@ -52,6 +55,45 @@ def test_zeta_closed_form_guards():
         verify_zeta_closed_form(0, 0, 4)
     with pytest.raises(ResourceLimitError):
         verify_zeta_closed_form(0, 1, 9)
+
+
+# -- negative controls: each breaks one side of a check through monkeypatch ----------
+
+
+def test_zeta_closed_form_fails_on_a_wrong_engine_coefficient(monkeypatch):
+    engine = verify.zeta_series
+    monkeypatch.setattr(verify, "zeta_series", lambda a, order: engine(a + 1, order))
+    report = verify_zeta_closed_form(0, 1, 2)
+    assert report.passed is False
+    assert report.witness == "T^1: engine (2*L - 1) / (L-1), product formula L / (L-1)"
+
+
+def test_zeta_closed_form_fails_on_a_wrong_gl_class(monkeypatch):
+    gl = verify.gl_class
+    monkeypatch.setattr(verify, "gl_class", lambda k: gl(k) * MotivicClass.l_power(1))
+    report = verify_zeta_closed_form(0, 1, 2)
+    assert report.passed is False
+    assert report.witness == "T^1: coefficient * [GL(1)] != L^(1^2-0*1)"
+
+
+def test_grassmannian_fails_on_a_wrong_gaussian_binomial(monkeypatch):
+    gr = verify.grassmannian_class
+    monkeypatch.setattr(verify, "grassmannian_class", lambda k, n: gr(k, n) + (1 if k == 1 else 0))
+    report = verify_grassmannian(2, 2)
+    assert report.passed is False
+    assert report.witness == "T^1: product L^2 + L + 1, [Gr(1,3)] = L^2 + L + 2"
+
+
+def test_grassmannian_fails_on_a_stabilization_break(monkeypatch):
+    # only the wider binomials Gr(k, n_max + 1 + k) change, in L-degree 1
+    gr = verify.grassmannian_class
+    def wider_broken(k, n):
+        return gr(k, n) + MotivicClass.l_power(1) if n - k == 3 else gr(k, n)
+
+    monkeypatch.setattr(verify, "grassmannian_class", wider_broken)
+    report = verify_grassmannian(2, 2)
+    assert report.passed is False
+    assert report.witness == "stabilization break at T^0, L-degree 1"
 
 
 def test_grassmannian_scenario():

@@ -194,13 +194,29 @@ def _run(args) -> int:
     raise InternalConsistencyError(f"unhandled command {args.command!r}")
 
 
+#: The text Fraction() reads (its Python 3.11 grammar): P, P/Q, or a decimal
+#: with an optional exponent, signed, with underscores between digits.
+_RATIONAL = re.compile(
+    r"\s*[-+]?(?=\d|\.\d)(?P<num>\d*|\d+(_\d+)*)"
+    r"(?:/\d+(_\d+)*|(?:\.(?P<dec>\d*|\d+(_\d+)*))?(?:[eE](?P<exp>[-+]?\d+(_\d+)*))?)\s*"
+)
+
+
 def _at_value(text: str) -> Fraction:
-    """The rational of --at; an integer above the digit limit of int() exits 4, unechoed."""
+    """The rational of --at.  Before Fraction reads it, an integer above the digit
+    limit of int(), or an exponent whose power of 10 is above it, exits 4, unechoed."""
     limit = sys.get_int_max_str_digits()
     digits = max(map(len, re.findall(r"\d+", text.replace("_", ""))), default=0)
     if 0 < limit < digits:
         raise ResourceLimitError(
             f"--at value has an integer of {digits} digits, above the limit of {limit} digits for integer conversion"
+        )
+    m = _RATIONAL.fullmatch(text)
+    exp = int(m["exp"]) if m and m["exp"] else 0
+    if 0 < limit <= abs(exp):
+        raise ResourceLimitError(
+            f"--at value has an exponent of {exp}, so 10^{abs(exp)} is above the limit of {limit} digits"
+            " for integer conversion"
         )
     try:
         return Fraction(text)
@@ -209,26 +225,19 @@ def _at_value(text: str) -> Fraction:
 
 
 def _bind_at_value(argv: list[str]) -> list[str]:
-    """Rewrite '--at VALUE' as '--at=VALUE' when VALUE is a rational.
+    """Rewrite '--at VALUE' as '--at=VALUE' when VALUE has the syntax of a rational.
 
     argparse reads a token such as -7/3 as an option, not as the value of
     --at (it makes that exception only for plain negative numbers like -2).
+    The value itself is read later, by ``_at_value``.
     """
     out: list[str] = []
     for token in argv:
-        if out and out[-1] == "--at" and "--" not in out and _is_rational(token):
+        if out and out[-1] == "--at" and "--" not in out and _RATIONAL.fullmatch(token):
             out[-1] = f"--at={token}"
         else:
             out.append(token)
     return out
-
-
-def _is_rational(token: str) -> bool:
-    try:
-        Fraction(token)
-    except (ValueError, ZeroDivisionError):
-        return False
-    return True
 
 
 def main(argv: list[str] | None = None) -> int:

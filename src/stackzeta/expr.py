@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DomainError, ElaborationError, NonInvertibleError, ParseError, ResourceLimitError
 from .motivic import MotivicClass, bgl_class, gl_class, grassmannian_class, standard_forms
@@ -37,8 +37,7 @@ from .zeta import MOTIVIC
 _TOKEN = re.compile(r"(?P<INT>\d+)|(?P<NAME>[^\W\d]\w*)|(?P<OP>[-+*/^(),])|(?P<NL>\n)|(?P<ERR>\S)")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # INT, NAME, OP, END
     text: str
     line: int
@@ -63,40 +62,34 @@ def tokenize(text: str) -> list[Token]:
 # -- syntax tree -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Num:
+class Num(NamedTuple):
     value: int
     tok: Token
 
 
-@dataclass(frozen=True)
-class Sym:
+class Sym(NamedTuple):
     name: str
     tok: Token
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(NamedTuple):
     name: str
     args: tuple
     tok: Token
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(NamedTuple):
     operand: object
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(NamedTuple):
     op: str
     left: object
     right: object
     tok: Token
 
 
-@dataclass(frozen=True)
-class Pow:
+class Pow(NamedTuple):
     base: object
     exponent: int
     tok: Token

@@ -22,7 +22,7 @@ refutes effectiveness conclusively; the passing verdict is only
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, int_text_limit
 from .laurent import IntLaurent
@@ -59,8 +59,7 @@ def hd_opposite_provider(nvars: int = 2) -> LambdaProvider:
 # -- effectiveness --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EffectivenessResult:
+class EffectivenessResult(NamedTuple):
     verdict: str
     witness: MultiPoly | None = None
     detail: str = ""
@@ -140,8 +139,7 @@ def check_class_effectiveness(a: MotivicClass) -> EffectivenessResult:
 # -- the two non-effectiveness reproductions ------------------------------------
 
 
-@dataclass(frozen=True)
-class CounterexampleReport:
+class CounterexampleReport(NamedTuple):
     name: str
     passed: bool
     coefficient: object

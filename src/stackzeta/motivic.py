@@ -25,35 +25,34 @@ b * q^m / ((1-q^{n_1})...(1-q^{n_r})) that the zeta engine consumes, since
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DomainError, InternalConsistencyError, NonInvertibleError
 from .laurent import IntLaurent, l_minus_one
 from .multipoly import MultiPoly
 
 
-@dataclass(frozen=True)
 class DenomForm:
     """Structured denominator L^l_exp * prod(L^n - 1 for n in factors).
 
     Invariant: l_exp >= 0, and factors is a multiset of integers >= 1 stored
     as an ascending tuple.  The public constructor checks the first two and
     sorts; ``_raw`` trusts a caller that already holds all three.  The
-    trivial denominator is DenomForm(0, ()).
+    trivial denominator is DenomForm(0, ()).  Instances are immutable and
+    hashable, equal when both fields are.
     """
 
-    l_exp: int = 0
-    factors: tuple[int, ...] = ()
+    __slots__ = ("l_exp", "factors")
 
-    def __post_init__(self):
-        if self.l_exp < 0:
+    def __init__(self, l_exp: int = 0, factors: tuple[int, ...] = ()):
+        if l_exp < 0:
             raise DomainError("denominator L-exponent must be nonnegative")
-        if any(n < 1 for n in self.factors):
+        if any(n < 1 for n in factors):
             raise DomainError("denominator factors must be exponents >= 1")
-        object.__setattr__(self, "factors", tuple(sorted(self.factors)))
+        object.__setattr__(self, "l_exp", l_exp)
+        object.__setattr__(self, "factors", tuple(sorted(factors)))
 
     @classmethod
     def _raw(cls, l_exp: int, factors: tuple[int, ...]) -> DenomForm:
@@ -62,6 +61,23 @@ class DenomForm:
         object.__setattr__(obj, "l_exp", l_exp)
         object.__setattr__(obj, "factors", factors)
         return obj
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return DenomForm, (self.l_exp, self.factors)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.l_exp == other.l_exp and self.factors == other.factors
+
+    def __hash__(self) -> int:
+        return hash((self.l_exp, self.factors))
+
+    def __repr__(self) -> str:
+        return f"DenomForm(l_exp={self.l_exp!r}, factors={self.factors!r})"
 
     @property
     def is_trivial(self) -> bool:
@@ -480,8 +496,7 @@ def _coerce(x) -> MotivicClass | None:
     return None
 
 
-@dataclass(frozen=True)
-class HDRealization:
+class HDRealization(NamedTuple):
     """Image of a class under E: num(uv) / ((uv)^l_exp * prod((uv)^n - 1))."""
 
     num: MultiPoly

@@ -2,28 +2,43 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
 class Partition:
     """A partition of k as multiplicities (k_1, ..., k_s): k_j parts equal j.
 
     The tuple is trimmed, so k_s > 0 (the empty tuple is the partition of 0),
-    and the weight is sum(j * k_j).
+    and the weight is sum(j * k_j).  Partitions are immutable and hashable,
+    equal when their multiplicities are.
     """
 
-    multiplicities: tuple[int, ...]
+    __slots__ = ("multiplicities",)
 
-    def __post_init__(self):
-        m = tuple(self.multiplicities)
+    def __init__(self, multiplicities: tuple[int, ...]):
+        m = tuple(multiplicities)
         if any(x < 0 for x in m):
             raise DomainError("multiplicities must be nonnegative")
         if m and m[-1] == 0:
             raise DomainError("trailing zero multiplicity; trim the tuple")
         object.__setattr__(self, "multiplicities", m)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return Partition, (self.multiplicities,)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.multiplicities == other.multiplicities
+
+    def __hash__(self) -> int:
+        return hash((self.multiplicities,))
+
+    def __repr__(self) -> str:
+        return f"Partition(multiplicities={self.multiplicities!r})"
 
     @property
     def weight(self) -> int:

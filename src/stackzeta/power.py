@@ -34,8 +34,7 @@ coefficient types (``MotivicClass.adams`` for the Kapranov zeta function,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from .errors import DomainError, ResourceLimitError
 from .series import Ring, TruncatedSeries
@@ -54,13 +53,27 @@ def check_order(order: int) -> None:
         )
 
 
-@dataclass(frozen=True, eq=False)
 class LambdaProvider:
-    """A pre-lambda structure given by its Adams operations psi(x, r)."""
+    """A pre-lambda structure given by its Adams operations psi(x, r).
 
-    name: str
-    ring: Ring
-    psi: Callable[[Any, int], Any]
+    Providers are immutable and compare (and hash) by identity.
+    """
+
+    __slots__ = ("name", "ring", "psi")
+
+    def __init__(self, name: str, ring: Ring, psi: Callable[[Any, int], Any]):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "psi", psi)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return LambdaProvider, (self.name, self.ring, self.psi)
+
+    def __repr__(self) -> str:
+        return f"LambdaProvider(name={self.name!r}, ring={self.ring!r}, psi={self.psi!r})"
 
     def series(self, element: Any, order: int) -> TruncatedSeries:
         """lambda_element(T) to T^order, by Newton's identity."""
@@ -139,8 +152,7 @@ def opposite_provider(provider: LambdaProvider) -> LambdaProvider:
 # -- axiom suite ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AxiomSample:
+class AxiomSample(NamedTuple):
     """One randomized test point: two series, two exponents, a substitution index."""
 
     a: TruncatedSeries
@@ -150,16 +162,14 @@ class AxiomSample:
     k: int = 2
 
 
-@dataclass(frozen=True)
-class AxiomCheck:
+class AxiomCheck(NamedTuple):
     axiom: int
     description: str
     passed: bool
     witness: str | None = None
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(NamedTuple):
     provider: str
     order: int
     checks: tuple[AxiomCheck, ...]

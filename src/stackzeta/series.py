@@ -13,13 +13,11 @@ only through the ``Ring`` protocol: ``zeta`` and ``hodge`` build the rings.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
 from .errors import DomainError
 
 
-@dataclass(frozen=True, eq=False)
 class Ring:
     """Coefficient-ring descriptor: a name plus its zero and one elements.
 
@@ -27,12 +25,25 @@ class Ring:
     multiplied by ints, and have an ``is_zero`` property.  The ghost
     transform ``TruncatedSeries.from_ghosts`` also divides them by integers
     with ``divide_exact_int(d)``, which raises InternalConsistencyError when
-    d does not divide exactly.
+    d does not divide exactly.  Rings are immutable, equal by name, and
+    unhashable.
     """
 
-    name: str
-    zero: Any
-    one: Any
+    __slots__ = ("name", "zero", "one")
+
+    def __init__(self, name: str, zero: Any, one: Any):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "zero", zero)
+        object.__setattr__(self, "one", one)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return Ring, (self.name, self.zero, self.one)
+
+    def __repr__(self) -> str:
+        return f"Ring(name={self.name!r}, zero={self.zero!r}, one={self.one!r})"
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Ring) and self.name == other.name

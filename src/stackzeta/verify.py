@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import DomainError, ResourceLimitError
 from .laurent import IntLaurent
@@ -26,8 +25,7 @@ from .zeta import MOTIVIC, motivic_provider, zeta_of_polynomial, zeta_series
 SCENARIOS = ("distinct-sum", "zeta-closed-form", "grassmannian", "axioms")
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     scenario: str
     params: dict
     passed: bool

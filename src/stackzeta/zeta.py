@@ -35,8 +35,7 @@ on the series side, since zeta_{-b} is the inverse series of zeta_b.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DomainError, ResourceLimitError
 from .laurent import IntLaurent
@@ -145,8 +144,7 @@ def motivic_provider() -> LambdaProvider:
 # -- consistency checks used by the tests ----------------------------------------
 
 
-@dataclass(frozen=True)
-class FuncEqReport:
+class FuncEqReport(NamedTuple):
     """Outcome of the functional-equation check zeta_a(T) = zeta_a(q^n T) * zeta_b(q^m T)."""
 
     passed: bool
@@ -188,8 +186,7 @@ _PREFIX_ORDER_CAP = 12
 _PREFIX_QDEG_CAP = 48
 
 
-@dataclass(frozen=True)
-class PrefixReport:
+class PrefixReport(NamedTuple):
     """q-adic expansion of a finite prefix of prod_{i>=0} zeta_b(q^{m+in} T).
 
     tables[k] is the q-expansion (degree <= q_degree) of the T^k coefficient

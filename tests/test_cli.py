@@ -1,9 +1,14 @@
 """Command-line interface: outputs, JSON forms, exit codes."""
 
 import json
+import re
+import sys
 import time
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from stackzeta import (
     InternalConsistencyError,
@@ -167,6 +172,42 @@ def test_eval_error_paths(capsys):
         code, out, err = run(capsys, "eval", text, "--at", "2")
         assert (code, out) == (2, "")
         assert err == f"error: class is not a unit of the ring: {unit} (line 1, col 2)\n"
+
+
+def test_at_exponent_is_bounded_by_the_digit_limit(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 50)
+    assert run(capsys, "eval", "L", "--at", "-1e-49") == (0, f"-1/1{'0' * 49}\n", "")
+    for at, exp in (("1e50", "50"), ("-2.5E-5_0", "-50")):
+        code, out, err = run(capsys, "eval", "L", "--at", at)
+        assert (code, out) == (4, "")
+        assert err == (
+            f"error: --at value has an exponent of {exp}, so 10^50 is above the limit of 50 digits"
+            " for integer conversion\n"
+        )
+
+
+def test_at_value_binds_by_syntax_without_reading_it(monkeypatch):
+    def no_fraction(*args):
+        raise AssertionError("Fraction read the value")
+
+    monkeypatch.setattr(cli, "Fraction", no_fraction)
+    for value in ("-7/3", "-2", "-1.5", "-.5e-3000000", "-1_000/3", "-1/0"):
+        assert cli._bind_at_value(["eval", "L", "--at", value]) == ["eval", "L", f"--at={value}"]
+    for argv in (["eval", "L", "--at", "-x"], ["eval", "L", "--at", "--json"], ["--", "--at", "-1"]):
+        assert cli._bind_at_value(argv) == argv
+
+
+@given(st.text(alphabet="0123456789_./eE+- ", max_size=10))
+def test_rational_syntax_is_what_fraction_reads(text):
+    assume(not re.search(r"[eE][-+]?[\d_]{4}", text))  # keep the powers of 10 small
+    try:
+        Fraction(text)
+        reads = True
+    except ZeroDivisionError:
+        reads = True
+    except ValueError:
+        reads = False
+    assert bool(cli._RATIONAL.fullmatch(text)) == reads
 
 
 @pytest.mark.parametrize(

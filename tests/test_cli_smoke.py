@@ -41,6 +41,18 @@ HOSTILE = [
         f"error: --at value has an integer of {len(BIG)} digits, above the limit of {LIMIT} digits"
         " for integer conversion",
     ),
+    (
+        "big-at-exponent",
+        ("eval", "L", "--at", "1e3000000"),
+        f"error: --at value has an exponent of 3000000, so 10^3000000 is above the limit of {LIMIT} digits"
+        " for integer conversion",
+    ),
+    (
+        "big-at-negative-exponent",
+        ("eval", "L", "--at", "1e-3000000"),
+        f"error: --at value has an exponent of -3000000, so 10^3000000 is above the limit of {LIMIT} digits"
+        " for integer conversion",
+    ),
 ]
 
 

@@ -12,9 +12,16 @@ type: they know coefficients only through the ``Ring`` protocol.
 Outside ``laurent.py`` the library divides polynomials only by binomials
 L^n - 1: every ``.divexact(...)`` call takes an ``l_minus_one(...)``
 argument, so the general long division serves only public callers.
+
+Importing the package and its CLI loads neither ``dataclasses`` nor
+``inspect``: every CLI call is a fresh process, and that machinery cost
+about two thirds of the import.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import stackzeta
@@ -22,6 +29,7 @@ import stackzeta
 TERMS_OWNERS = {"laurent.py", "multipoly.py"}
 GENERIC_LAYERS = {"series.py", "power.py"}
 COEFFICIENT_MODULES = {"laurent", "multipoly", "motivic"}
+SLOW_IMPORTS = {"dataclasses", "inspect"}
 
 
 def foreign_accesses(src: Path) -> list[str]:
@@ -144,3 +152,36 @@ def test_the_scan_sees_general_divisions(tmp_path):
         "motivic.py:8: .divexact",
         "motivic.py:9: .divexact",
     ]
+
+
+def slow_imports(src: Path) -> list[str]:
+    """Absolute imports of a module in SLOW_IMPORTS, or of one of its submodules."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            found.extend(f"{path.name}:{node.lineno}: {n}" for n in names if n.split(".")[0] in SLOW_IMPORTS)
+    return found
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    src = Path(stackzeta.__file__).parent
+    code = f"import sys, stackzeta, stackzeta.cli; print(sorted({sorted(SLOW_IMPORTS)} & sys.modules.keys()))"
+    env = {**os.environ, "PYTHONPATH": str(src.parent)}
+    # -S: no site hooks, so only the standard library's start-up precedes the import
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout == "[]\n", f"loaded {proc.stdout.strip()}, imported at {slow_imports(src)}"
+    assert slow_imports(src) == []
+
+
+def test_the_scan_sees_slow_imports(tmp_path):
+    (tmp_path / "expr.py").write_text(
+        "from dataclasses import dataclass\nimport os, inspect\nfrom .dataclasses import x\nimport inspection\n"
+    )
+    (tmp_path / "zeta.py").write_text("import dataclasses as dc\n")
+    assert slow_imports(tmp_path) == ["expr.py:1: dataclasses", "expr.py:2: inspect", "zeta.py:1: dataclasses"]

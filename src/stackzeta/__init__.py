@@ -27,7 +27,6 @@ from .motivic import (
     grassmannian_class,
 )
 from .multipoly import MultiPoly
-from .partitions import Partition, partitions_of
 from .power import (
     AxiomReport,
     AxiomSample,
@@ -38,13 +37,6 @@ from .power import (
     opposite_provider,
     opposite_series,
     power,
-)
-from .rfunctions import (
-    block_distinct_oracle,
-    block_distinct_sum,
-    distinct_exponent_oracle,
-    distinct_exponent_sum,
-    distinct_exponent_sum_taylor,
 )
 from .series import Ring, TruncatedSeries
 from .hodge import (
@@ -62,18 +54,21 @@ from .hodge import (
     hd_zeta,
     stack_power_counterexample,
 )
-from .zeta import (
+from .zeta import motivic_provider, motivic_ring, opposite_zeta, sym_power, zeta_series
+from .oracles import (
     FuncEqReport,
+    Partition,
     PrefixReport,
+    block_distinct_oracle,
+    block_distinct_sum,
     check_functional_equation,
+    distinct_exponent_oracle,
+    distinct_exponent_sum,
+    distinct_exponent_sum_taylor,
     infinite_product_prefix,
-    motivic_provider,
-    motivic_ring,
-    opposite_zeta,
-    sym_power,
+    partitions_of,
     zeta_from_sigma,
     zeta_of_polynomial,
-    zeta_series,
 )
 from .expr import parse_class, parse_poly, parse_series
 from .verify import (

@@ -5,7 +5,8 @@ arithmetic is exact at every step.  The key-blind part of the arithmetic
 (accumulating terms, addition, negation, subtraction, powers, exact division
 by an int, rendering) is the term-map kernel ``multipoly._TermPoly``, shared
 with ``MultiPoly``; this module adds what reads the degrees: products, exact
-division by a polynomial, Adams operations, shifts and maps out of the ring.
+division by the binomials L^a * (L^n - 1) that denominators are made of,
+Adams operations, shifts and maps out of the ring.
 Negative degrees are allowed; the class layer on top of this module is
 responsible for clearing them where its invariants demand nonnegative
 numerators.
@@ -47,6 +48,9 @@ class IntLaurent(_TermPoly):
         return obj
 
     _new = _raw
+
+    def __reduce__(self):
+        return IntLaurent, (self._terms,)
 
     # -- constructors ------------------------------------------------------
 
@@ -154,42 +158,19 @@ class IntLaurent(_TermPoly):
     # -- division ----------------------------------------------------------
 
     def divexact(self, other) -> IntLaurent | None:
-        """Exact quotient self/other, or None when it does not divide.
+        """Exact quotient self/other for a divisor L^a * (L^n - 1), n >= 1, or
+        None when it does not divide.
 
-        Division by zero is a domain error rather than None: it signals a
-        caller bug, not a failed divisibility test.
+        These are the only divisors the class layer divides by.  Any other
+        divisor, zero included, is a domain error rather than None: it
+        signals a caller bug, not a failed divisibility test.
         """
         o = self._coerce(other)
-        if o is None or o.is_zero:
-            raise DomainError("division by the zero polynomial")
-        if self.is_zero:
-            return IntLaurent.zero()
-        if len(o._terms) == 2:
+        if o is not None and len(o._terms) == 2:
             lo, hi = min(o._terms), max(o._terms)
             if o._terms[hi] == 1 and o._terms[lo] == -1:
-                return self._div_binomial(hi - lo, lo)
-        va, vb = self.min_deg, o.min_deg
-        rem = {d - va: c for d, c in self._terms.items()}
-        div = {d - vb: c for d, c in o._terms.items()}
-        deg_b = max(div)
-        lc_b = div[deg_b]
-        quot: dict[int, int] = {}
-        while rem:
-            d = max(rem)
-            if d < deg_b:
-                return None
-            c = rem[d]
-            if c % lc_b:
-                return None
-            qc = c // lc_b
-            qd = d - deg_b
-            quot[qd] = qc
-            for db, cb in div.items():
-                nd = qd + db
-                rem[nd] = rem.get(nd, 0) - qc * cb
-                if not rem[nd]:
-                    del rem[nd]
-        return IntLaurent(quot).shift(va - vb)
+                return self._div_binomial(hi - lo, lo) if self._terms else IntLaurent.zero()
+        raise DomainError("divexact divides only by L^a * (L^n - 1)")
 
     def _div_binomial(self, n: int, lo: int) -> IntLaurent | None:
         """Exact quotient by L^lo * (L^n - 1), linear in the output size.

@@ -235,6 +235,10 @@ class MotivicClass:
     def __setattr__(self, name, value):
         raise AttributeError("MotivicClass is immutable")
 
+    def __reduce__(self):
+        # the constructor keeps a representation that already holds the invariant
+        return MotivicClass, (self._num, self._den)
+
     # -- constructors ------------------------------------------------------
 
     @classmethod

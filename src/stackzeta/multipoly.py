@@ -151,6 +151,9 @@ class MultiPoly(_TermPoly):
     def _new(self, terms: dict[Exponents, int]) -> MultiPoly:
         return MultiPoly._raw(self._nvars, terms)
 
+    def __reduce__(self):
+        return MultiPoly, (self._nvars, self._terms)
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -228,10 +231,6 @@ class MultiPoly(_TermPoly):
         return MultiPoly._raw(self._nvars, out)
 
     __rmul__ = __mul__
-
-    def mul_truncated(self, other: MultiPoly, max_total: int) -> MultiPoly:
-        """Product with terms above the given total degree discarded."""
-        return MultiPoly._raw(self._nvars, {e: c for e, c in (self * other)._terms.items() if sum(e) <= max_total})
 
     def adams(self, r: int) -> MultiPoly:
         """The Adams operation psi^r: P(x_1^r, ..., x_n^r), for r >= 1."""

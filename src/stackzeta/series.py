@@ -80,6 +80,9 @@ class TruncatedSeries:
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
 
+    def __reduce__(self):
+        return TruncatedSeries, (self._ring, self._coeffs)
+
     # -- constructors ------------------------------------------------------
 
     @classmethod

@@ -17,10 +17,10 @@ from .laurent import IntLaurent
 from .motivic import DenomForm, MotivicClass, gl_class, grassmannian_class
 from .multipoly import MultiPoly
 from .power import AxiomSample, LambdaProvider, axiom_suite
-from .rfunctions import distinct_exponent_oracle, distinct_exponent_sum_taylor
 from .series import TruncatedSeries
 from .hodge import hd_provider
-from .zeta import MOTIVIC, motivic_provider, zeta_of_polynomial, zeta_series
+from .zeta import MOTIVIC, motivic_provider, zeta_series
+from .oracles import distinct_exponent_oracle, distinct_exponent_sum_taylor, zeta_of_polynomial
 
 SCENARIOS = ("distinct-sum", "zeta-closed-form", "grassmannian", "axioms")
 

@@ -84,12 +84,17 @@ def test_divexact_inverts_cyclotomic_multiples(p, n):
     assert (p * l_minus_one(n)).divexact(l_minus_one(n)) == p
 
 
-@given(laurents(), laurents().filter(lambda d: not d.is_zero))
-def test_divexact_inverts_general_multiples(p, d):
+shifted_binomials = st.builds(
+    lambda a, n: l_minus_one(n).shift(a), st.integers(min_value=-3, max_value=3), st.integers(min_value=1, max_value=6)
+)
+
+
+@given(laurents(), shifted_binomials)
+def test_divexact_inverts_shifted_binomial_multiples(p, d):
     assert (p * d).divexact(d) == p
 
 
-@given(laurents(), laurents().filter(lambda d: not d.is_zero))
+@given(laurents(), shifted_binomials)
 def test_divexact_quotients_multiply_back(p, d):
     q = p.divexact(d)
     if q is not None:
@@ -108,6 +113,13 @@ def test_divexact_known_quotients():
 def test_divexact_rejects_zero_divisor():
     with pytest.raises(DomainError):
         L.divexact(IntLaurent.zero())
+
+
+@pytest.mark.parametrize("d", [L + 1, 1 - L, 2 * L - 2, L, 3])
+def test_divexact_rejects_general_divisors(d):
+    # only L^a * (L^n - 1) is a divisor, even where the division would be exact
+    with pytest.raises(DomainError, match="divides only by"):
+        (L ** 4 - 1).divexact(d)
 
 
 def test_divide_exact_int():

@@ -7,11 +7,14 @@ goes through the public methods, so changing a representation touches one
 module.
 
 The generic layers, ``series.py`` and ``power.py``, import no coefficient
-type: they know coefficients only through the ``Ring`` protocol.
+type: they know coefficients only through the ``Ring`` protocol.  And no
+module but ``verify.py`` and ``__init__.py`` imports ``oracles``, so the
+engine never leans on the routes it is checked against.
 
 Outside ``laurent.py`` the library divides polynomials only by binomials
 L^n - 1: every ``.divexact(...)`` call takes an ``l_minus_one(...)``
-argument, so the general long division serves only public callers.
+argument, so no library path reaches the DomainError that ``divexact``
+raises for any divisor other than L^a * (L^n - 1).
 
 Importing the package and its CLI loads neither ``dataclasses`` nor
 ``inspect``: every CLI call is a fresh process, and that machinery cost
@@ -23,12 +26,14 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import Iterable
 
 import stackzeta
 
 TERMS_OWNERS = {"laurent.py", "multipoly.py"}
 GENERIC_LAYERS = {"series.py", "power.py"}
 COEFFICIENT_MODULES = {"laurent", "multipoly", "motivic"}
+ORACLE_IMPORTERS = {"verify.py", "__init__.py"}
 SLOW_IMPORTS = {"dataclasses", "inspect"}
 
 
@@ -69,12 +74,12 @@ def test_the_scan_sees_foreign_accesses(tmp_path):
     assert sorted(foreign_accesses(tmp_path)) == ["other.py:2: ._terms", "other.py:2: IntLaurent._raw"]
 
 
-def coefficient_imports(src: Path) -> list[str]:
-    """Imports of a coefficient module in a generic layer, in any spelling:
-    ``from .motivic import X``, ``from . import motivic``,
+def forbidden_imports(src: Path, importers: Iterable[str], targets: set[str]) -> list[str]:
+    """Imports of a module in ``targets`` by a module in ``importers``, in any
+    spelling: ``from .motivic import X``, ``from . import motivic``,
     ``import stackzeta.motivic``, ``from stackzeta.motivic import X``."""
     found = []
-    for name in sorted(GENERIC_LAYERS):
+    for name in sorted(importers):
         path = src / name
         if not path.exists():
             continue
@@ -87,29 +92,58 @@ def coefficient_imports(src: Path) -> list[str]:
                 parts = [p for alias in node.names for p in alias.name.split(".")]
             else:
                 continue
-            for module in sorted(COEFFICIENT_MODULES.intersection(parts)):
+            for module in sorted(targets.intersection(parts)):
                 found.append(f"{name}:{node.lineno}: {module}")
     return found
 
 
+def import_rules(src: Path) -> dict[str, tuple[set[str], set[str]]]:
+    """Each rule: the modules it constrains and the modules they may not import."""
+    return {
+        "generic": (GENERIC_LAYERS, COEFFICIENT_MODULES),
+        "oracles": ({path.name for path in src.glob("*.py")} - ORACLE_IMPORTERS, {"oracles"}),
+    }
+
+
 def test_generic_layers_import_no_coefficient_type():
-    assert coefficient_imports(Path(stackzeta.__file__).parent) == []
+    src = Path(stackzeta.__file__).parent
+    assert forbidden_imports(src, *import_rules(src)["generic"]) == []
+
+
+def test_only_verify_and_the_package_import_the_oracles():
+    src = Path(stackzeta.__file__).parent
+    assert forbidden_imports(src, *import_rules(src)["oracles"]) == []
+
+
+SCAN_CASES = {
+    "generic": (
+        {
+            "series.py": "from .errors import DomainError\nfrom .motivic import MotivicClass\nfrom . import laurent, zeta\n",
+            "power.py": "import stackzeta.multipoly\nfrom stackzeta.motivic import MotivicClass\nfrom .series import Ring\n",
+            "zeta.py": "from .motivic import MotivicClass\n",
+        },
+        ["power.py:1: multipoly", "power.py:2: motivic", "series.py:2: motivic", "series.py:3: laurent"],
+    ),
+    "oracles": (
+        {
+            "zeta.py": "from .oracles import zeta_from_sigma\n",
+            "cli.py": "from . import oracles, zeta\nimport stackzeta.oracles\n",
+            "hodge.py": "from stackzeta.oracles import Partition\nfrom .zeta import oracles_of\n",
+            "verify.py": "from .oracles import zeta_of_polynomial\n",
+            "__init__.py": "from .oracles import Partition\n",
+        },
+        ["cli.py:1: oracles", "cli.py:2: oracles", "hodge.py:1: oracles", "zeta.py:1: oracles"],
+    ),
+}
 
 
 def test_the_scan_sees_coefficient_imports(tmp_path):
-    (tmp_path / "series.py").write_text(
-        "from .errors import DomainError\nfrom .motivic import MotivicClass\nfrom . import laurent, zeta\n"
-    )
-    (tmp_path / "power.py").write_text(
-        "import stackzeta.multipoly\nfrom stackzeta.motivic import MotivicClass\nfrom .series import Ring\n"
-    )
-    (tmp_path / "zeta.py").write_text("from .motivic import MotivicClass\n")
-    assert coefficient_imports(tmp_path) == [
-        "power.py:1: multipoly",
-        "power.py:2: motivic",
-        "series.py:2: motivic",
-        "series.py:3: laurent",
-    ]
+    for rule, (files, expected) in SCAN_CASES.items():
+        src = tmp_path / rule
+        src.mkdir()
+        for name, text in files.items():
+            (src / name).write_text(text)
+        assert forbidden_imports(src, *import_rules(src)[rule]) == expected, rule
 
 
 def general_divisions(src: Path) -> list[str]:

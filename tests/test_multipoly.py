@@ -86,13 +86,6 @@ def test_ring_laws(a, b, c):
     assert a - a == zero
 
 
-@given(multipolys(), multipolys(), st.integers(min_value=0, max_value=8))
-def test_mul_truncated_agrees_with_full_product(a, b, bound):
-    full = a * b
-    expected = MultiPoly(2, {e: c for e, c in full.items() if sum(e) <= bound})
-    assert a.mul_truncated(b, bound) == expected
-
-
 @given(multipolys(), st.integers(min_value=0, max_value=3))
 def test_pow_matches_repeated_product(a, n):
     expected = MultiPoly.one(2)

@@ -29,7 +29,7 @@ POLY_PUBLIC = {
     },
     stackzeta.MultiPoly: {
         "adams", "coefficient", "constant", "divide_exact_int", "from_json", "is_zero", "items",
-        "monomial", "mul_truncated", "nvars", "one", "to_json", "top_part", "total_degree",
+        "monomial", "nvars", "one", "to_json", "top_part", "total_degree",
         "variable", "zero",
     },
 }

@@ -4,6 +4,8 @@ Records are ``typing.NamedTuple``s, or short ``__slots__`` classes where a
 type checks its fields (``DenomForm``, ``Partition``) or has its own equality
 (``Ring``, ``LambdaProvider``).  Each test pins the behaviour users see: the
 ``repr`` text, ``==``, hashability, and that fields cannot be reassigned.
+Records and the core values (polynomials, classes, series, rings) survive
+``copy`` and ``pickle``.
 """
 
 import copy
@@ -16,12 +18,16 @@ from stackzeta import (
     DomainError,
     ElaborationError,
     EffectivenessResult,
+    IntLaurent,
+    MotivicClass,
+    MultiPoly,
     Partition,
     Ring,
     bgl_class,
     hd_provider,
     motivic_provider,
     motivic_ring,
+    zeta_series,
 )
 from stackzeta.expr import Token, _ClassEnv, parse_ast
 from stackzeta.hodge import hd_ring
@@ -97,10 +103,27 @@ def test_lambda_provider_is_equal_by_identity():
     assert_frozen(a, "psi")
 
 
-@pytest.mark.parametrize("obj", [DenomForm(2, (3, 1)), Partition((0, 2))])
+#: A class kept in a shape normalize() would cancel, so a copy must keep the representation.
+UNNORMALIZED = MotivicClass(IntLaurent({2: 1, 0: -1}), DenomForm(1, (1, 2)))
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        DenomForm(2, (3, 1)),
+        Partition((0, 2)),
+        IntLaurent({3: 1, 0: -2, -1: 5}),
+        MultiPoly(2, {(1, 2): 3, (0, 0): -1}),
+        UNNORMALIZED,
+        zeta_series(bgl_class(1), 3),
+        motivic_ring(),
+    ],
+)
 def test_values_copy_and_pickle(obj):
-    assert copy.copy(obj) == obj and copy.deepcopy(obj) == obj
-    assert pickle.loads(pickle.dumps(obj)) == obj
+    for clone in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+        assert clone == obj
+        if isinstance(obj, MotivicClass):
+            assert clone.structural_key() == obj.structural_key()
 
 
 def test_ring_and_provider_copy_shallowly():

@@ -15,7 +15,7 @@ from stackzeta import (
     distinct_exponent_sum,
     distinct_exponent_sum_taylor,
 )
-from stackzeta.rfunctions import PERMUTATION_CAP
+from stackzeta.oracles import PERMUTATION_CAP
 
 
 def q_power(j):

@@ -163,6 +163,9 @@ def test_zeta_from_sigma_validation():
         zeta_from_sigma((ONE,), 0, 1, 2)
     with pytest.raises(DomainError):
         zeta_from_sigma((ONE,), 0, 1, -1)
+    # the partition 1^9 needs the closed form at 9 arguments, above the cap of 8
+    with pytest.raises(ResourceLimitError, match="k=9 exceeds the permutation cap 8"):
+        zeta_from_sigma((ONE,) * 9, 0, 1, 9)
 
 
 # -- functional equation -----------------------------------------------------------

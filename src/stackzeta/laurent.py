@@ -31,8 +31,8 @@ KRONECKER_MIN_TERMS = 12
 class IntLaurent(_TermPoly):
     """Sparse Laurent polynomial in one symbol with int coefficients.
 
-    Immutable and hashable.  The zero polynomial is the empty term map; no
-    stored coefficient is ever zero.
+    Hashable; the zero polynomial is the empty term map, and no stored
+    coefficient is ever zero.
     """
 
     __slots__ = ()
@@ -48,9 +48,6 @@ class IntLaurent(_TermPoly):
         return obj
 
     _new = _raw
-
-    def __reduce__(self):
-        return IntLaurent, (self._terms,)
 
     # -- constructors ------------------------------------------------------
 

@@ -29,24 +29,28 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
+from ._frozen import Frozen
 from .errors import DomainError, InternalConsistencyError, NonInvertibleError
 from .laurent import IntLaurent, l_minus_one
 from .multipoly import MultiPoly
 
 
-class DenomForm:
+class DenomForm(Frozen):
     """Structured denominator L^l_exp * prod(L^n - 1 for n in factors).
 
     Invariant: l_exp >= 0, and factors is a multiset of integers >= 1 stored
-    as an ascending tuple.  The public constructor checks the first two and
-    sorts; ``_raw`` trusts a caller that already holds all three.  The
-    trivial denominator is DenomForm(0, ()).  Instances are immutable and
-    hashable, equal when both fields are.
+    as an ascending tuple.  The public constructor checks the first two
+    (``bool`` is not an integer here) and sorts; ``_raw`` trusts a caller
+    that already holds all three.  The trivial denominator is
+    DenomForm(0, ()).  Instances are hashable, equal when both fields are.
     """
 
-    __slots__ = ("l_exp", "factors")
+    __slots__ = _fields = ("l_exp", "factors")
 
     def __init__(self, l_exp: int = 0, factors: tuple[int, ...] = ()):
+        factors = tuple(factors)
+        if type(l_exp) is not int or any(type(n) is not int for n in factors):
+            raise DomainError("denominator exponents must be ints")
         if l_exp < 0:
             raise DomainError("denominator L-exponent must be nonnegative")
         if any(n < 1 for n in factors):
@@ -62,12 +66,6 @@ class DenomForm:
         object.__setattr__(obj, "factors", factors)
         return obj
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __reduce__(self):
-        return DenomForm, (self.l_exp, self.factors)
-
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -75,9 +73,6 @@ class DenomForm:
 
     def __hash__(self) -> int:
         return hash((self.l_exp, self.factors))
-
-    def __repr__(self) -> str:
-        return f"DenomForm(l_exp={self.l_exp!r}, factors={self.factors!r})"
 
     @property
     def is_trivial(self) -> bool:
@@ -199,7 +194,7 @@ def unit_part(p: IntLaurent) -> tuple[int, int, tuple[int, ...]] | None:
     return (c, val, tuple(factors)) if c in (1, -1) else None
 
 
-class MotivicClass:
+class MotivicClass(Frozen):
     """An element of the Grothendieck ring of stacks, kept as an exact fraction.
 
     Construction folds negative numerator degrees into the denominator
@@ -207,7 +202,7 @@ class MotivicClass:
     Arithmetic coerces ints and IntLaurent values on either side.
     """
 
-    __slots__ = ("_num", "_den")
+    __slots__ = _fields = ("_num", "_den")
 
     def __init__(self, num: IntLaurent | int, den: DenomForm = _TRIVIAL_DEN):
         if isinstance(num, int):
@@ -231,13 +226,6 @@ class MotivicClass:
         object.__setattr__(obj, "_num", num)
         object.__setattr__(obj, "_den", den)
         return obj
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MotivicClass is immutable")
-
-    def __reduce__(self):
-        # the constructor keeps a representation that already holds the invariant
-        return MotivicClass, (self._num, self._den)
 
     # -- constructors ------------------------------------------------------
 
@@ -484,8 +472,10 @@ class MotivicClass:
 
     @classmethod
     def from_json(cls, data: dict) -> MotivicClass:
-        lo = data["num"]["min_deg"]
-        num = IntLaurent({lo + i: c for i, c in enumerate(data["num"]["coeffs"])})
+        lo, coeffs = data["num"]["min_deg"], data["num"]["coeffs"]
+        if any(type(x) is not int for x in (lo, *coeffs)):
+            raise DomainError("class JSON degrees and coefficients must be ints")
+        num = IntLaurent({lo + i: c for i, c in enumerate(coeffs)})
         den = DenomForm(data["den"]["l_exp"], tuple(data["den"]["factors"]))
         return cls(num, den)
 

@@ -2,11 +2,11 @@
 
 ``_TermPoly`` is the kernel shared with ``laurent.IntLaurent``: a polynomial
 is a sparse dict from a monomial key to a nonzero int coefficient, and every
-operation that never looks inside a key (immutability, size, accumulating
-terms, addition, negation, subtraction, powers, exact division by an int,
-rendering) is written once there.  ``MultiPoly`` keys the map by exponent
-tuples; it holds Hodge-Deligne polynomials in u, v (two variables) and the
-truncated expansions of the distinct-exponent generating functions in q_1..q_k.
+operation that never looks inside a key (size, accumulating terms, addition,
+negation, subtraction, powers, exact division by an int, rendering) is
+written once there.  ``MultiPoly`` keys the map by exponent tuples; it holds
+Hodge-Deligne polynomials in u, v (two variables) and the truncated
+expansions of the distinct-exponent generating functions in q_1..q_k.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 from operator import add
 from typing import Iterable, Iterator, Mapping
 
+from ._frozen import Frozen
 from .errors import DomainError, InternalConsistencyError
 
 Exponents = tuple[int, ...]
@@ -25,8 +26,8 @@ def _names(nvars: int) -> tuple[str, ...]:
     return tuple(f"q{i + 1}" for i in range(nvars))
 
 
-class _TermPoly:
-    """Immutable sparse map from a monomial key to a nonzero int coefficient.
+class _TermPoly(Frozen):
+    """Sparse map from a monomial key to a nonzero int coefficient.
 
     The zero polynomial is the empty map.  A subclass supplies three hooks:
     ``_coerce`` (an operand in the subclass's ring, or None), ``_new`` (the
@@ -35,9 +36,7 @@ class _TermPoly:
     """
 
     __slots__ = ("_terms",)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
+    _fields = ("_terms",)
 
     @property
     def is_zero(self) -> bool:
@@ -125,9 +124,10 @@ class _TermPoly:
 
 
 class MultiPoly(_TermPoly):
-    """Immutable sparse polynomial in a fixed number of variables."""
+    """Sparse polynomial in a fixed number of variables."""
 
     __slots__ = ("_nvars",)
+    _fields = ("_nvars", "_terms")
 
     def __init__(self, nvars: int, terms: Mapping[Exponents, int] | Iterable[tuple[Exponents, int]] = ()):
         if nvars < 1:
@@ -150,9 +150,6 @@ class MultiPoly(_TermPoly):
 
     def _new(self, terms: dict[Exponents, int]) -> MultiPoly:
         return MultiPoly._raw(self._nvars, terms)
-
-    def __reduce__(self):
-        return MultiPoly, (self._nvars, self._terms)
 
     # -- constructors ------------------------------------------------------
 
@@ -267,4 +264,7 @@ class MultiPoly(_TermPoly):
 
     @classmethod
     def from_json(cls, data: dict) -> MultiPoly:
-        return cls(data["nvars"], {tuple(e): c for e, c in data["terms"]})
+        nvars, terms = data["nvars"], data["terms"]
+        if type(nvars) is not int or any(type(x) is not int for e, c in terms for x in (*e, c)):
+            raise DomainError("polynomial JSON exponents and coefficients must be ints")
+        return cls(nvars, {tuple(e): c for e, c in terms})

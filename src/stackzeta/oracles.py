@@ -43,6 +43,7 @@ from itertools import combinations, permutations, product
 from math import factorial
 from typing import NamedTuple, Sequence
 
+from ._frozen import Frozen
 from .errors import DomainError, ResourceLimitError
 from .laurent import IntLaurent
 from .motivic import MotivicClass
@@ -61,15 +62,15 @@ ORACLE_MAX_DEGREE = 12
 # -- integer partitions ----------------------------------------------------------
 
 
-class Partition:
+class Partition(Frozen):
     """A partition of k as multiplicities (k_1, ..., k_s): k_j parts equal j.
 
     The tuple is trimmed, so k_s > 0 (the empty tuple is the partition of 0),
-    and the weight is sum(j * k_j).  Partitions are immutable and hashable,
-    equal when their multiplicities are.
+    and the weight is sum(j * k_j).  Partitions are hashable, equal when
+    their multiplicities are.
     """
 
-    __slots__ = ("multiplicities",)
+    __slots__ = _fields = ("multiplicities",)
 
     def __init__(self, multiplicities: tuple[int, ...]):
         m = tuple(multiplicities)
@@ -79,12 +80,6 @@ class Partition:
             raise DomainError("trailing zero multiplicity; trim the tuple")
         object.__setattr__(self, "multiplicities", m)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __reduce__(self):
-        return Partition, (self.multiplicities,)
-
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -92,9 +87,6 @@ class Partition:
 
     def __hash__(self) -> int:
         return hash((self.multiplicities,))
-
-    def __repr__(self) -> str:
-        return f"Partition(multiplicities={self.multiplicities!r})"
 
     @property
     def weight(self) -> int:

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, NamedTuple, Sequence
 
+from ._frozen import Frozen
 from .errors import DomainError, ResourceLimitError
 from .series import Ring, TruncatedSeries
 
@@ -53,27 +54,18 @@ def check_order(order: int) -> None:
         )
 
 
-class LambdaProvider:
+class LambdaProvider(Frozen):
     """A pre-lambda structure given by its Adams operations psi(x, r).
 
-    Providers are immutable and compare (and hash) by identity.
+    Providers compare (and hash) by identity.
     """
 
-    __slots__ = ("name", "ring", "psi")
+    __slots__ = _fields = ("name", "ring", "psi")
 
     def __init__(self, name: str, ring: Ring, psi: Callable[[Any, int], Any]):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "psi", psi)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __reduce__(self):
-        return LambdaProvider, (self.name, self.ring, self.psi)
-
-    def __repr__(self) -> str:
-        return f"LambdaProvider(name={self.name!r}, ring={self.ring!r}, psi={self.psi!r})"
 
     def series(self, element: Any, order: int) -> TruncatedSeries:
         """lambda_element(T) to T^order, by Newton's identity."""

@@ -15,35 +15,26 @@ from __future__ import annotations
 import operator
 from typing import Any, Callable, Iterable, Sequence
 
+from ._frozen import Frozen
 from .errors import DomainError
 
 
-class Ring:
+class Ring(Frozen):
     """Coefficient-ring descriptor: a name plus its zero and one elements.
 
     Coefficients must support +, -, * and == among themselves, be
     multiplied by ints, and have an ``is_zero`` property.  The ghost
     transform ``TruncatedSeries.from_ghosts`` also divides them by integers
     with ``divide_exact_int(d)``, which raises InternalConsistencyError when
-    d does not divide exactly.  Rings are immutable, equal by name, and
-    unhashable.
+    d does not divide exactly.  Rings are equal by name and unhashable.
     """
 
-    __slots__ = ("name", "zero", "one")
+    __slots__ = _fields = ("name", "zero", "one")
 
     def __init__(self, name: str, zero: Any, one: Any):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "zero", zero)
         object.__setattr__(self, "one", one)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __reduce__(self):
-        return Ring, (self.name, self.zero, self.one)
-
-    def __repr__(self) -> str:
-        return f"Ring(name={self.name!r}, zero={self.zero!r}, one={self.one!r})"
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Ring) and self.name == other.name
@@ -65,10 +56,10 @@ def _fold(acc, xs, ys, lo, hi, top, op=operator.add):
     return acc
 
 
-class TruncatedSeries:
-    """Immutable series sum_{k=0}^{N} c_k T^k with exact coefficients."""
+class TruncatedSeries(Frozen):
+    """The series sum_{k=0}^{N} c_k T^k with exact coefficients."""
 
-    __slots__ = ("_ring", "_coeffs")
+    __slots__ = _fields = ("_ring", "_coeffs")
 
     def __init__(self, ring: Ring, coeffs: Iterable[Any]):
         coeffs = tuple(coeffs)
@@ -76,12 +67,6 @@ class TruncatedSeries:
             raise DomainError("a truncated series needs at least the T^0 coefficient")
         object.__setattr__(self, "_ring", ring)
         object.__setattr__(self, "_coeffs", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncatedSeries is immutable")
-
-    def __reduce__(self):
-        return TruncatedSeries, (self._ring, self._coeffs)
 
     # -- constructors ------------------------------------------------------
 

@@ -16,6 +16,10 @@ L^n - 1: every ``.divexact(...)`` call takes an ``l_minus_one(...)``
 argument, so no library path reaches the DomainError that ``divexact``
 raises for any divisor other than L^a * (L^n - 1).
 
+Only ``_frozen.py`` defines ``__setattr__``, ``__delattr__`` or
+``__reduce__``, and every class with a non-empty ``__slots__`` derives from
+its ``Frozen``, so immutability, copying and pickling have one owner.
+
 Importing the package and its CLI loads neither ``dataclasses`` nor
 ``inspect``: every CLI call is a fresh process, and that machinery cost
 about two thirds of the import.
@@ -35,6 +39,7 @@ GENERIC_LAYERS = {"series.py", "power.py"}
 COEFFICIENT_MODULES = {"laurent", "multipoly", "motivic"}
 ORACLE_IMPORTERS = {"verify.py", "__init__.py"}
 SLOW_IMPORTS = {"dataclasses", "inspect"}
+FROZEN_HOOKS = {"__setattr__", "__delattr__", "__reduce__"}
 
 
 def foreign_accesses(src: Path) -> list[str]:
@@ -185,6 +190,87 @@ def test_the_scan_sees_general_divisions(tmp_path):
         "motivic.py:7: .divexact",
         "motivic.py:8: .divexact",
         "motivic.py:9: .divexact",
+    ]
+
+
+def _base_name(node: ast.expr) -> str | None:
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def _has_slots(node: ast.ClassDef) -> bool:
+    """Whether the class body assigns a ``__slots__`` other than an empty literal."""
+    for stmt in node.body:
+        if isinstance(stmt, ast.Assign):
+            targets = stmt.targets
+        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+            targets = [stmt.target]
+        else:
+            continue
+        if any(isinstance(t, ast.Name) and t.id == "__slots__" for t in targets):
+            empty = isinstance(stmt.value, (ast.Tuple, ast.List)) and not stmt.value.elts
+            if not empty:
+                return True
+    return False
+
+
+def unfrozen_values(src: Path) -> list[str]:
+    """Definitions of a FROZEN_HOOKS method outside _frozen.py, and classes with
+    a non-empty ``__slots__`` that do not derive from ``Frozen`` through any
+    chain of bases defined in the package."""
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(src.glob("*.py"))}
+    classes = [
+        (module, node) for module, tree in trees.items() for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+    ]
+    bases = {node.name: [_base_name(b) for b in node.bases] for _, node in classes}
+
+    def is_frozen(name, seen=frozenset()):
+        return name == "Frozen" or any(is_frozen(b, seen | {name}) for b in bases.get(name, ()) if b not in seen)
+
+    found = []
+    for module, tree in trees.items():
+        if module == "_frozen.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            found.extend((module, node.lineno, name) for name in names if name in FROZEN_HOOKS)
+    for module, node in classes:
+        if _has_slots(node) and not is_frozen(node.name):
+            found.append((module, node.lineno, f"class {node.name}"))
+    return [f"{module}:{line}: {what}" for module, line, what in sorted(found)]
+
+
+def test_only_frozen_owns_immutability():
+    assert unfrozen_values(Path(stackzeta.__file__).parent) == []
+
+
+def test_the_scan_sees_unfrozen_values(tmp_path):
+    (tmp_path / "_frozen.py").write_text(
+        "class Frozen:\n    __slots__ = ()\n\n    def __setattr__(self, name, value):\n        pass\n\n"
+        "    def __reduce__(self):\n        pass\n"
+    )
+    (tmp_path / "values.py").write_text(
+        "from . import _frozen\nfrom ._frozen import Frozen\n\n"
+        "class Base(Frozen):\n    __slots__ = (\"a\",)\n\n"
+        "class Leaf(Base):\n    __slots__ = ()\n\n    def __reduce__(self):\n        return Leaf, ()\n\n"
+        "class Qualified(_frozen.Frozen):\n    __slots__ = _fields = (\"b\",)\n\n"
+        "class Loose:\n    __slots__ = (\"c\",)\n\n"
+        "class Derived(Loose):\n    __slots__: tuple = (\"d\",)\n\n"
+        "class Empty:\n    __slots__ = ()\n\n"
+        "class Sneaky:\n    __slots__ = \"e\"\n    __delattr__ = object.__delattr__\n\n"
+        "    def __setattr__(self, name, value):\n        pass\n"
+    )
+    assert unfrozen_values(tmp_path) == [
+        "values.py:10: __reduce__",
+        "values.py:16: class Loose",
+        "values.py:19: class Derived",
+        "values.py:25: class Sneaky",
+        "values.py:27: __delattr__",
+        "values.py:29: __setattr__",
     ]
 
 

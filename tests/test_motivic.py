@@ -347,6 +347,34 @@ def test_json_round_trip(a):
     assert back.structural_key() == a.structural_key()
 
 
+def _class_json(min_deg=1, coeffs=(1, 2), l_exp=0, factors=(1,)):
+    return {"num": {"min_deg": min_deg, "coeffs": list(coeffs)}, "den": {"l_exp": l_exp, "factors": list(factors)}}
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"coeffs": (1.5,)},
+        {"coeffs": (1, True)},
+        {"min_deg": 0.5},
+        {"min_deg": False},
+        {"l_exp": 1.0},
+        {"factors": (2.0,)},
+        {"factors": (1, True)},
+    ],
+)
+def test_from_json_rejects_non_int_fields(fields):
+    assert str(MotivicClass.from_json(_class_json())) == "(2*L^2 + L) / (L-1)"
+    with pytest.raises(DomainError, match="must be ints"):
+        MotivicClass.from_json(_class_json(**fields))
+
+
+@pytest.mark.parametrize("args", [(0, (2.0,)), (0, [True]), (1.0, ()), (True, (1,)), ("1", ())])
+def test_denom_form_rejects_non_int_fields(args):
+    with pytest.raises(DomainError, match="denominator exponents must be ints"):
+        DenomForm(*args)
+
+
 # -- named classes -----------------------------------------------------------------
 
 

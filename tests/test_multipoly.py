@@ -150,6 +150,23 @@ def test_json_round_trip(p):
     assert MultiPoly.from_json(p.to_json()) == p
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"nvars": 2, "terms": [[[0.5, 1], 1]]},
+        {"nvars": 2, "terms": [[[1, True], 1]]},
+        {"nvars": 2, "terms": [[[1, 1], 2.0]]},
+        {"nvars": 2, "terms": [[[1, 1], False]]},
+        {"nvars": 2.0, "terms": []},
+        {"nvars": True, "terms": [[[1], 1]]},
+    ],
+)
+def test_from_json_rejects_non_int_fields(data):
+    assert str(MultiPoly.from_json({"nvars": 2, "terms": [[[1, 1], 1]]})) == "u*v"
+    with pytest.raises(DomainError, match="must be ints"):
+        MultiPoly.from_json(data)
+
+
 def test_rendering():
     u = MultiPoly.variable(2, 0)
     v = MultiPoly.variable(2, 1)

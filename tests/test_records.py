@@ -1,15 +1,17 @@
 """Value contracts of the package's record types.
 
-Records are ``typing.NamedTuple``s, or short ``__slots__`` classes where a
-type checks its fields (``DenomForm``, ``Partition``) or has its own equality
-(``Ring``, ``LambdaProvider``).  Each test pins the behaviour users see: the
-``repr`` text, ``==``, hashability, and that fields cannot be reassigned.
-Records and the core values (polynomials, classes, series, rings) survive
-``copy`` and ``pickle``.
+Records are ``typing.NamedTuple``s, or ``__slots__`` classes that derive from
+``stackzeta._frozen.Frozen``: the eight value types ``IntLaurent``,
+``MultiPoly``, ``DenomForm``, ``MotivicClass``, ``TruncatedSeries``,
+``Ring``, ``LambdaProvider`` and ``Partition``.  Each test pins the behaviour
+users see: the ``repr`` text, ``==``, hashability, and that fields can be
+neither set nor deleted.  Every ``Frozen`` type, and the records, survive
+``copy`` and ``pickle`` through their public constructors.
 """
 
 import copy
 import pickle
+import re
 
 import pytest
 
@@ -24,11 +26,14 @@ from stackzeta import (
     Partition,
     Ring,
     bgl_class,
+    LambdaProvider,
+    TruncatedSeries,
     hd_provider,
     motivic_provider,
     motivic_ring,
     zeta_series,
 )
+from stackzeta._frozen import Frozen
 from stackzeta.expr import Token, _ClassEnv, parse_ast
 from stackzeta.hodge import hd_ring
 
@@ -124,6 +129,61 @@ def test_values_copy_and_pickle(obj):
         assert clone == obj
         if isinstance(obj, MotivicClass):
             assert clone.structural_key() == obj.structural_key()
+
+
+#: One value of each concrete Frozen type, with its repr (function addresses masked).
+FROZEN_SAMPLES = {
+    IntLaurent: (IntLaurent({3: 1, 0: -2, -1: 5}), "IntLaurent(L^3 - 2 + 5*L^-1)"),
+    MultiPoly: (MultiPoly(2, {(1, 2): 3, (0, 0): -1}), "MultiPoly(2, 3*u*v^2 - 1)"),
+    DenomForm: (DenomForm(2, (3, 1)), "DenomForm(l_exp=2, factors=(1, 3))"),
+    MotivicClass: (UNNORMALIZED, "MotivicClass((L^2 - 1) / (L * (L-1) * (L^2-1)))"),
+    TruncatedSeries: (
+        zeta_series(bgl_class(1), 2),
+        "TruncatedSeries[motivic](1 + (1 / (L-1))*T + (L / ((L-1) * (L^2-1)))*T^2)",
+    ),
+    Ring: (motivic_ring(), "Ring(name='motivic', zero=MotivicClass(0), one=MotivicClass(1))"),
+    LambdaProvider: (
+        hd_provider(),
+        "LambdaProvider(name='hd-zeta', ring=Ring(name='int-poly-2', zero=MultiPoly(2, 0),"
+        " one=MultiPoly(2, 1)), psi=<function MultiPoly.adams at 0x...>)",
+    ),
+    Partition: (Partition((0, 2)), "Partition(multiplicities=(0, 2))"),
+}
+
+
+def frozen_types(cls=Frozen):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from frozen_types(sub)
+
+
+def fields_of(value):
+    """The type and field values of a Frozen value: equal for equal values,
+    identity-compared providers included."""
+    return type(value), [getattr(value, name) for name in value._fields]
+
+
+def test_every_frozen_type_is_immutable_and_copies():
+    seen = set()
+    for cls in frozen_types():
+        if cls.__init__ is object.__init__:
+            # a shared kernel with no constructor of its own: its subclasses are sampled
+            assert cls.__subclasses__(), f"{cls.__qualname__} has neither a constructor nor subclasses"
+            continue
+        assert cls in FROZEN_SAMPLES, f"no sample for {cls.__qualname__}"
+        seen.add(cls)
+        value, text = FROZEN_SAMPLES[cls]
+        slots = {name for klass in cls.__mro__ for name in vars(klass).get("__slots__", ())}
+        assert sorted(cls._fields) == sorted(slots), cls
+        for name in (*cls._fields, "extra"):
+            with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
+                setattr(value, name, 1)
+            with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
+                delattr(value, name)
+        for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert fields_of(clone) == fields_of(value), cls
+        assert re.sub(r" at 0x[0-9a-f]+", " at 0x...", repr(value)) == text
+    assert seen == set(FROZEN_SAMPLES)
 
 
 def test_ring_and_provider_copy_shallowly():

@@ -19,6 +19,7 @@ from .errors import (
 )
 from .laurent import IntLaurent, L
 from .motivic import (
+    CyclotomicDenom,
     DenomForm,
     HDRealization,
     MotivicClass,
@@ -85,6 +86,7 @@ __all__ = [
     "AxiomReport",
     "AxiomSample",
     "CounterexampleReport",
+    "CyclotomicDenom",
     "DenomForm",
     "DomainError",
     "EFFECTIVE_CANDIDATE",

@@ -94,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "Evaluate a class expression at L = P/Q. Away from 0, 1 and -1 the"
             " expression is evaluated on exact fractions without expanding the"
             " class; at those three points the class is built first, and a"
-            " denominator that vanishes there exits 3."
+            " reduced denominator that vanishes there exits 3."
         ),
     )
     p.add_argument("expr")

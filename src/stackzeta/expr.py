@@ -423,10 +423,11 @@ def evaluate_class(text: str, t: Fraction) -> Fraction:
     """The value of a class expression at L = t.
 
     Away from {0, 1, -1} the tree is evaluated on Fractions (``_PointEnv``),
-    so no class is expanded.  At those three points a stored denominator can
-    vanish, and whether it does depends on the shape that normalize() leaves
-    (``(L+1)/(L^2-1)`` has a pole at -1, ``BGL(1)*(L-1)`` is 1 at 1), so the
-    class is elaborated first and then evaluated.
+    so no class is expanded.  At those three points a factor L, Phi_1 = L - 1
+    or Phi_2 = L + 1 of a denominator can vanish, and whether the class has a
+    pole there is read off its reduced denominator (``(L+1)/(L^2-1)`` is
+    -1/2 at -1, ``BGL(1)*(L-1)`` is 1 at 1), so the class is elaborated first
+    and then evaluated.
     """
     if t in (0, 1, -1):
         return parse_class(text).eval_rational(t)

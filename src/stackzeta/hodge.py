@@ -102,18 +102,20 @@ def check_polynomial_effectiveness(poly: MultiPoly) -> EffectivenessResult:
 def check_class_effectiveness(a: MotivicClass) -> EffectivenessResult:
     """Refutation heuristic on a motivic class.
 
-    The denominator must be a product of [GL(r)]-shapes: factors are matched
-    greedily as staircases {1, ..., r} (largest remaining exponent fixes r).
+    The denominator, in the shape L^a * prod(L^n - 1) that the cover rule
+    writes the reduced one in (``den``), must be a product of [GL(r)]-shapes:
+    factors are matched greedily as staircases {1, ..., r} (largest remaining
+    exponent fixes r).
     Powers of L are units and never affect the verdict: a missing L-power is
     moved into the numerator and an excess one is discarded, so the verdict
     is invariant under multiplication by L^{+-1}.  A denominator that is not
     a product of staircases yields the inconclusive verdict: the class may
     still be ineffective, but this test cannot tell.
     """
-    norm = a.normalize()
-    if norm.is_zero:
+    if a.is_zero:
         return EffectivenessResult(EFFECTIVE_CANDIDATE, detail="zero class")
-    remaining = Counter(norm.den.factors)
+    den = a.den
+    remaining = Counter(den.factors)
     ranks: list[int] = []
     while remaining:
         r = max(remaining)
@@ -121,15 +123,15 @@ def check_class_effectiveness(a: MotivicClass) -> EffectivenessResult:
             if remaining[j] <= 0:
                 return EffectivenessResult(
                     INCONCLUSIVE,
-                    detail=f"denominator factors {norm.den.factors} are not GL-staircases",
+                    detail=f"denominator factors {den.factors} are not GL-staircases",
                 )
             remaining[j] -= 1
             if not remaining[j]:
                 del remaining[j]
         ranks.append(r)
     needed_l = sum(r * (r - 1) // 2 for r in ranks)
-    deficit = needed_l - norm.den.l_exp
-    num = norm.num.shift(deficit) if deficit > 0 else norm.num
+    deficit = needed_l - den.l_exp
+    num = a.num.shift(deficit) if deficit > 0 else a.num
     realized = num.substitute(MultiPoly.monomial((1, 1)))
     inner = check_polynomial_effectiveness(realized)
     shape = f"numerator against GL ranks {tuple(ranks)}" if ranks else "polynomial class"

@@ -4,9 +4,9 @@ Polynomials are sparse maps from degree to nonzero integer coefficient, so
 arithmetic is exact at every step.  The key-blind part of the arithmetic
 (accumulating terms, addition, negation, subtraction, powers, exact division
 by an int, rendering) is the term-map kernel ``multipoly._TermPoly``, shared
-with ``MultiPoly``; this module adds what reads the degrees: products, exact
-division by the binomials L^a * (L^n - 1) that denominators are made of,
-Adams operations, shifts and maps out of the ring.
+with ``MultiPoly``; this module adds what reads the degrees: products, the
+cyclotomic polynomials Phi_d that denominators are made of and the exact
+division by them, Adams operations, shifts and maps out of the ring.
 Negative degrees are allowed; the class layer on top of this module is
 responsible for clearing them where its invariants demand nonnegative
 numerators.
@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import struct
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import DomainError
-from .multipoly import MultiPoly, _TermPoly
+from .errors import DomainError, InternalConsistencyError
+from .multipoly import _INT, MultiPoly, _TermPoly
 
 
 #: Products are packed (Kronecker substitution) when both operands have at
@@ -38,7 +39,10 @@ class IntLaurent(_TermPoly):
     __slots__ = ()
 
     def __init__(self, terms: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        object.__setattr__(self, "_terms", self._accumulate({}, self._pairs(terms)))
+        out = self._accumulate({}, self._pairs(terms))
+        if not set(map(type, out)) <= _INT:
+            raise DomainError("IntLaurent degrees must be ints")
+        object.__setattr__(self, "_terms", out)
 
     @classmethod
     def _raw(cls, terms: dict[int, int]) -> IntLaurent:
@@ -154,23 +158,69 @@ class IntLaurent(_TermPoly):
 
     # -- division ----------------------------------------------------------
 
+    def div_cyclotomic(self, d: int) -> IntLaurent | None:
+        """Exact quotient self / Phi_d by the d-th cyclotomic polynomial, or None
+        when Phi_d does not divide self.  This is the library's one polynomial
+        division.
+
+        Phi_d divides L^d - 1, so it divides self exactly when it divides the
+        remainder of self mod L^d - 1: d residue sums, reduced mod Phi_d.  Only
+        when that short test passes is the quotient built, as
+        self * prod(L^k - 1, k in down) / prod(L^k - 1, k in up) for the
+        Moebius split of Phi_d, one linear binomial division at a time; the
+        divisions are exact because their product divides.
+        """
+        if not self._terms:
+            return self
+        phi = cyclotomic(d)._terms
+        rem = [0] * d
+        for e, c in self._terms.items():
+            rem[e % d] += c
+        top = max(phi)
+        low = [(e, c) for e, c in phi.items() if e < top]
+        for i in range(d - 1, top - 1, -1):
+            q = rem[i]
+            if q:
+                for e, c in low:
+                    rem[i - top + e] -= q * c
+        if any(rem[:top]):
+            return None
+        up, down = _moebius_split(d)
+        out = self
+        for k in down:
+            out = out._times_binomial(k)
+        for k in up:
+            out = out._div_binomial(k)
+            if out is None:
+                raise InternalConsistencyError(f"Phi_{d} passed the residue test but does not divide")
+        return out
+
     def divexact(self, other) -> IntLaurent | None:
         """Exact quotient self/other for a divisor L^a * (L^n - 1), n >= 1, or
-        None when it does not divide.
+        None when it does not divide; it divides by the Phi_d, d | n, in turn.
 
-        These are the only divisors the class layer divides by.  Any other
-        divisor, zero included, is a domain error rather than None: it
-        signals a caller bug, not a failed divisibility test.
+        Any other divisor, zero included, is a domain error rather than None:
+        it signals a caller bug, not a failed divisibility test.
         """
         o = self._coerce(other)
         if o is not None and len(o._terms) == 2:
             lo, hi = min(o._terms), max(o._terms)
             if o._terms[hi] == 1 and o._terms[lo] == -1:
-                return self._div_binomial(hi - lo, lo) if self._terms else IntLaurent.zero()
+                out = self.shift(-lo)
+                for d in divisors(hi - lo):
+                    out = out.div_cyclotomic(d)
+                    if out is None:
+                        return None
+                return out
         raise DomainError("divexact divides only by L^a * (L^n - 1)")
 
-    def _div_binomial(self, n: int, lo: int) -> IntLaurent | None:
-        """Exact quotient by L^lo * (L^n - 1), linear in the output size.
+    def _times_binomial(self, n: int) -> IntLaurent:
+        """self * (L^n - 1)."""
+        out = {d + n: c for d, c in self._terms.items()}
+        return IntLaurent._raw(self._accumulate(out, ((d, -c) for d, c in self._terms.items())))
+
+    def _div_binomial(self, n: int) -> IntLaurent | None:
+        """Exact quotient by L^n - 1, linear in the output size, or None.
 
         Working per residue class mod n, the quotient coefficient at degree e
         is the sum of the dividend coefficients strictly above e in the same
@@ -198,7 +248,7 @@ class IntLaurent(_TermPoly):
                 floor = terms[i + 1][0]
                 for e in range(d - n, floor - 1, -n):
                     quot[e] = s
-        return IntLaurent._raw(quot).shift(va - lo)
+        return IntLaurent._raw(quot).shift(va)
 
     # -- maps out of the ring ------------------------------------------------
 
@@ -303,3 +353,64 @@ def l_minus_one(n: int) -> IntLaurent:
     if n < 1:
         raise DomainError("l_minus_one needs n >= 1")
     return IntLaurent({n: 1, 0: -1})
+
+
+#: Distinct cyclotomic polynomials kept built; the number of d in use grows
+#: with the degrees of the denominators, and the bound stops unbounded growth.
+CYCLOTOMIC_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=CYCLOTOMIC_CACHE_SIZE)
+def prime_factors(n: int) -> tuple[int, ...]:
+    """The prime factors of n >= 1 with multiplicity, ascending."""
+    out, p = [], 2
+    while p * p <= n:
+        while n % p == 0:
+            out.append(p)
+            n //= p
+        p += 1
+    return (*out, n) if n > 1 else tuple(out)
+
+
+@lru_cache(maxsize=CYCLOTOMIC_CACHE_SIZE)
+def divisors(n: int) -> tuple[int, ...]:
+    """The divisors of n >= 1, ascending."""
+    out = [1]
+    for p in sorted(set(prime_factors(n))):
+        power, powers = 1, []
+        while n % (power * p) == 0:
+            power *= p
+            powers.append(power)
+        out += [d * q for d in out for q in powers]
+    return tuple(sorted(out))
+
+
+def totient(n: int) -> int:
+    """Euler's phi(n), the degree of Phi_n."""
+    for p in set(prime_factors(n)):
+        n = n // p * (p - 1)
+    return n
+
+
+@lru_cache(maxsize=CYCLOTOMIC_CACHE_SIZE)
+def _moebius_split(d: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(up, down) with Phi_d = prod(L^k - 1, k in up) / prod(L^k - 1, k in down):
+    the k = d/s over the squarefree divisors s of d, by the sign of mu(s)."""
+    up, down = [d], []
+    for p in sorted(set(prime_factors(d))):
+        up, down = up + [k // p for k in down], down + [k // p for k in up]
+    return tuple(up), tuple(down)
+
+
+@lru_cache(maxsize=CYCLOTOMIC_CACHE_SIZE)
+def cyclotomic(d: int) -> IntLaurent:
+    """The d-th cyclotomic polynomial Phi_d, built on first use."""
+    if type(d) is not int or d < 1:
+        raise DomainError("cyclotomic polynomials are indexed by d >= 1")
+    up, down = _moebius_split(d)
+    out = IntLaurent.one()
+    for k in up:
+        out = out._times_binomial(k)
+    for k in down:
+        out = out._div_binomial(k)
+    return out

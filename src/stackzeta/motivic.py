@@ -1,24 +1,28 @@
 """Classes in the Grothendieck ring of algebraic stacks.
 
 The ring is the localization of the Grothendieck ring of varieties at the
-Lefschetz class L and at L^n - 1 for every n >= 1.  Every element used here
-is a fraction
+Lefschetz class L and at L^n - 1 for every n >= 1, that is at L and at every
+cyclotomic polynomial Phi_d, since L^n - 1 is the product of the Phi_d over
+the divisors d of n.  Every class is stored as the reduced fraction
 
-    num(L) / (L^e * (L^{n_1} - 1) * ... * (L^{n_r} - 1))
+    num(L) / (L^a * Phi_{d_1}^{e_1} * ... * Phi_{d_r}^{e_r})
 
 with an integer-polynomial numerator (nonnegative degrees only; negative
-powers of L are folded into e on construction) and a structured denominator
-``DenomForm``.  The denominator factors are kept as the multiset of the
-exponents n_i, sorted ascending, so classes such as 1/[GL(n)] keep the shape
-in which they arise and normalization can cancel factor by factor via exact
-division.
+powers of L fold into a), the cyclotomic exponents as an ascending tuple of
+(d, e) pairs with e >= 1, and no common factor: no Phi_d of the denominator
+divides num, and L divides num only when a = 0.  Every constructor and every
+operation returns this form, and it is unique, so equality and the hash are
+structural and every route to a class gives the same value in the same shape.
 
-Equality is mathematical, by cross-multiplication, so two representations of
-the same class always compare equal.  Consequently MotivicClass is not
-hashable; ``structural_key`` is a hashable key of one exact representation,
-not of the class.
+Text, JSON and the ``num``/``den`` accessors show the class in the shape
+num' / (L^a * (L^{n_1} - 1) * ... * (L^{n_r} - 1)) through one cover rule:
+take the largest d whose exponent is still positive, write the factor
+L^d - 1, and lower the exponent of Phi_k by one for every divisor k of d; a
+Phi_k whose exponent is already 0 is multiplied into the numerator instead.
+So [BGL(n)] prints as 1 / (L^{n(n-1)/2} * prod_{j<=n}(L^j - 1)), and
+1/(L + 1) as (L - 1)/(L^2 - 1).
 
-Writing q = L^{-1}, the fractions above are exactly the classes of the form
+Writing q = L^{-1}, these fractions are exactly the classes of the form
 b * q^m / ((1-q^{n_1})...(1-q^{n_r})) that the zeta engine consumes, since
 1/(1-q^n) = L^n/(L^n - 1).
 """
@@ -27,16 +31,22 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
+from operator import sub
 from typing import NamedTuple, Sequence
 
 from ._frozen import Frozen
-from .errors import DomainError, InternalConsistencyError, NonInvertibleError
-from .laurent import IntLaurent, l_minus_one
+from .errors import DomainError, NonInvertibleError
+from .laurent import IntLaurent, cyclotomic, divisors, l_minus_one, prime_factors, totient
 from .multipoly import MultiPoly
+
+#: Cyclotomic exponents: ascending (d, e) pairs, e >= 1, for prod Phi_d^e.
+Exponents = tuple[tuple[int, int], ...]
 
 
 class DenomForm(Frozen):
-    """Structured denominator L^l_exp * prod(L^n - 1 for n in factors).
+    """The shape L^l_exp * prod(L^n - 1 for n in factors) in which a
+    denominator is written and read.
 
     Invariant: l_exp >= 0, and factors is a multiset of integers >= 1 stored
     as an ascending tuple.  The public constructor checks the first two
@@ -80,38 +90,7 @@ class DenomForm(Frozen):
 
     def expand(self) -> IntLaurent:
         """The denominator as an honest polynomial in L."""
-        return _expand(self.l_exp, self.factors)
-
-    def times(self, other: DenomForm) -> DenomForm:
-        return DenomForm._raw(self.l_exp + other.l_exp, tuple(sorted(self.factors + other.factors)))
-
-    def lcm(self, other: DenomForm) -> DenomForm:
-        """Smallest shape both denominators divide (per-factor max multiplicity)."""
-        mine, theirs = self.factors, other.factors
-        merged: list[int] = []
-        i = j = 0
-        while i < len(mine) and j < len(theirs):
-            n, m = mine[i], theirs[j]
-            merged.append(min(n, m))
-            i += n <= m
-            j += m <= n
-        merged.extend(mine[i:] or theirs[j:])
-        return DenomForm._raw(max(self.l_exp, other.l_exp), tuple(merged))
-
-    def complement_in(self, target: DenomForm) -> IntLaurent:
-        """The polynomial target/self; target must be a multiple of self."""
-        mine, theirs = self.factors, target.factors
-        missing: list[int] = []
-        j = 0
-        for n in theirs:
-            if j < len(mine) and mine[j] == n:
-                j += 1
-            else:
-                missing.append(n)
-        # an unmatched mine[j] is absent from target, or has extra multiplicity
-        if j < len(mine) or target.l_exp < self.l_exp:
-            raise DomainError("complement_in needs a denominator multiple")
-        return _expand(target.l_exp - self.l_exp, tuple(missing))
+        return _denominator_product(self.l_exp, self.factors)
 
     def eval_rational(self, t: Fraction) -> Fraction:
         """The value at L = t, on integers: for t = p/r in lowest terms,
@@ -126,8 +105,49 @@ class DenomForm(Frozen):
         return " * ".join(_denominator_parts(self.l_exp, self.factors, "L")) or "1"
 
 
+class CyclotomicDenom(Frozen):
+    """A reduced denominator L^l_exp * prod(Phi_d^e for (d, e) in exponents).
+
+    Invariant: l_exp >= 0, and exponents holds (d, e) pairs of ints >= 1
+    with distinct d, ascending.  The public constructor checks and sorts;
+    ``_raw`` trusts a caller that already holds the invariant.  Instances
+    are hashable, equal when both fields are.
+    """
+
+    __slots__ = _fields = ("l_exp", "exponents")
+
+    def __init__(self, l_exp: int = 0, exponents: Exponents = ()):
+        pairs = tuple(tuple(pair) for pair in exponents)
+        if type(l_exp) is not int or any(len(p) != 2 or type(p[0]) is not int or type(p[1]) is not int for p in pairs):
+            raise DomainError("denominator exponents must be ints")
+        if l_exp < 0:
+            raise DomainError("denominator L-exponent must be nonnegative")
+        if any(d < 1 or e < 1 for d, e in pairs) or len({d for d, _ in pairs}) != len(pairs):
+            raise DomainError("cyclotomic exponents must be (d, e) pairs with distinct d and d, e >= 1")
+        object.__setattr__(self, "l_exp", l_exp)
+        object.__setattr__(self, "exponents", tuple(sorted(pairs)))
+
+    @classmethod
+    def _raw(cls, l_exp: int, exponents: Exponents) -> CyclotomicDenom:
+        # internal: the class invariant must already hold
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "l_exp", l_exp)
+        object.__setattr__(obj, "exponents", exponents)
+        return obj
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.l_exp == other.l_exp and self.exponents == other.exponents
+
+    def __hash__(self) -> int:
+        return hash((self.l_exp, self.exponents))
+
+
 _TRIVIAL_DEN = DenomForm()
+_NO_DEN = CyclotomicDenom._raw(0, ())
 _ONE_NUM = IntLaurent.one()
+_ZERO_NUM = IntLaurent.zero()
 
 
 def _denominator_parts(l_exp: int, factors: tuple[int, ...], base: str) -> list[str]:
@@ -149,79 +169,227 @@ def _render_fraction(num: str, l_exp: int, factors: tuple[int, ...], base: str) 
     return f"{num} / ({den})" if len(parts) > 1 else f"{num} / {den}"
 
 
-#: Distinct denominators kept expanded; one cli-mix pass uses 17 and one
-#: power-axioms pass 69, so the bound only stops unbounded growth.
+#: Distinct denominators, complements and covers kept computed; one cli-mix
+#: pass uses tens and one power-axioms pass hundreds, so the bound only stops
+#: unbounded growth.
 EXPAND_CACHE_SIZE = 1024
 
 
+def _balanced_product(polys: Sequence[IntLaurent]) -> IntLaurent:
+    """The product of polys, multiplied in balanced halves, so the products of
+    many factors reach the packed multiply of IntLaurent."""
+    if len(polys) > 1:
+        mid = len(polys) // 2
+        return _balanced_product(polys[:mid]) * _balanced_product(polys[mid:])
+    return polys[0] if polys else _ONE_NUM
+
+
 def _denominator_product(l_exp: int, factors: Sequence[int]) -> IntLaurent:
-    """L^l_exp * prod(L^n - 1 for n in factors), multiplied in balanced halves,
-    so the products of many factors reach the packed multiply of IntLaurent."""
-    if len(factors) > 1:
-        mid = len(factors) // 2
-        return _denominator_product(l_exp, factors[:mid]) * _denominator_product(0, factors[mid:])
-    return (l_minus_one(factors[0]) if factors else _ONE_NUM).shift(l_exp)
+    """L^l_exp * prod(L^n - 1 for n in factors)."""
+    return _balanced_product([l_minus_one(n) for n in factors]).shift(l_exp)
 
 
-_expand = lru_cache(maxsize=EXPAND_CACHE_SIZE)(_denominator_product)
+@lru_cache(maxsize=EXPAND_CACHE_SIZE)
+def _cyclotomic_product(l_exp: int, cyc: Exponents) -> IntLaurent:
+    """L^l_exp * prod(Phi_d^e for (d, e) in cyc)."""
+    return _balanced_product([cyclotomic(d) for d, e in cyc for _ in range(e)]).shift(l_exp)
 
 
-def unit_part(p: IntLaurent) -> tuple[int, int, tuple[int, ...]] | None:
-    """Factor p as sign * L^a * prod(L^n - 1), or None if p is not of that shape.
+@lru_cache(maxsize=EXPAND_CACHE_SIZE)
+def _binomial_exponents(factors: tuple[int, ...]) -> Exponents:
+    """The cyclotomic exponents of prod(L^n - 1 for n in factors)."""
+    exps: dict[int, int] = {}
+    for n in factors:
+        for d in divisors(n):
+            exps[d] = exps.get(d, 0) + 1
+    return tuple(sorted(exps.items()))
 
-    This is the invertibility test: only units of this shape are inverted.
-    They are not all the units of the ring: L + 1 = (L^2 - 1)/(L - 1) is one,
-    but it has no such factorization, so 1/(L + 1) is rejected.  Factors
-    peel off from the bottom: once L^a is stripped, the lowest non-constant
-    term of sign * prod(L^{n_i} - 1) has degree m = min n_i and a coefficient
-    of -sign times the multiplicity of m, never 0, so each factor costs one
-    exact division by L^m - 1.
+
+@lru_cache(maxsize=EXPAND_CACHE_SIZE)
+def _cover(cyc: Exponents) -> tuple[tuple[int, ...], IntLaurent]:
+    """The cover rule: the factors n of the shape prod(L^n - 1) that
+    prod Phi_d^e is written in, largest d first, and the product of the
+    Phi_k the shape adds, by which the numerator is multiplied."""
+    left = dict(cyc)
+    factors: list[int] = []
+    extra: dict[int, int] = {}
+    while left:
+        n = max(left)
+        factors.append(n)
+        for k in divisors(n):
+            if k in left:
+                left[k] -= 1
+                if not left[k]:
+                    del left[k]
+            else:
+                extra[k] = extra.get(k, 0) + 1
+    return tuple(reversed(factors)), _cyclotomic_product(0, tuple(sorted(extra.items())))
+
+
+@lru_cache(maxsize=EXPAND_CACHE_SIZE)
+def _adams_exponents(cyc: Exponents, r: int) -> Exponents:
+    """The exponents of prod Phi_d(L^r)^e, prime by prime over r:
+    Phi_d(L^p) is Phi_{dp} when p divides d, and Phi_{dp} * Phi_d otherwise."""
+    exps = dict(cyc)
+    for p in prime_factors(r):
+        nxt: dict[int, int] = {}
+        for d, e in exps.items():
+            nxt[d * p] = nxt.get(d * p, 0) + e
+            if d % p:
+                nxt[d] = nxt.get(d, 0) + e
+        exps = nxt
+    return tuple(sorted(exps.items()))
+
+
+def _divide_out(num: IntLaurent, cyc: Exponents, tested=None) -> tuple[IntLaurent, Exponents]:
+    """Divide num by each Phi_d of cyc as often as it goes, at most e times,
+    and return the quotient with the exponents left.  Only the d in tested
+    are tried when it is given; a monomial has no cyclotomic factor."""
+    if len(num) < 2 or not cyc:
+        return num, cyc
+    left = []
+    for d, e in cyc:
+        if tested is None or d in tested:
+            while e:
+                q = num.div_cyclotomic(d)
+                if q is None:
+                    break
+                num, e = q, e - 1
+        if e:
+            left.append((d, e))
+    return num, tuple(left)
+
+
+def _reduced(num: IntLaurent, l_exp: int, cyc: Exponents, tested=None) -> MotivicClass:
+    """The reduced class num / (L^l_exp * prod Phi_d^e) for num of nonnegative
+    degree: shared powers of L cancel, then the Phi_d do."""
+    if num.is_zero:
+        return _ZERO
+    if l_exp:
+        g = min(num.min_deg, l_exp)
+        if g:
+            num, l_exp = num.shift(-g), l_exp - g
+    num, cyc = _divide_out(num, cyc, tested)
+    return MotivicClass._raw(num, _denominator(l_exp, cyc))
+
+
+def _index_bound(deg: int) -> int:
+    """An upper bound on every d with phi(d) <= deg.
+
+    If d has w distinct primes, phi(d) >= prod(p - 1) over them is at least
+    the product over the first w primes, which caps w at the largest k whose
+    first-k product of (p - 1) is at most deg; and d / phi(d) = prod p/(p - 1)
+    over the primes of d is at most that product over the first k primes.
+    """
+    num = den = 1
+    p = 2
+    while den * (p - 1) <= deg:
+        num, den = num * p, den * (p - 1)
+        p += 1
+        while len(prime_factors(p)) > 1:
+            p += 1
+    return deg * num // den
+
+
+def _peel(body: IntLaurent, bound: int) -> Exponents | None:
+    """The exponents e_d with body = +-prod Phi_d^e, d <= bound, or None.
+
+    body has constant term c0 = +-1.  As a power series, body/c0 is
+    prod_n (1 - L^n)^{c_n} with integer c_n: the lowest term left after the
+    factors below n are removed is -c_n L^n.  They are removed in turn to
+    order bound, and e_d = sum of c_n over the multiples n of d.  Two
+    polynomials of degree at most bound that agree to that order are equal,
+    so the result is exact when every e_d >= 0 and sum e_d phi(d) = deg(body).
+    A unit has |c_n| phi(n) <= deg(body), as every d that n divides has
+    phi(d) >= phi(n), and sum |c_n| <= sum e_d 2^w(d) <= 2 deg(body); these
+    stop a non-unit early.
+    """
+    deg, c0 = body.max_deg, body.coefficient(0)
+    s = [0] * (bound + 1)
+    for d, c in body.items():
+        s[d] = c * c0
+    budget = 2 * deg
+    exps: dict[int, int] = {}
+    for n in range(1, bound + 1):
+        c = -s[n]
+        if not c:
+            continue
+        budget -= abs(c)
+        if budget < 0 or abs(c) * totient(n) > deg:
+            return None
+        for _ in range(abs(c)):
+            if c < 0:  # multiply by 1 - L^n
+                s[n:] = map(sub, s[n:], s[:-n])
+            elif 2 * n < bound:  # divide by 1 - L^n: running sums per residue class
+                for r in range(n):
+                    s[r::n] = accumulate(s[r::n])
+            else:
+                for i in range(n, bound + 1):
+                    s[i] += s[i - n]
+        for d in divisors(n):
+            exps[d] = exps.get(d, 0) + c
+    if any(e < 0 for e in exps.values()) or sum(e * totient(d) for d, e in exps.items()) != deg:
+        return None
+    return _sorted_exponents(exps)
+
+
+def unit_part(p: IntLaurent) -> tuple[int, int, Exponents] | None:
+    """Factor p as sign * L^a * prod Phi_d^e, returned as (sign, a, exponents),
+    or None if p is not of that shape, that is not a unit of the ring.
+
+    The peel runs to the degree of p first, which finds every unit whose
+    cyclotomic indices stay within it (all products of L^n - 1 among them),
+    and then to the bound on every index that a factor of that degree can
+    have, so every unit is found.
     """
     if p.is_zero:
         return None
-    val = p.min_deg
-    body = p.shift(-val)
-    factors: list[int] = []  # ascending: no factor of a quotient is below m
-    while len(body) > 1:
-        terms = body.items()
-        next(terms)  # the constant term, which every quotient keeps
-        m = next(terms)[0]
-        body = body.divexact(l_minus_one(m))
-        if body is None:
-            return None
-        factors.append(m)
-    c = body.coefficient(0)
-    return (c, val, tuple(factors)) if c in (1, -1) else None
+    a = p.min_deg
+    body = p.shift(-a)
+    deg, c0 = body.max_deg, body.coefficient(0)
+    if c0 not in (1, -1) or body.coefficient(deg) not in (1, -1):
+        return None
+    for bound in (deg, _index_bound(deg)):
+        cyc = _peel(body, bound)
+        if cyc is not None:
+            # prod (1 - L^n)^{c_n} = (-1)^{sum c_n} prod Phi_d^e, and sum c_n = e_1
+            return (-c0 if dict(cyc).get(1, 0) % 2 else c0), a, cyc
+    return None
 
 
 class MotivicClass(Frozen):
-    """An element of the Grothendieck ring of stacks, kept as an exact fraction.
+    """An element of the Grothendieck ring of stacks, kept as a reduced fraction.
 
-    Construction folds negative numerator degrees into the denominator
-    L-power and canonicalizes zero; full cancellation is ``normalize``.
-    Arithmetic coerces ints and IntLaurent values on either side.
+    ``MotivicClass(num, den)`` takes a numerator and a denominator, either a
+    shape ``DenomForm`` or a ``CyclotomicDenom``, and stores their reduced
+    form.  Equal classes are equal structurally and hash alike.  Arithmetic
+    coerces ints and IntLaurent values on either side.
     """
 
     __slots__ = _fields = ("_num", "_den")
 
-    def __init__(self, num: IntLaurent | int, den: DenomForm = _TRIVIAL_DEN):
+    def __init__(self, num: IntLaurent | int, den: DenomForm | CyclotomicDenom = _TRIVIAL_DEN):
         if isinstance(num, int):
             num = IntLaurent.from_int(num)
-        if not isinstance(num, IntLaurent) or not isinstance(den, DenomForm):
-            raise DomainError("MotivicClass needs an IntLaurent numerator and a DenomForm")
-        if num.is_zero:
-            num, den = IntLaurent.zero(), _TRIVIAL_DEN
-        elif num.min_deg < 0:
-            shift = -num.min_deg
-            num = num.shift(shift)
-            den = DenomForm(den.l_exp + shift, den.factors)
-        object.__setattr__(self, "_num", num)
-        object.__setattr__(self, "_den", den)
+        if isinstance(den, DenomForm):
+            cyc = _binomial_exponents(den.factors)
+        elif isinstance(den, CyclotomicDenom):
+            cyc = den.exponents
+        else:
+            cyc = None
+        if not isinstance(num, IntLaurent) or cyc is None:
+            raise DomainError("MotivicClass needs an IntLaurent numerator and a DenomForm or CyclotomicDenom")
+        l_exp = den.l_exp
+        if not num.is_zero and num.min_deg < 0:
+            l_exp -= num.min_deg
+            num = num.shift(-num.min_deg)
+        a = _reduced(num, l_exp, cyc)
+        object.__setattr__(self, "_num", a._num)
+        object.__setattr__(self, "_den", a._den)
 
     @classmethod
-    def _raw(cls, num: IntLaurent, den: DenomForm) -> MotivicClass:
-        # internal: num has no negative degree; a zero num comes with the
-        # trivial den, or the result is normalized at once
+    def _raw(cls, num: IntLaurent, den: CyclotomicDenom) -> MotivicClass:
+        # internal: num / den must already be reduced, with num of nonnegative degree
         obj = object.__new__(cls)
         object.__setattr__(obj, "_num", num)
         object.__setattr__(obj, "_den", den)
@@ -231,36 +399,39 @@ class MotivicClass(Frozen):
 
     @classmethod
     def zero(cls) -> MotivicClass:
-        return cls(IntLaurent.zero())
+        return _ZERO
 
     @classmethod
     def one(cls) -> MotivicClass:
-        return cls(IntLaurent.one())
+        return _ONE
 
     @classmethod
     def l_power(cls, k: int) -> MotivicClass:
         """L^k for any integer k; negative k lands in the denominator."""
         if k >= 0:
-            return cls(IntLaurent.term(k))
-        return cls(IntLaurent.one(), DenomForm(-k, ()))
+            return cls._raw(IntLaurent.term(k), _NO_DEN)
+        return cls._raw(_ONE_NUM, CyclotomicDenom._raw(-k, ()))
 
     # -- inspection --------------------------------------------------------
 
     @property
     def num(self) -> IntLaurent:
-        return self._num
+        """The numerator over ``den``, the cover of the reduced denominator."""
+        extra = _cover(self._den.exponents)[1]
+        return self._num if extra is _ONE_NUM else self._num * extra
 
     @property
     def den(self) -> DenomForm:
-        return self._den
+        """The reduced denominator written as L^a * prod(L^n - 1) by the cover rule."""
+        return DenomForm._raw(self._den.l_exp, _cover(self._den.exponents)[0])
 
     @property
     def is_zero(self) -> bool:
         return self._num.is_zero
 
     def structural_key(self) -> tuple:
-        """Hashable key of this exact representation (not of the class)."""
-        return (tuple(self._num.items()), self._den.l_exp, self._den.factors)
+        """Hashable key of the reduced form: equal exactly for equal classes."""
+        return (tuple(self._num.items()), self._den.l_exp, self._den.exponents)
 
     # -- equality ----------------------------------------------------------
 
@@ -268,13 +439,10 @@ class MotivicClass(Frozen):
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        if self._num.is_zero or o._num.is_zero:
-            return self._num.is_zero and o._num.is_zero
-        if self._den == o._den:
-            return self._num == o._num
-        return self._num * o._den.expand() == o._num * self._den.expand()
+        return self._den == o._den and self._num == o._num
 
-    __hash__ = None  # mathematical equality is incompatible with structural hashing
+    def __hash__(self) -> int:
+        return hash((self._num, self._den))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -286,12 +454,14 @@ class MotivicClass(Frozen):
             return o
         if o._num.is_zero:
             return self
-        if self._den == o._den:
-            # what the lcm route computes, with both complements equal to 1
-            return MotivicClass._raw(self._num + o._num, self._den).normalize()
-        den = self._den.lcm(o._den)
-        num = self._num * self._den.complement_in(den) + o._num * o._den.complement_in(den)
-        return MotivicClass(num, den).normalize()
+        mine, theirs = self._den, o._den
+        if mine is theirs or mine == theirs:
+            return _reduced(self._num + o._num, mine.l_exp, mine.exponents)
+        top, to_mine, to_theirs, shared = _sum_plan(mine, theirs)
+        num = (self._num * to_mine if to_mine is not _ONE_NUM else self._num) + (
+            o._num * to_theirs if to_theirs is not _ONE_NUM else o._num
+        )
+        return _reduced(num, top.l_exp, top.exponents, shared)
 
     __radd__ = __add__
 
@@ -312,28 +482,36 @@ class MotivicClass(Frozen):
 
     @property
     def _is_one(self) -> bool:
-        return self._den.is_trivial and self._num == _ONE_NUM
+        return self._den is _NO_DEN and self._num == _ONE_NUM
 
     def __mul__(self, other) -> MotivicClass:
         if isinstance(other, int):
-            # L^n - 1 is primitive, so it divides k * num exactly when it divides
-            # num: normalize() keeps the shape the general product keeps
+            # Phi_d is primitive, so it divides k * num exactly when it divides num
             if other == 1:
                 return self
-            return MotivicClass._raw(self._num * other, self._den).normalize()
+            if not other:
+                return _ZERO
+            return MotivicClass._raw(self._num * other, self._den)
         o = _coerce(other)
         if o is None:
             return NotImplemented
         if self._num.is_zero or o._num.is_zero:
-            return MotivicClass.zero()
+            return _ZERO
         if o._is_one:
             return self
         if self._is_one:
             return o
-        num = self._num * o._num
-        if self._den.is_trivial and o._den.is_trivial:
-            return MotivicClass._raw(num, _TRIVIAL_DEN)
-        return MotivicClass._raw(num, self._den.times(o._den)).normalize()
+        # each numerator cancels against the other denominator; after that
+        # the product is reduced, as both factors were
+        x, y, x_den, y_den = self._num, o._num, self._den, o._den
+        if y_den is not _NO_DEN:
+            c = _reduced(x, y_den.l_exp, y_den.exponents)
+            x, y_den = c._num, c._den
+        if x_den is not _NO_DEN:
+            c = _reduced(y, x_den.l_exp, x_den.exponents)
+            y, x_den = c._num, c._den
+        den = y_den if x_den is _NO_DEN else x_den if y_den is _NO_DEN else _product_denominator(x_den, y_den)
+        return MotivicClass._raw(x * y, den)
 
     __rmul__ = __mul__
 
@@ -341,7 +519,8 @@ class MotivicClass(Frozen):
         """self/d for an integer d that must divide every numerator coefficient.
 
         Failure means an identity that guarantees exactness was violated, so it
-        raises InternalConsistencyError rather than DomainError.
+        raises InternalConsistencyError rather than DomainError.  Phi_d is
+        primitive, so the quotient stays reduced.
         """
         return MotivicClass._raw(self._num.divide_exact_int(d), self._den)
 
@@ -363,68 +542,48 @@ class MotivicClass(Frozen):
         if n < 0:
             return self.inverse() ** (-n)
         if n == 0:
-            return MotivicClass.one()
+            return _ONE
         if n == 1:
             return self
-        den = DenomForm(self._den.l_exp * n, self._den.factors * n)
-        return MotivicClass(self._num ** n, den).normalize()
+        # powers of coprime polynomials stay coprime
+        den = self._den
+        cyc = tuple((d, e * n) for d, e in den.exponents)
+        return MotivicClass._raw(self._num ** n, _denominator(den.l_exp * n, cyc))
 
     # -- canonicalization ----------------------------------------------------
 
     def normalize(self) -> MotivicClass:
-        """Cancel denominator factors and shared L-powers by exact division."""
-        if self._num.is_zero:
-            return MotivicClass.zero()
-        num = self._num
-        l_exp = self._den.l_exp
-        kept: list[int] = []
-        pending = sorted(self._den.factors, reverse=True)
-        while pending:
-            if num.coeff_sum() != 0:
-                # num(1) != 0 rules out division by any L^n - 1
-                kept.extend(pending)
-                break
-            n = pending.pop(0)
-            q = num.divexact(l_minus_one(n))
-            if q is None:
-                kept.append(n)
-            else:
-                num = q
-        val = num.min_deg
-        if val > 0 and l_exp > 0:
-            g = min(val, l_exp)
-            num = num.shift(-g)
-            l_exp -= g
-        # kept is descending: factors were tried from the largest down
-        return MotivicClass._raw(num, DenomForm._raw(l_exp, tuple(reversed(kept))))
+        """The reduced form, which every class already is: returns self."""
+        return self
 
     def inverse(self) -> MotivicClass:
-        """1/self; defined exactly for units sign * L^a * prod(L^n - 1)."""
-        a = self.normalize()
-        uf = unit_part(a._num)
+        """1/self; defined exactly for the units sign * L^a * prod Phi_d^e."""
+        uf = unit_part(self._num)
         if uf is None:
-            raise NonInvertibleError(f"class is not a unit of the ring: {a}")
-        sign, lpow, factors = uf
-        num = a._den.expand()
-        if sign < 0:
-            num = -num
-        return MotivicClass(num, DenomForm(lpow, factors)).normalize()
+            raise NonInvertibleError(f"class is not a unit of the ring: {self}")
+        sign, l_exp, cyc = uf
+        num = _cyclotomic_product(self._den.l_exp, self._den.exponents)
+        # the two denominators share no factor, as self is reduced
+        return MotivicClass._raw(-num if sign < 0 else num, _denominator(l_exp, cyc))
 
     # -- maps out of the ring --------------------------------------------------
 
     def adams(self, r: int) -> MotivicClass:
-        """The Adams operation psi^r: num(L^r) / (L^{r e} prod(L^{r n} - 1)) for
-        self = num / (L^e prod(L^n - 1)), r >= 1."""
+        """The Adams operation psi^r: num(L^r) / (L^{r a} prod Phi_d(L^r)^e), r >= 1.
+
+        The result needs no reduction: a root z of a common factor of num(L^r)
+        and Phi_d(L^r) would make z^r a common root of num and Phi_d."""
         if r == 1:
             return self
-        # scaling every degree and factor by r >= 1 keeps both invariants
-        den = DenomForm._raw(self._den.l_exp * r, tuple(n * r for n in self._den.factors))
-        return MotivicClass._raw(self._num.adams(r), den)
+        den = self._den
+        return MotivicClass._raw(self._num.adams(r), _denominator(den.l_exp * r, _adams_exponents(den.exponents, r)))
 
     def eval_rational(self, t: Fraction | int) -> Fraction:
-        """Exact value at L = t; poles raise DomainError."""
+        """Exact value at L = t; poles of the reduced denominator raise DomainError."""
         t = Fraction(t)
-        den = self._den.eval_rational(t)
+        den = t ** self._den.l_exp
+        for d, e in self._den.exponents:
+            den *= cyclotomic(d).eval_rational(t) ** e
         if den == 0:
             raise DomainError(f"denominator vanishes at L = {t}")
         return self._num.eval_rational(t) / den
@@ -432,13 +591,13 @@ class MotivicClass(Frozen):
     def q_expansion(self, max_degree: int) -> dict[int, int]:
         """Laurent expansion in q = L^{-1}, kept to q-degree <= max_degree.
 
-        Each 1/(L^n - 1) = q^n/(1-q^n) expands as the geometric series
+        Each 1/(L^n - 1) of ``den`` is q^n/(1-q^n), the geometric series
         q^n + q^{2n} + ...; the result is the truncated product.
         """
-        e = self._den.l_exp
-        shift = e + sum(self._den.factors)
-        cur = {shift - d: c for d, c in self._num.items()}  # one key per numerator degree
-        for n in self._den.factors:
+        den = self.den
+        shift = den.l_exp + sum(den.factors)
+        cur = {shift - d: c for d, c in self.num.items()}  # one key per numerator degree
+        for n in den.factors:
             nxt: dict[int, int] = {}
             for exp, c in cur.items():
                 t = exp
@@ -449,26 +608,27 @@ class MotivicClass(Frozen):
         return {k: v for k, v in cur.items() if v and k <= max_degree}
 
     def hd_realization(self) -> HDRealization:
-        """Hodge-Deligne realization: L goes to uv, denominator kept structured."""
-        a = self.normalize()
-        uv = MultiPoly.monomial((1, 1))
-        return HDRealization(a._num.substitute(uv), a._den.l_exp, a._den.factors)
+        """Hodge-Deligne realization: L goes to uv, the denominator kept in the shape of ``den``."""
+        den = self.den
+        return HDRealization(self.num.substitute(MultiPoly.monomial((1, 1))), den.l_exp, den.factors)
 
     # -- rendering -----------------------------------------------------------
 
     def __str__(self) -> str:
-        return _render_fraction(str(self._num), self._den.l_exp, self._den.factors, "L")
+        den = self.den
+        return _render_fraction(str(self.num), den.l_exp, den.factors, "L")
 
     def __repr__(self) -> str:
         return f"MotivicClass({self})"
 
     def to_json(self) -> dict:
-        if self._num.is_zero:
-            num = {"min_deg": 0, "coeffs": [0]}
+        num, den = self.num, self.den
+        if num.is_zero:
+            coeffs = {"min_deg": 0, "coeffs": [0]}
         else:
-            lo, hi = self._num.min_deg, self._num.max_deg
-            num = {"min_deg": lo, "coeffs": [self._num.coefficient(d) for d in range(lo, hi + 1)]}
-        return {"num": num, "den": {"l_exp": self._den.l_exp, "factors": list(self._den.factors)}}
+            lo, hi = num.min_deg, num.max_deg
+            coeffs = {"min_deg": lo, "coeffs": [num.coefficient(d) for d in range(lo, hi + 1)]}
+        return {"num": coeffs, "den": {"l_exp": den.l_exp, "factors": list(den.factors)}}
 
     @classmethod
     def from_json(cls, data: dict) -> MotivicClass:
@@ -478,6 +638,44 @@ class MotivicClass(Frozen):
         num = IntLaurent({lo + i: c for i, c in enumerate(coeffs)})
         den = DenomForm(data["den"]["l_exp"], tuple(data["den"]["factors"]))
         return cls(num, den)
+
+
+_ZERO = MotivicClass._raw(_ZERO_NUM, _NO_DEN)
+_ONE = MotivicClass._raw(_ONE_NUM, _NO_DEN)
+
+
+def _denominator(l_exp: int, cyc: Exponents) -> CyclotomicDenom:
+    return CyclotomicDenom._raw(l_exp, cyc) if l_exp or cyc else _NO_DEN
+
+
+def _sorted_exponents(exps: dict[int, int]) -> Exponents:
+    return tuple(sorted((d, e) for d, e in exps.items() if e))
+
+
+@lru_cache(maxsize=EXPAND_CACHE_SIZE)
+def _product_denominator(a: CyclotomicDenom, b: CyclotomicDenom) -> CyclotomicDenom:
+    exps = dict(a.exponents)
+    for d, e in b.exponents:
+        exps[d] = exps.get(d, 0) + e
+    return _denominator(a.l_exp + b.l_exp, _sorted_exponents(exps))
+
+
+@lru_cache(maxsize=EXPAND_CACHE_SIZE)
+def _sum_plan(a: CyclotomicDenom, b: CyclotomicDenom) -> tuple:
+    """How a/A + b/B is put over the exponent-wise max M of A and B: M, the
+    complements M/A and M/B, and the d whose Phi_d can divide the sum.  Only
+    a Phi_d with the same exponent on both sides can: on any other d, one
+    term has it and the other, reduced, does not."""
+    mine, theirs = dict(a.exponents), dict(b.exponents)
+    top = {d: max(mine.get(d, 0), theirs.get(d, 0)) for d in mine.keys() | theirs.keys()}
+    l_exp = max(a.l_exp, b.l_exp)
+
+    def complement(den: CyclotomicDenom, have: dict[int, int]) -> IntLaurent:
+        rest = _sorted_exponents({d: e - have.get(d, 0) for d, e in top.items()})
+        return _cyclotomic_product(l_exp - den.l_exp, rest)
+
+    shared = frozenset(d for d, e in mine.items() if theirs.get(d) == e)
+    return _denominator(l_exp, _sorted_exponents(top)), complement(a, mine), complement(b, theirs), shared
 
 
 def _coerce(x) -> MotivicClass | None:
@@ -544,10 +742,9 @@ def bgl_class(n: int) -> MotivicClass:
 
 
 def grassmannian_class(k: int, n: int) -> MotivicClass:
-    """[Gr(k, n)], the Gaussian binomial (n choose k)_L; normalize() cancels the
-    bottom shape, one factor L^m - 1 at a time, so it is always a polynomial."""
-    top, bottom = standard_forms("Gr", (k, n))
-    gr = MotivicClass._raw(_denominator_product(0, top.factors), bottom).normalize()
-    if not gr.den.is_trivial:
-        raise InternalConsistencyError("Gaussian binomial division failed")
-    return gr
+    """[Gr(k, n)], the Gaussian binomial (n choose k)_L: the product of the
+    Phi_d with floor(n/d) - floor(k/d) - floor((n-k)/d) = 1, since
+    prod_{i<=m}(L^i - 1) is prod_d Phi_d^floor(m/d)."""
+    standard_forms("Gr", (k, n))
+    cyc = tuple((d, 1) for d in range(1, n + 1) if n // d - k // d - (n - k) // d)
+    return MotivicClass._raw(_cyclotomic_product(0, cyc), _NO_DEN)

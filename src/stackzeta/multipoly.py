@@ -11,13 +11,17 @@ expansions of the distinct-exponent generating functions in q_1..q_k.
 
 from __future__ import annotations
 
-from operator import add
+from itertools import chain
+from operator import add, itemgetter
 from typing import Iterable, Iterator, Mapping
 
 from ._frozen import Frozen
 from .errors import DomainError, InternalConsistencyError
 
 Exponents = tuple[int, ...]
+
+#: The one type a degree or an exponent may have (``bool`` is not an integer here).
+_INT = {int}
 
 
 def _names(nvars: int) -> tuple[str, ...]:
@@ -133,6 +137,8 @@ class MultiPoly(_TermPoly):
         if nvars < 1:
             raise DomainError("MultiPoly needs at least one variable")
         pairs = [(tuple(exps), coeff) for exps, coeff in self._pairs(terms)]
+        if not set(map(type, chain.from_iterable(map(itemgetter(0), pairs)))) <= _INT:
+            raise DomainError("MultiPoly exponents must be ints")
         for exps, _ in pairs:
             if len(exps) != nvars or min(exps) < 0:
                 raise DomainError(f"bad exponent tuple {exps!r} for {nvars} variables")

@@ -74,6 +74,8 @@ class Partition(Frozen):
 
     def __init__(self, multiplicities: tuple[int, ...]):
         m = tuple(multiplicities)
+        if any(type(x) is not int for x in m):
+            raise DomainError("multiplicities must be ints")
         if any(x < 0 for x in m):
             raise DomainError("multiplicities must be nonnegative")
         if m and m[-1] == 0:
@@ -152,7 +154,6 @@ def distinct_exponent_sum(args: Sequence[MotivicClass]) -> MotivicClass:
         raise DomainError("the distinct-exponent sum needs at least one argument")
     if k > PERMUTATION_CAP:
         raise ResourceLimitError(f"closed form with k={k} exceeds the permutation cap {PERMUTATION_CAP}")
-    args = tuple(a.normalize() for a in args)
     one = MotivicClass.one()
     ptab = []
     for a in args:

@@ -48,7 +48,7 @@ class Ring(Frozen):
 
 def _fold(acc, xs, ys, lo, hi, top, op=operator.add):
     """acc op xs[j] * ys[top - j] for j = lo, ..., hi in turn, skipping pairs with
-    a zero factor; normalize() is not canonical, so the order fixes the shapes."""
+    a zero factor."""
     for j in range(lo, hi + 1):
         x, y = xs[j], ys[top - j]
         if not (x.is_zero or y.is_zero):

@@ -40,11 +40,11 @@ _OPPOSITE = opposite_provider(_KAPRANOV)
 
 
 def _as_class(a: MotivicClass | IntLaurent | int) -> MotivicClass:
-    return (a if isinstance(a, MotivicClass) else MotivicClass(a)).normalize()
+    return a if isinstance(a, MotivicClass) else MotivicClass(a)
 
 
 def zeta_series(a: MotivicClass | IntLaurent | int, order: int) -> TruncatedSeries:
-    """zeta_a(T) to the given order, exactly, from the normalized class."""
+    """zeta_a(T) to the given order, exactly."""
     return _KAPRANOV.series(_as_class(a), order)
 
 

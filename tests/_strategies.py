@@ -5,6 +5,7 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from stackzeta import DenomForm, IntLaurent, MotivicClass, MultiPoly
+from stackzeta.laurent import cyclotomic
 
 # Rational sample points where no denominator L^a * prod(L^n - 1) vanishes.
 EVAL_POINTS = (Fraction(2), Fraction(3), Fraction(5), Fraction(-2), Fraction(7, 2))
@@ -64,31 +65,14 @@ def nonzero_classes(max_terms=4):
     return motivic_classes(max_terms=max_terms).filter(lambda a: not a.is_zero)
 
 
-# Invertible classes are exactly sign * L^e * prod(L^n - 1) over a denominator.
-# Cancellation during normalize() must only ever remove whole (L^n - 1) factors
-# (a partial quotient like (L^2-1)/(L-1) = L+1 leaves the recognizable shape),
-# so the denominator factors are drawn as a sub-multiset of the numerator's --
-# unless the numerator is a bare L-power, where nothing can cancel at all.
+# Invertible classes are exactly sign * L^e * prod Phi_d^{e_d} over any
+# denominator: cyclotomic numerator factors, cancelled or not, stay units.
 @st.composite
 def unit_classes(draw):
-    sign = draw(st.sampled_from((1, -1)))
-    ns = draw(st.lists(st.integers(min_value=1, max_value=4), max_size=3))
-    num = IntLaurent.from_int(sign)
-    for n in ns:
-        num = num * (IntLaurent.term(n) - 1)
-    num = num.shift(draw(st.integers(min_value=0, max_value=3)))
-    l_exp = draw(st.integers(min_value=0, max_value=3))
-    if ns:
-        remaining = list(ns)
-        factors = []
-        for n in draw(st.lists(st.sampled_from(sorted(set(ns))), max_size=len(ns))):
-            if n in remaining:
-                remaining.remove(n)
-                factors.append(n)
-        den = DenomForm(l_exp, tuple(factors))
-    else:
-        den = draw(denom_forms)
-    return MotivicClass(num, den)
+    num = IntLaurent.term(draw(st.integers(min_value=0, max_value=3)), draw(st.sampled_from((1, -1))))
+    for d in draw(st.lists(st.integers(min_value=1, max_value=12), max_size=3)):
+        num = num * cyclotomic(d)
+    return MotivicClass(num, draw(denom_forms))
 
 
 @st.composite

@@ -66,7 +66,14 @@ def test_power_command(capsys):
 def test_power_series_takes_negative_powers_of_t_free_units(capsys):
     code, out, err = run(capsys, "power", "1 + BGL(1)^-1*T", "L", "--order", "2")
     assert (code, out.strip(), err) == (0, "1 + (L^2 - L)*T + (L^4 - 2*L^3 + L^2)*T^2", "")
+    # L + 1 = Phi_2 is a unit: (L+1)^-1 = (L-1)/(L^2-1)
     code, out, err = run(capsys, "power", "1 + (L+1)^-1*T", "L", "--order", "2")
+    assert (code, out.strip(), err) == (
+        0,
+        "1 + ((L^2 - L) / (L^2-1))*T + ((L^6 - 2*L^5 + L^4 - L^3 + 2*L^2 - L) / ((L^2-1) * (L^4-1)))*T^2",
+        "",
+    )
+    code, out, err = run(capsys, "power", "1 + (L+2)^-1*T", "L", "--order", "2")
     assert (code, out) == (2, "")
     assert err.rstrip().endswith("(line 1, col 10)")
 
@@ -168,7 +175,9 @@ def test_eval_error_paths(capsys):
         assert (code, out) == (2, "")
         assert err == f"error: --at expects a rational like 3 or 5/2, got {at!r}\n"
 
-    for text, unit in (("1/(L+1)", "L + 1"), ("2/2", "2"), ("0^-1", "0")):
+    # every unit +-L^a * prod Phi_d^e inverts, L + 1 = Phi_2 among them
+    assert run(capsys, "eval", "1/(L+1)", "--at", "2") == (0, "1/3\n", "")
+    for text, unit in (("2/2", "2"), ("0^-1", "0")):
         code, out, err = run(capsys, "eval", text, "--at", "2")
         assert (code, out) == (2, "")
         assert err == f"error: class is not a unit of the ring: {unit} (line 1, col 2)\n"
@@ -213,14 +222,14 @@ def test_rational_syntax_is_what_fraction_reads(text):
 @pytest.mark.parametrize(
     "text, at, code, out, err",
     [
-        ("(L+1)/(L^2-1)", "-1", 3, "", "error: denominator vanishes at L = -1\n"),
+        ("(L+1)/(L^2-1)", "-1", 0, "-1/2\n", ""),
         ("BGL(1)*(L-1)", "1", 0, "1\n", ""),
         ("L*q", "0", 0, "1\n", ""),
         ("q", "0", 3, "", "error: denominator vanishes at L = 0\n"),
     ],
 )
 def test_eval_at_zero_and_plus_minus_one_reads_the_normalized_class(capsys, text, at, code, out, err):
-    # at these points a stored denominator can vanish, so the shape matters
+    # at these points a factor of the reduced denominator can vanish
     assert run(capsys, "eval", text, "--at", at) == (code, out, err)
 
 

@@ -1,11 +1,12 @@
 """Pinned CLI outputs: the exact stdout of each command, as text and as --json.
 
-normalize() is not canonical, so the printed denominator shape of a
-coefficient follows the route that computed it: a change to a route of the
-class arithmetic, such as a fast path that skips normalize(), shows up here
-even where every value stays equal.  The first five commands print shapes
-that differ between routes (zeta of a class over (L-1) times a polynomial,
-non-reduced inputs such as (L+1)/(L^2-1), a power with exponent -1).
+Every class is stored as its reduced fraction over cyclotomic factors and
+printed through one cover rule, so the printed shape of a coefficient is a
+function of its value alone, whatever route computed it.  The first five
+commands take routes that once left different shapes for equal values
+(zeta of a class over (L-1) times a polynomial, non-reduced inputs such as
+(L+1)/(L^2-1), a power with exponent -1): a change to the representation or
+to the cover rule shows up here.
 """
 
 import pytest
@@ -36,22 +37,19 @@ GOLDEN = [
     (
         ('zeta', '(L+1)/(L^2-1)', '--order', '5'),
         (
-            '1 + ((L + 1) / (L^2-1))*T + ((L^2 + L) / ((L^2-1) * (L^2-1)))*T^2 + ((L^7 + '
-            'L^6 + L^4 + L^3) / ((L^2-1) * (L^2-1) * (L^6-1)))*T^3 + ((L^14 + L^13 + '
-            'L^11 + 2*L^10 + L^9 + L^7 + L^6) / ((L^2-1) * (L^2-1) * (L^6-1) * '
-            '(L^8-1)))*T^4 + ((L^19 + L^18 + L^16 + L^15 + L^14 + L^13 + L^11 + L^10) / '
-            '((L^2-1) * (L^2-1) * (L^4-1) * (L^6-1) * (L^10-1)))*T^5\n'
+            '1 + (1 / (L-1))*T + (L / ((L-1) * (L^2-1)))*T^2 + (L^3 / ((L-1) * (L^2-1) * '
+            '(L^3-1)))*T^3 + (L^6 / ((L-1) * (L^2-1) * (L^3-1) * (L^4-1)))*T^4 + (L^10 / '
+            '((L-1) * (L^2-1) * (L^3-1) * (L^4-1) * (L^5-1)))*T^5\n'
         ),
         (
             '{"order": 5, "coeffs": [{"num": {"min_deg": 0, "coeffs": [1]}, "den": '
-            '{"l_exp": 0, "factors": []}}, {"num": {"min_deg": 0, "coeffs": [1, 1]}, '
-            '"den": {"l_exp": 0, "factors": [2]}}, {"num": {"min_deg": 1, "coeffs": [1, '
-            '1]}, "den": {"l_exp": 0, "factors": [2, 2]}}, {"num": {"min_deg": 3, '
-            '"coeffs": [1, 1, 0, 1, 1]}, "den": {"l_exp": 0, "factors": [2, 2, 6]}}, '
-            '{"num": {"min_deg": 6, "coeffs": [1, 1, 0, 1, 2, 1, 0, 1, 1]}, "den": '
-            '{"l_exp": 0, "factors": [2, 2, 6, 8]}}, {"num": {"min_deg": 10, "coeffs": '
-            '[1, 1, 0, 1, 1, 1, 1, 0, 1, 1]}, "den": {"l_exp": 0, "factors": [2, 2, 4, '
-            '6, 10]}}]}\n'
+            '{"l_exp": 0, "factors": []}}, {"num": {"min_deg": 0, "coeffs": [1]}, "den": '
+            '{"l_exp": 0, "factors": [1]}}, {"num": {"min_deg": 1, "coeffs": [1]}, '
+            '"den": {"l_exp": 0, "factors": [1, 2]}}, {"num": {"min_deg": 3, "coeffs": '
+            '[1]}, "den": {"l_exp": 0, "factors": [1, 2, 3]}}, {"num": {"min_deg": 6, '
+            '"coeffs": [1]}, "den": {"l_exp": 0, "factors": [1, 2, 3, 4]}}, {"num": '
+            '{"min_deg": 10, "coeffs": [1]}, "den": {"l_exp": 0, "factors": [1, 2, 3, 4, '
+            '5]}}]}\n'
         ),
     ),
     (

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from stackzeta import DomainError, IntLaurent, InternalConsistencyError, L, MultiPoly
 from stackzeta import laurent
-from stackzeta.laurent import l_minus_one
+from stackzeta.laurent import cyclotomic, divisors, l_minus_one
 
 from _strategies import EVAL_POINTS, laurents, polynomials
 
@@ -72,6 +72,12 @@ def test_pow_matches_repeated_product(a, n):
     assert a ** n == expected
 
 
+@pytest.mark.parametrize("terms", [{0.5: 1}, {1.0: 1}, {True: 1}, [("1", 1)]])
+def test_degrees_must_be_ints(terms):
+    with pytest.raises(DomainError, match="degrees must be ints"):
+        IntLaurent(terms)
+
+
 def test_pow_rejects_negative_and_non_int():
     with pytest.raises(DomainError):
         L ** -1
@@ -108,6 +114,31 @@ def test_divexact_known_quotients():
     assert L.divexact(l_minus_one(1)) is None
     assert (L ** 2 + 1).divexact(l_minus_one(2)) is None
     assert IntLaurent.zero().divexact(l_minus_one(3)) == IntLaurent.zero()
+
+
+@given(laurents(), st.integers(min_value=1, max_value=40))
+def test_div_cyclotomic_inverts_cyclotomic_multiples(p, d):
+    assert (p * cyclotomic(d)).div_cyclotomic(d) == p
+    q = p.div_cyclotomic(d)
+    if q is not None:
+        assert q * cyclotomic(d) == p
+
+
+def test_cyclotomic_polynomials():
+    assert [str(cyclotomic(d)) for d in (1, 2, 3, 4, 6, 12)] == [
+        "L - 1", "L + 1", "L^2 + L + 1", "L^2 + 1", "L^2 - L + 1", "L^4 - L^2 + 1",
+    ]
+    for n in (1, 12, 30, 36, 105):
+        product = IntLaurent.one()
+        for d in divisors(n):
+            product = product * cyclotomic(d)
+        assert product == l_minus_one(n)
+    # Phi_105 is the first with a coefficient other than 0, 1, -1
+    assert cyclotomic(105).coefficient(7) == -2
+    assert (L ** 2 + L).div_cyclotomic(2) == L
+    assert (L ** 2 + 1).div_cyclotomic(2) is None
+    with pytest.raises(DomainError):
+        cyclotomic(0)
 
 
 def test_divexact_rejects_zero_divisor():

@@ -11,10 +11,12 @@ type: they know coefficients only through the ``Ring`` protocol.  And no
 module but ``verify.py`` and ``__init__.py`` imports ``oracles``, so the
 engine never leans on the routes it is checked against.
 
-Outside ``laurent.py`` the library divides polynomials only by binomials
-L^n - 1: every ``.divexact(...)`` call takes an ``l_minus_one(...)``
-argument, so no library path reaches the DomainError that ``divexact``
-raises for any divisor other than L^a * (L^n - 1).
+Outside ``laurent.py`` the library divides polynomials only through
+``IntLaurent.div_cyclotomic``, by a cyclotomic polynomial Phi_d, whose one
+kernel inside ``laurent.py`` is the linear division by a binomial L^n - 1:
+no library module calls ``divexact`` or reaches ``_div_binomial``, and
+``DenomForm`` keeps no ``lcm`` or ``complement_in`` merge of denominator
+shapes, since sums are taken over cyclotomic exponents.
 
 Only ``_frozen.py`` defines ``__setattr__``, ``__delattr__`` or
 ``__reduce__``, and every class with a non-empty ``__slots__`` derives from
@@ -151,24 +153,32 @@ def test_the_scan_sees_coefficient_imports(tmp_path):
         assert forbidden_imports(src, *import_rules(src)[rule]) == expected, rule
 
 
+#: IntLaurent division methods that library modules other than laurent.py may call.
+DIVISION_ROUTES = {"div_cyclotomic"}
+#: IntLaurent division methods, public and private, that only laurent.py calls.
+DIVISION_METHODS = {"divexact", "div_cyclotomic", "_div_binomial"}
+#: Shape merges that cyclotomic exponents made redundant.
+DENOMINATOR_MERGES = {"lcm", "complement_in"}
+
+
 def general_divisions(src: Path) -> list[str]:
-    """``.divexact(...)`` calls outside laurent.py whose argument is not a
-    direct ``l_minus_one(...)`` call, in either spelling of the name."""
+    """Calls of an IntLaurent division method other than ``div_cyclotomic``
+    outside laurent.py, and definitions of ``lcm`` or ``complement_in`` on
+    ``DenomForm``."""
     found = []
     for path in sorted(src.glob("*.py")):
-        if path.name == "laurent.py":
-            continue
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            if isinstance(node, ast.ClassDef) and node.name == "DenomForm":
+                for stmt in node.body:
+                    if isinstance(stmt, ast.FunctionDef) and stmt.name in DENOMINATOR_MERGES:
+                        found.append((path.name, stmt.lineno, f"DenomForm.{stmt.name}"))
+            if path.name == "laurent.py":
                 continue
-            if node.func.attr != "divexact":
-                continue
-            arg = node.args[0] if len(node.args) == 1 and not node.keywords else None
-            callee = arg.func if isinstance(arg, ast.Call) else None
-            name = callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", None)
-            if name != "l_minus_one":
-                found.append(f"{path.name}:{node.lineno}: .divexact")
-    return found
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                name = node.func.attr
+                if name in DIVISION_METHODS and name not in DIVISION_ROUTES:
+                    found.append((path.name, node.lineno, f".{name}"))
+    return [f"{module}:{line}: {what}" for module, line, what in sorted(found)]
 
 
 def test_the_library_divides_only_by_binomials():
@@ -176,20 +186,29 @@ def test_the_library_divides_only_by_binomials():
 
 
 def test_the_scan_sees_general_divisions(tmp_path):
-    (tmp_path / "laurent.py").write_text("def f(p, q):\n    return p.divexact(q)\n")
+    (tmp_path / "laurent.py").write_text(
+        "def f(p, q):\n    return p.divexact(q), p._div_binomial(2), p.div_cyclotomic(3)\n"
+    )
     (tmp_path / "motivic.py").write_text(
         "from . import laurent\nfrom .laurent import l_minus_one\n\n"
         "def f(p, q):\n"
-        "    a = p.divexact(l_minus_one(3))\n"
+        "    a = p.div_cyclotomic(3)\n"
         "    b = p.divexact(laurent.l_minus_one(2))\n"
         "    c = p.divexact(q)\n"
-        "    d = p.divexact(l_minus_one(2) * q)\n"
-        "    return a, b, c, d, p.divexact(other=q)\n"
+        "    d = p._div_binomial(2)\n"
+        "    return a, b, c, d, p.divide_exact_int(2)\n\n\n"
+        "class DenomForm:\n"
+        "    def expand(self):\n        pass\n\n"
+        "    def lcm(self, other):\n        pass\n\n"
+        "    def complement_in(self, target):\n        pass\n\n\n"
+        "class Other:\n    def lcm(self, other):\n        pass\n"
     )
     assert general_divisions(tmp_path) == [
+        "motivic.py:6: .divexact",
         "motivic.py:7: .divexact",
-        "motivic.py:8: .divexact",
-        "motivic.py:9: .divexact",
+        "motivic.py:8: ._div_binomial",
+        "motivic.py:16: DenomForm.lcm",
+        "motivic.py:19: DenomForm.complement_in",
     ]
 
 

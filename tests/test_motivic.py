@@ -8,6 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from stackzeta import (
+    CyclotomicDenom,
     DenomForm,
     DomainError,
     IntLaurent,
@@ -20,7 +21,8 @@ from stackzeta import (
     grassmannian_class,
 )
 from stackzeta import laurent
-from stackzeta.laurent import l_minus_one
+from stackzeta.expr import parse_class
+from stackzeta.laurent import cyclotomic, divisors, l_minus_one
 from stackzeta.motivic import unit_part
 
 from _strategies import (
@@ -54,55 +56,37 @@ def test_denom_form_validation():
     assert not DenomForm(1, ()).is_trivial
 
 
-@given(denom_forms, denom_forms)
-def test_denom_lcm_is_a_common_multiple(d1, d2):
-    m = d1.lcm(d2)
-    assert d1.complement_in(m) * d1.expand() == m.expand()
-    assert d2.complement_in(m) * d2.expand() == m.expand()
+def _counter_exponents(factors):
+    """The cyclotomic exponents of prod(L^n - 1): Phi_d once for each n that d divides."""
+    return Counter(d for n in factors for d in divisors(n))
 
 
-def _counter_lcm(d1, d2):
-    merged = Counter(d1.factors) | Counter(d2.factors)
-    return DenomForm(max(d1.l_exp, d2.l_exp), tuple(merged.elements()))
-
-
-def _counter_complement(d, target):
-    """target/d as a DenomForm, or None when target is not a multiple of d."""
-    mine, theirs = Counter(d.factors), Counter(target.factors)
-    if target.l_exp < d.l_exp or mine - theirs:
-        return None
-    return DenomForm(target.l_exp - d.l_exp, tuple((theirs - mine).elements()))
+def _counter_cover(exponents):
+    """The cover rule on a Counter: the shape factors, largest first, and the
+    Phi_k the shape adds to the numerator."""
+    left, factors, extra = Counter(exponents), [], Counter()
+    while +left:
+        n = max(+left)
+        factors.append(n)
+        for k in divisors(n):
+            if left[k] > 0:
+                left[k] -= 1
+            else:
+                extra[k] += 1
+    return tuple(sorted(factors)), extra
 
 
 @given(wide_denom_forms, wide_denom_forms)
 def test_denom_shape_algebra_matches_a_counter_reference(d1, d2):
-    m, want_m = d1.lcm(d2), _counter_lcm(d1, d2)
-    assert (m.l_exp, m.factors) == (want_m.l_exp, want_m.factors)
-    for d in (d1, d2):
-        assert d.complement_in(m) == _counter_complement(d, m).expand()
-    t = d1.times(d2)
-    assert (t.l_exp, t.factors) == (d1.l_exp + d2.l_exp, tuple(sorted(d1.factors + d2.factors)))
-    want = _counter_complement(d1, d2)
-    if want is None:
-        with pytest.raises(DomainError):
-            d1.complement_in(d2)
-    else:
-        assert d1.complement_in(d2) == want.expand()
-
-
-def test_complement_requires_a_multiple():
-    cases = [
-        ((0, (2,)), (0, (1,))),  # a factor the target lacks
-        ((0, (1, 3)), (0, (1, 2, 2))),  # interleaved: 3 falls between the target's factors
-        ((0, (2, 2)), (0, (1, 2, 3))),  # extra multiplicity
-        ((0, (1, 1)), (0, (1,))),  # extra multiplicity at the end
-        ((0, (4,)), (0, (1, 2, 3))),  # a factor above every target factor
-        ((2, ()), (1, ())),  # a smaller L-exponent
-        ((2, (1,)), (1, (1, 2))),  # a smaller L-exponent over matching factors
-    ]
-    for den, target in cases:
-        with pytest.raises(DomainError):
-            DenomForm(*den).complement_in(DenomForm(*target))
+    a = MotivicClass(1, d1) * MotivicClass(1, d2)
+    exponents = _counter_exponents(d1.factors + d2.factors)
+    assert a == MotivicClass(1, CyclotomicDenom(d1.l_exp + d2.l_exp, tuple(exponents.items())))
+    factors, extra = _counter_cover(exponents)
+    assert a.den == DenomForm(d1.l_exp + d2.l_exp, factors)
+    want_num = IntLaurent.one()
+    for k, e in extra.items():
+        want_num = want_num * cyclotomic(k) ** e
+    assert a.num == want_num
 
 
 def test_denom_expand():
@@ -127,12 +111,37 @@ def test_numerators_never_keep_negative_degrees(a):
 
 
 def test_equality_crosses_representations():
-    # L(L+1)/(L^2-1) and L/(L-1) are the same class in different shapes
+    # L(L+1)/(L^2-1) and L/(L-1) are the same class, given in different
+    # shapes; both are stored as the one reduced fraction
     a = MotivicClass(IntLaurent({2: 1, 1: 1}), DenomForm(0, (2,)))
     b = MotivicClass(IntLaurent.term(1), DenomForm(0, (1,)))
     assert a == b
-    assert a.structural_key() != b.structural_key()
+    assert a.structural_key() == b.structural_key()
+    assert hash(a) == hash(b)
     assert not a == b + 1
+
+
+@given(motivic_classes(), motivic_classes())
+def test_equality_is_structural(a, b):
+    assert (a == b) == (a.structural_key() == b.structural_key())
+    assert (a == b) == (a - b).is_zero
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+@given(motivic_classes())
+def test_text_and_json_give_back_the_reduced_form(a):
+    assert MotivicClass.from_json(a.to_json()).structural_key() == a.structural_key()
+    assert parse_class(str(a)).structural_key() == a.structural_key()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(-1, ()), (0, ((0, 1),)), (0, ((2, 0),)), (0, ((2, 1), (2, 3))), (1.0, ()), (0, ((2.0, 1),)), (0, ((True, 1),))],
+)
+def test_cyclotomic_denom_checks_its_fields(args):
+    with pytest.raises(DomainError):
+        CyclotomicDenom(*args)
 
 
 def test_zero_equality_ignores_denominator():
@@ -181,32 +190,19 @@ def test_int_and_laurent_coercion():
 
 
 # The general route of the class arithmetic, kept as the reference for its
-# fast paths: every sum goes over the lcm with both complements, every product
-# over the concatenated denominators, ints are coerced to classes, and each
-# result is normalized.  Zero and one operands return the other operand as is.
+# fast paths: every sum is taken over the product of the two shapes by
+# cross-multiplication, every product over the concatenated shapes, and the
+# public constructor reduces the result.
 def _reference_sum(a, b):
-    if a.is_zero:
-        return b
-    if b.is_zero:
-        return a
-    den = _counter_lcm(a.den, b.den)
-    num = a.num * _counter_complement(a.den, den).expand()
-    num = num + b.num * _counter_complement(b.den, den).expand()
-    return MotivicClass(num, den).normalize()
+    den = DenomForm(a.den.l_exp + b.den.l_exp, a.den.factors + b.den.factors)
+    return MotivicClass(a.num * b.den.expand() + b.num * a.den.expand(), den)
 
 
 def _reference_product(a, b):
     if isinstance(b, int):
         b = MotivicClass(b)
-    one = MotivicClass.one().structural_key()
-    if a.is_zero or b.is_zero:
-        return MotivicClass.zero()
-    if b.structural_key() == one:
-        return a
-    if a.structural_key() == one:
-        return b
     den = DenomForm(a.den.l_exp + b.den.l_exp, a.den.factors + b.den.factors)
-    return MotivicClass(a.num * b.num, den).normalize()
+    return MotivicClass(a.num * b.num, den)
 
 
 @given(
@@ -252,7 +248,9 @@ def test_units_invert_exactly(a):
 
 
 def test_non_units_are_rejected():
-    for num in (IntLaurent({1: 1, 0: -2}), IntLaurent({1: 1, 0: 1}), IntLaurent.from_int(2)):
+    # L + 1 = Phi_2 = (L^2 - 1)/(L - 1) is a unit
+    assert MotivicClass(IntLaurent({1: 1, 0: 1})).inverse() == MotivicClass(l_minus_one(1), DenomForm(0, (2,)))
+    for num in (IntLaurent({1: 1, 0: -2}), IntLaurent({2: 1, 1: 3, 0: 1}), IntLaurent.from_int(2)):
         with pytest.raises(NonInvertibleError):
             MotivicClass(num).inverse()
     with pytest.raises(NonInvertibleError):
@@ -263,13 +261,18 @@ def test_non_units_are_rejected():
     st.sampled_from((1, -1)),
     st.integers(min_value=0, max_value=5),
     st.lists(st.integers(min_value=1, max_value=30), max_size=8),
+    st.dictionaries(st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=3), max_size=3),
 )
-@example(-1, 3, [2, 2, 5, 1, 1, 30, 30, 15])
-def test_unit_part_recovers_sign_l_power_and_factors(sign, a, ns):
+@example(-1, 3, [2, 2, 5, 1, 1, 30, 30, 15], {})
+@example(1, 0, [], {15: 1})  # Phi_15 has degree 8: its index lies above its degree
+def test_unit_part_recovers_sign_l_power_and_factors(sign, a, ns, phis):
     p = IntLaurent.term(a, sign)
+    exponents = _counter_exponents(ns) + Counter(phis)
     for n in ns:
         p = p * l_minus_one(n)
-    assert unit_part(p) == (sign, a, tuple(sorted(ns)))
+    for d, e in phis.items():
+        p = p * cyclotomic(d) ** e
+    assert unit_part(p) == (sign, a, tuple(sorted(exponents.items())))
     for non_unit in (IntLaurent.from_int(2), IntLaurent({1: 1, 0: -2}), IntLaurent({3: 1, 1: 1, 0: 1})):
         assert unit_part(p * non_unit) is None
 
@@ -467,4 +470,8 @@ def test_rendering():
     assert str(bgl_class(1)) == "1 / (L-1)"
     assert str(bgl_class(2)) == "1 / (L * (L-1) * (L^2-1))"
     assert str(MotivicClass(IntLaurent.term(1), DenomForm(0, (1, 2)))) == "L / ((L-1) * (L^2-1))"
-    assert str(MotivicClass(IntLaurent({2: -1, 0: 1}), DenomForm(0, (1,)))) == "(-L^2 + 1) / (L-1)"
+    assert str(MotivicClass(IntLaurent({2: -1, 0: 1}), DenomForm(0, (1,)))) == "-L - 1"
+    # the cover rule: 1/Phi_2 and 1/Phi_4 are written over L^2 - 1 and L^4 - 1
+    assert str(MotivicClass(1, CyclotomicDenom(0, ((2, 1),)))) == "(L - 1) / (L^2-1)"
+    assert str(MotivicClass(1, CyclotomicDenom(0, ((4, 1),)))) == "(L^2 - 1) / (L^4-1)"
+    assert str(MotivicClass(1, CyclotomicDenom(1, ((1, 2), (2, 1))))) == "1 / (L * (L-1) * (L^2-1))"

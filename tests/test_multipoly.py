@@ -20,6 +20,9 @@ def test_construction_rules():
     with pytest.raises(DomainError, match=r"bad exponent tuple \(1, 2, 3\) for 2 variables"):
         MultiPoly(2, [((1, 0), 0), ((1, 2, 3), 1), ((-1, 0), 1)])
     assert MultiPoly(2, {(1, 0): 0}).is_zero
+    for exps in ((0.5, 1), (True, 0), (1, 1.0)):
+        with pytest.raises(DomainError, match="exponents must be ints"):
+            MultiPoly(2, {exps: 1})
     want = MultiPoly(2, {(1, 0): 2, (0, 1): 1})
     for terms in (
         MappingProxyType({(1, 0): 2, (0, 1): 1}),

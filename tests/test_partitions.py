@@ -61,3 +61,9 @@ def test_blocks_skip_zero_multiplicities():
     p = Partition((0, 0, 2))
     assert p.nonzero_blocks() == ((3, 2),)
     assert p.weight == 6
+
+
+@pytest.mark.parametrize("multiplicities", [(1.5,), (1, True), (2.0,)])
+def test_multiplicities_must_be_ints(multiplicities):
+    with pytest.raises(DomainError, match="multiplicities must be ints"):
+        Partition(multiplicities)

@@ -23,7 +23,7 @@ POLY_OPERATORS = {
 #: Public methods and properties of the polynomial types.
 POLY_PUBLIC = {
     stackzeta.IntLaurent: {
-        "adams", "coeff_sum", "coefficient", "divexact", "divide_exact_int", "eval_rational",
+        "adams", "coeff_sum", "coefficient", "div_cyclotomic", "divexact", "divide_exact_int", "eval_rational",
         "from_int", "is_zero", "items", "max_deg", "min_deg", "one", "shift", "substitute",
         "term", "zero",
     },

@@ -89,6 +89,16 @@ def test_sym_powers_of_the_classifying_stack():
         assert sym_power(bgl_class(1), k) == expected
 
 
+def test_zeta_of_the_classifying_stack_is_stored_in_the_gl_shape():
+    # the T^k coefficient L^{k^2-k}/[GL(k)] = L^{k(k-1)/2} / prod_{j<=k}(L^j - 1)
+    # comes out of the engine in exactly that reduced form, whatever the route
+    series = zeta_series(bgl_class(1), 12)
+    for k in range(13):
+        c = series.coefficient(k)
+        assert c.structural_key() == ((((k * k - k) // 2, 1),), 0, tuple((d, k // d) for d in range(1, k + 1)))
+        assert (c.num, c.den) == (IntLaurent.term((k * k - k) // 2), DenomForm(0, tuple(range(1, k + 1))))
+
+
 def test_zeta_closed_form_for_twisted_classes():
     # T^k coefficient of zeta of q^m/(1-q^n) is q^{mk} / prod_{j<=k} (1 - q^{jn})
     for m in (0, 1, 2):

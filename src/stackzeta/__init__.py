@@ -19,7 +19,6 @@ from .errors import (
 )
 from .laurent import IntLaurent, L
 from .motivic import (
-    CyclotomicDenom,
     DenomForm,
     HDRealization,
     MotivicClass,
@@ -86,7 +85,6 @@ __all__ = [
     "AxiomReport",
     "AxiomSample",
     "CounterexampleReport",
-    "CyclotomicDenom",
     "DenomForm",
     "DomainError",
     "EFFECTIVE_CANDIDATE",

@@ -105,47 +105,17 @@ class DenomForm(Frozen):
         return " * ".join(_denominator_parts(self.l_exp, self.factors, "L")) or "1"
 
 
-class CyclotomicDenom(Frozen):
-    """A reduced denominator L^l_exp * prod(Phi_d^e for (d, e) in exponents).
+class _CyclotomicDenom(NamedTuple):
+    """The stored denominator L^l_exp * prod(Phi_d^e for (d, e) in exponents),
+    with l_exp >= 0 and ascending (d, e) pairs, d and e >= 1.  Built only
+    inside this module, through ``_denominator``; the trivial one is ``_NO_DEN``."""
 
-    Invariant: l_exp >= 0, and exponents holds (d, e) pairs of ints >= 1
-    with distinct d, ascending.  The public constructor checks and sorts;
-    ``_raw`` trusts a caller that already holds the invariant.  Instances
-    are hashable, equal when both fields are.
-    """
-
-    __slots__ = _fields = ("l_exp", "exponents")
-
-    def __init__(self, l_exp: int = 0, exponents: Exponents = ()):
-        pairs = tuple(tuple(pair) for pair in exponents)
-        if type(l_exp) is not int or any(len(p) != 2 or type(p[0]) is not int or type(p[1]) is not int for p in pairs):
-            raise DomainError("denominator exponents must be ints")
-        if l_exp < 0:
-            raise DomainError("denominator L-exponent must be nonnegative")
-        if any(d < 1 or e < 1 for d, e in pairs) or len({d for d, _ in pairs}) != len(pairs):
-            raise DomainError("cyclotomic exponents must be (d, e) pairs with distinct d and d, e >= 1")
-        object.__setattr__(self, "l_exp", l_exp)
-        object.__setattr__(self, "exponents", tuple(sorted(pairs)))
-
-    @classmethod
-    def _raw(cls, l_exp: int, exponents: Exponents) -> CyclotomicDenom:
-        # internal: the class invariant must already hold
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "l_exp", l_exp)
-        object.__setattr__(obj, "exponents", exponents)
-        return obj
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.l_exp == other.l_exp and self.exponents == other.exponents
-
-    def __hash__(self) -> int:
-        return hash((self.l_exp, self.exponents))
+    l_exp: int
+    exponents: Exponents
 
 
 _TRIVIAL_DEN = DenomForm()
-_NO_DEN = CyclotomicDenom._raw(0, ())
+_NO_DEN = _CyclotomicDenom(0, ())
 _ONE_NUM = IntLaurent.one()
 _ZERO_NUM = IntLaurent.zero()
 
@@ -169,12 +139,6 @@ def _render_fraction(num: str, l_exp: int, factors: tuple[int, ...], base: str) 
     return f"{num} / ({den})" if len(parts) > 1 else f"{num} / {den}"
 
 
-#: Distinct denominators, complements and covers kept computed; one cli-mix
-#: pass uses tens and one power-axioms pass hundreds, so the bound only stops
-#: unbounded growth.
-EXPAND_CACHE_SIZE = 1024
-
-
 def _balanced_product(polys: Sequence[IntLaurent]) -> IntLaurent:
     """The product of polys, multiplied in balanced halves, so the products of
     many factors reach the packed multiply of IntLaurent."""
@@ -189,13 +153,11 @@ def _denominator_product(l_exp: int, factors: Sequence[int]) -> IntLaurent:
     return _balanced_product([l_minus_one(n) for n in factors]).shift(l_exp)
 
 
-@lru_cache(maxsize=EXPAND_CACHE_SIZE)
 def _cyclotomic_product(l_exp: int, cyc: Exponents) -> IntLaurent:
     """L^l_exp * prod(Phi_d^e for (d, e) in cyc)."""
     return _balanced_product([cyclotomic(d) for d, e in cyc for _ in range(e)]).shift(l_exp)
 
 
-@lru_cache(maxsize=EXPAND_CACHE_SIZE)
 def _binomial_exponents(factors: tuple[int, ...]) -> Exponents:
     """The cyclotomic exponents of prod(L^n - 1 for n in factors)."""
     exps: dict[int, int] = {}
@@ -205,7 +167,6 @@ def _binomial_exponents(factors: tuple[int, ...]) -> Exponents:
     return tuple(sorted(exps.items()))
 
 
-@lru_cache(maxsize=EXPAND_CACHE_SIZE)
 def _cover(cyc: Exponents) -> tuple[tuple[int, ...], IntLaurent]:
     """The cover rule: the factors n of the shape prod(L^n - 1) that
     prod Phi_d^e is written in, largest d first, and the product of the
@@ -226,7 +187,6 @@ def _cover(cyc: Exponents) -> tuple[tuple[int, ...], IntLaurent]:
     return tuple(reversed(factors)), _cyclotomic_product(0, tuple(sorted(extra.items())))
 
 
-@lru_cache(maxsize=EXPAND_CACHE_SIZE)
 def _adams_exponents(cyc: Exponents, r: int) -> Exponents:
     """The exponents of prod Phi_d(L^r)^e, prime by prime over r:
     Phi_d(L^p) is Phi_{dp} when p divides d, and Phi_{dp} * Phi_d otherwise."""
@@ -320,12 +280,9 @@ def _peel(body: IntLaurent, bound: int) -> Exponents | None:
         for _ in range(abs(c)):
             if c < 0:  # multiply by 1 - L^n
                 s[n:] = map(sub, s[n:], s[:-n])
-            elif 2 * n < bound:  # divide by 1 - L^n: running sums per residue class
-                for r in range(n):
+            else:  # divide by 1 - L^n: running sums per residue class of length >= 2
+                for r in range(min(n, bound + 1 - n)):
                     s[r::n] = accumulate(s[r::n])
-            else:
-                for i in range(n, bound + 1):
-                    s[i] += s[i - n]
         for d in divisors(n):
             exps[d] = exps.get(d, 0) + c
     if any(e < 0 for e in exps.values()) or sum(e * totient(d) for d, e in exps.items()) != deg:
@@ -360,25 +317,27 @@ def unit_part(p: IntLaurent) -> tuple[int, int, Exponents] | None:
 class MotivicClass(Frozen):
     """An element of the Grothendieck ring of stacks, kept as a reduced fraction.
 
-    ``MotivicClass(num, den)`` takes a numerator and a denominator, either a
-    shape ``DenomForm`` or a ``CyclotomicDenom``, and stores their reduced
-    form.  Equal classes are equal structurally and hash alike.  Arithmetic
-    coerces ints and IntLaurent values on either side.
+    ``MotivicClass(num, den)`` takes a numerator and a ``DenomForm`` shape
+    and stores their reduced form (copy and pickle pass the stored
+    denominator instead).  Equal classes are equal structurally and hash
+    alike, and a class with no denominator hashes as its numerator, so it
+    hashes as the int or IntLaurent it equals.  Arithmetic coerces ints and
+    IntLaurent values on either side.
     """
 
     __slots__ = _fields = ("_num", "_den")
 
-    def __init__(self, num: IntLaurent | int, den: DenomForm | CyclotomicDenom = _TRIVIAL_DEN):
+    def __init__(self, num: IntLaurent | int, den: DenomForm = _TRIVIAL_DEN):
         if isinstance(num, int):
             num = IntLaurent.from_int(num)
         if isinstance(den, DenomForm):
             cyc = _binomial_exponents(den.factors)
-        elif isinstance(den, CyclotomicDenom):
+        elif isinstance(den, _CyclotomicDenom):
             cyc = den.exponents
         else:
             cyc = None
         if not isinstance(num, IntLaurent) or cyc is None:
-            raise DomainError("MotivicClass needs an IntLaurent numerator and a DenomForm or CyclotomicDenom")
+            raise DomainError("MotivicClass needs an IntLaurent numerator and a DenomForm")
         l_exp = den.l_exp
         if not num.is_zero and num.min_deg < 0:
             l_exp -= num.min_deg
@@ -388,7 +347,7 @@ class MotivicClass(Frozen):
         object.__setattr__(self, "_den", a._den)
 
     @classmethod
-    def _raw(cls, num: IntLaurent, den: CyclotomicDenom) -> MotivicClass:
+    def _raw(cls, num: IntLaurent, den: _CyclotomicDenom) -> MotivicClass:
         # internal: num / den must already be reduced, with num of nonnegative degree
         obj = object.__new__(cls)
         object.__setattr__(obj, "_num", num)
@@ -410,7 +369,7 @@ class MotivicClass(Frozen):
         """L^k for any integer k; negative k lands in the denominator."""
         if k >= 0:
             return cls._raw(IntLaurent.term(k), _NO_DEN)
-        return cls._raw(_ONE_NUM, CyclotomicDenom._raw(-k, ()))
+        return cls._raw(_ONE_NUM, _CyclotomicDenom(-k, ()))
 
     # -- inspection --------------------------------------------------------
 
@@ -442,7 +401,7 @@ class MotivicClass(Frozen):
         return self._den == o._den and self._num == o._num
 
     def __hash__(self) -> int:
-        return hash((self._num, self._den))
+        return hash(self._num) if self._den is _NO_DEN else hash((self._num, self._den))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -644,24 +603,28 @@ _ZERO = MotivicClass._raw(_ZERO_NUM, _NO_DEN)
 _ONE = MotivicClass._raw(_ONE_NUM, _NO_DEN)
 
 
-def _denominator(l_exp: int, cyc: Exponents) -> CyclotomicDenom:
-    return CyclotomicDenom._raw(l_exp, cyc) if l_exp or cyc else _NO_DEN
+def _denominator(l_exp: int, cyc: Exponents) -> _CyclotomicDenom:
+    return _CyclotomicDenom(l_exp, cyc) if l_exp or cyc else _NO_DEN
 
 
 def _sorted_exponents(exps: dict[int, int]) -> Exponents:
     return tuple(sorted((d, e) for d, e in exps.items() if e))
 
 
-@lru_cache(maxsize=EXPAND_CACHE_SIZE)
-def _product_denominator(a: CyclotomicDenom, b: CyclotomicDenom) -> CyclotomicDenom:
+def _product_denominator(a: _CyclotomicDenom, b: _CyclotomicDenom) -> _CyclotomicDenom:
     exps = dict(a.exponents)
     for d, e in b.exponents:
         exps[d] = exps.get(d, 0) + e
     return _denominator(a.l_exp + b.l_exp, _sorted_exponents(exps))
 
 
+#: Sum plans kept computed, one per pair of denominators.  One power-axioms
+#: pass asks 854 times for 253 pairs, and the bound only stops unbounded growth.
+EXPAND_CACHE_SIZE = 1024
+
+
 @lru_cache(maxsize=EXPAND_CACHE_SIZE)
-def _sum_plan(a: CyclotomicDenom, b: CyclotomicDenom) -> tuple:
+def _sum_plan(a: _CyclotomicDenom, b: _CyclotomicDenom) -> tuple:
     """How a/A + b/B is put over the exponent-wise max M of A and B: M, the
     complements M/A and M/B, and the d whose Phi_d can divide the sum.  Only
     a Phi_d with the same exponent on both sides can: on any other d, one
@@ -670,7 +633,7 @@ def _sum_plan(a: CyclotomicDenom, b: CyclotomicDenom) -> tuple:
     top = {d: max(mine.get(d, 0), theirs.get(d, 0)) for d in mine.keys() | theirs.keys()}
     l_exp = max(a.l_exp, b.l_exp)
 
-    def complement(den: CyclotomicDenom, have: dict[int, int]) -> IntLaurent:
+    def complement(den: _CyclotomicDenom, have: dict[int, int]) -> IntLaurent:
         rest = _sorted_exponents({d: e - have.get(d, 0) for d, e in top.items()})
         return _cyclotomic_product(l_exp - den.l_exp, rest)
 

@@ -1,9 +1,9 @@
 """Value contracts of the package's record types.
 
 Records are ``typing.NamedTuple``s, or ``__slots__`` classes that derive from
-``stackzeta._frozen.Frozen``: the nine value types ``IntLaurent``,
-``MultiPoly``, ``DenomForm``, ``CyclotomicDenom``, ``MotivicClass``,
-``TruncatedSeries``, ``Ring``, ``LambdaProvider`` and ``Partition``.  Each test pins the behaviour
+``stackzeta._frozen.Frozen``: the eight value types ``IntLaurent``,
+``MultiPoly``, ``DenomForm``, ``MotivicClass``, ``TruncatedSeries``,
+``Ring``, ``LambdaProvider`` and ``Partition``.  Each test pins the behaviour
 users see: the ``repr`` text, ``==``, hashability, and that fields can be
 neither set nor deleted.  Every ``Frozen`` type, and the records, survive
 ``copy`` and ``pickle`` through their public constructors.
@@ -16,7 +16,6 @@ import re
 import pytest
 
 from stackzeta import (
-    CyclotomicDenom,
     DenomForm,
     DomainError,
     ElaborationError,
@@ -123,7 +122,6 @@ UNNORMALIZED = MotivicClass(IntLaurent({2: 1, 0: -1}), DenomForm(1, (1, 2)))
         UNNORMALIZED,
         zeta_series(bgl_class(1), 3),
         motivic_ring(),
-        CyclotomicDenom(2, ((3, 1),)),
     ],
 )
 def test_values_copy_and_pickle(obj):
@@ -138,7 +136,6 @@ FROZEN_SAMPLES = {
     IntLaurent: (IntLaurent({3: 1, 0: -2, -1: 5}), "IntLaurent(L^3 - 2 + 5*L^-1)"),
     MultiPoly: (MultiPoly(2, {(1, 2): 3, (0, 0): -1}), "MultiPoly(2, 3*u*v^2 - 1)"),
     DenomForm: (DenomForm(2, (3, 1)), "DenomForm(l_exp=2, factors=(1, 3))"),
-    CyclotomicDenom: (CyclotomicDenom(1, ((2, 1), (1, 3))), "CyclotomicDenom(l_exp=1, exponents=((1, 3), (2, 1)))"),
     MotivicClass: (UNNORMALIZED, "MotivicClass(1 / (L * (L-1)))"),
     TruncatedSeries: (
         zeta_series(bgl_class(1), 2),

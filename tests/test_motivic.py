@@ -26,7 +26,6 @@ from stackzeta.motivic import unit_part
 
 from _strategies import (
     EVAL_POINTS,
-    denom_forms,
     laurents,
     motivic_classes,
     shared_denominator_pairs,

@@ -2,8 +2,8 @@
 
 Polynomials are sparse maps from degree to nonzero integer coefficient, so
 arithmetic is exact at every step.  The key-blind part of the arithmetic
-(accumulating terms, addition, negation, subtraction, powers, exact division
-by an int, rendering) is the term-map kernel ``multipoly._TermPoly``, shared
+(accumulating terms, addition, negation, subtraction, scaling by an int,
+powers, exact division by an int, rendering) is the term-map kernel ``multipoly._TermPoly``, shared
 with ``MultiPoly``; this module adds what reads the degrees: products, the
 cyclotomic polynomials Phi_d that denominators are made of and the exact
 division by them, Adams operations, shifts and maps out of the ring.
@@ -107,9 +107,7 @@ class IntLaurent(_TermPoly):
 
     def __mul__(self, other) -> IntLaurent:
         if isinstance(other, int):
-            if not other:
-                return IntLaurent.zero()
-            return IntLaurent._raw({d: other * c for d, c in self._terms.items()})
+            return self._scale(other)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -153,10 +151,15 @@ class IntLaurent(_TermPoly):
             return NotImplemented
         return self._terms == o._terms
 
+    def as_int(self) -> int | None:
+        """The int this polynomial equals, or None when it is not a constant."""
+        return self._terms.get(0, 0) if self._terms.keys() <= {0} else None
+
     def __hash__(self) -> int:
         # a constant equals its int, so it hashes as that int
-        if self._terms.keys() <= {0}:
-            return hash(self._terms.get(0, 0))
+        c = self.as_int()
+        if c is not None:
+            return hash(c)
         return hash(tuple(sorted(self._terms.items())))
 
     # -- division ----------------------------------------------------------

@@ -403,6 +403,10 @@ class MotivicClass(Frozen):
     def __hash__(self) -> int:
         return hash(self._num) if self._den is _NO_DEN else hash((self._num, self._den))
 
+    def as_int(self) -> int | None:
+        """The int this class equals, or None when it is not an integer."""
+        return self._num.as_int() if self._den is _NO_DEN else None
+
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other) -> MotivicClass:

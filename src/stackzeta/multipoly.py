@@ -3,8 +3,8 @@
 ``_TermPoly`` is the kernel shared with ``laurent.IntLaurent``: a polynomial
 is a sparse dict from a monomial key to a nonzero int coefficient, and every
 operation that never looks inside a key (size, accumulating terms, addition,
-negation, subtraction, powers, exact division by an int, rendering) is
-written once there.  ``MultiPoly`` keys the map by exponent tuples; it holds
+negation, subtraction, scaling by an int, powers, exact division by an int,
+rendering) is written once there.  ``MultiPoly`` keys the map by exponent tuples; it holds
 Hodge-Deligne polynomials in u, v (two variables) and the truncated
 expansions of the distinct-exponent generating functions in q_1..q_k.
 """
@@ -100,6 +100,10 @@ class _TermPoly(Frozen):
             base = base * base
             n >>= 1
         return out
+
+    def _scale(self, k: int) -> _TermPoly:
+        """self * k for an int k, without building k as a polynomial."""
+        return self._new({key: k * c for key, c in self._terms.items()} if k else {})
 
     def divide_exact_int(self, d: int) -> _TermPoly:
         """self/d for an integer d that must divide every coefficient.
@@ -218,6 +222,8 @@ class MultiPoly(_TermPoly):
         return None
 
     def __mul__(self, other) -> MultiPoly:
+        if isinstance(other, int):
+            return self._scale(other)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -243,14 +249,25 @@ class MultiPoly(_TermPoly):
             return self
         return MultiPoly._raw(self._nvars, {tuple(e * r for e in exps): c for exps, c in self._terms.items()})
 
+    def as_int(self) -> int | None:
+        """The int this polynomial equals, or None when it is not a constant."""
+        terms = self._terms
+        if len(terms) > 1:
+            return None
+        return terms.get((0,) * self._nvars) if terms else 0
+
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
-            other = MultiPoly.constant(self._nvars, other)
+            return self.as_int() == other
         if not isinstance(other, MultiPoly):
             return NotImplemented
         return self._nvars == other._nvars and self._terms == other._terms
 
     def __hash__(self) -> int:
+        # a constant equals its int, so it hashes as that int
+        c = self.as_int()
+        if c is not None:
+            return hash(c)
         return hash((self._nvars, tuple(sorted(self._terms.items()))))
 
     # -- rendering -----------------------------------------------------------

@@ -23,7 +23,11 @@ T d/dT log A(T).  The factor lambda_b(T^k) contributes k psi^r(b) at T^{kr},
 so g_n = sum_{k r = n} k psi^r(b_k) is a triangular system for the b_k, and
 A^m has the ghosts sum_{k r = n} k psi^r(m * b_k).  Adams operations need not
 be multiplicative (the opposite structure's are not), so psi is always
-applied to the product m * b_k.
+applied to the product m * b_k.  They are additive, though, for every
+provider, so an integer exponent c needs no factorization: the ghosts of A^c
+are sum_{k r = n} k psi^r(c * b_k) = c g_n, and A^c is the ordinary c-th
+power of A.  ``power`` finds such an exponent with the coefficient's
+``as_int()`` and scales the ghosts.
 
 The ghost transforms are ``TruncatedSeries.ghosts`` and ``from_ghosts``; this
 module keeps the solve for the b_k and the ghost assembly of A^m.  It is
@@ -57,6 +61,9 @@ def check_order(order: int) -> None:
 class LambdaProvider(Frozen):
     """A pre-lambda structure given by its Adams operations psi(x, r).
 
+    Each psi^r must be additive, psi(x + y, r) = psi(x, r) + psi(y, r), as
+    the Adams operations of a pre-lambda structure are; ``power`` relies on
+    it to raise a series to an integer c as its ordinary c-th power.
     Providers compare (and hash) by identity.
     """
 
@@ -76,11 +83,15 @@ class LambdaProvider(Frozen):
         return TruncatedSeries.from_ghosts(self.ring, ghosts)
 
 
+def _check_ring(series: TruncatedSeries, provider: LambdaProvider) -> None:
+    if series.ring != provider.ring:
+        raise DomainError("series ring does not match the provider")
+
+
 def lambda_factorize(series: TruncatedSeries, provider: LambdaProvider) -> tuple:
     """The unique elements (b_1, ..., b_N) with series = prod lambda_{b_k}(T^k)."""
     check_order(series.order)
-    if series.ring != provider.ring:
-        raise DomainError("series ring does not match the provider")
+    _check_ring(series, provider)
     g = series.ghosts()
     b = [None]
     for n in range(1, len(g)):
@@ -96,12 +107,17 @@ def power(series: TruncatedSeries, exponent: Any, provider: LambdaProvider) -> T
     """series^exponent under the provider's power structure.
 
     The exponent must lie in the provider's coefficient ring; cross-ring
-    exponentiation is rejected.
+    exponentiation is rejected.  An exponent equal to an integer c gives the
+    ordinary c-th power, by scaling the ghost components.
     """
     check_order(series.order)
     ring = provider.ring
     if not ring.is_member(exponent):
         raise DomainError(f"exponent does not lie in the {ring.name} ring")
+    c = exponent.as_int()
+    if c is not None:
+        _check_ring(series, provider)
+        return TruncatedSeries.from_ghosts(ring, [c * g for g in series.ghosts()])
     order = series.order
     ghosts = [ring.zero] * (order + 1)
     for k, bk in enumerate(lambda_factorize(series, provider), start=1):

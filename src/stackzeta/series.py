@@ -26,7 +26,9 @@ class Ring(Frozen):
     multiplied by ints, and have an ``is_zero`` property.  The ghost
     transform ``TruncatedSeries.from_ghosts`` also divides them by integers
     with ``divide_exact_int(d)``, which raises InternalConsistencyError when
-    d does not divide exactly.  Rings are equal by name and unhashable.
+    d does not divide exactly.  ``as_int()`` gives the int a coefficient
+    equals, or None: ``power.power`` takes an integer exponent by its own
+    route, the ordinary power.  Rings are equal by name and unhashable.
     """
 
     __slots__ = _fields = ("name", "zero", "one")

@@ -130,6 +130,24 @@ def test_hash_agrees_with_equality_across_types():
     assert {MotivicClass.one(): "one"}[1] == "one"
 
 
+def test_as_int_gives_the_int_a_class_equals():
+    L = MotivicClass.l_power(1)
+    one = MotivicClass.one()
+    for a, c in ((MotivicClass.zero(), 0), (one, 1), (MotivicClass(-3), -3), (MotivicClass(5), 5),
+                 ((L - 1) / (L - 1), 1), (L * bgl_class(1) - bgl_class(1) * L, 0)):
+        assert a.as_int() == c and type(a.as_int()) is int
+    for a in (L, L + 1, one / (L - 1), L / (L * L - 1), MotivicClass.l_power(-1)):
+        assert a.as_int() is None
+
+
+@given(motivic_classes())
+def test_as_int_agrees_with_equality(a):
+    c = a.as_int()
+    if c is not None:
+        assert a == c and hash(a) == hash(c)
+    assert all((a == k) == (c == k) for k in (-1, 0, 1, 2))
+
+
 @given(motivic_classes(), motivic_classes())
 def test_equality_is_structural(a, b):
     assert (a == b) == (a.structural_key() == b.structural_key())

@@ -148,6 +148,34 @@ def test_int_coercion_both_sides():
     assert 1 - u == -(u - 1)
 
 
+@given(multipolys(), st.integers(-5, 5))
+def test_int_scaling_and_equality_match_the_constant_polynomial(p, c):
+    const = MultiPoly.constant(2, c)
+    assert p * c == c * p == p * const
+    assert (p * c).is_zero == (c == 0 or p.is_zero)
+    assert (p == c) == (p == const) == (p.as_int() == c)
+
+
+def test_as_int_gives_the_int_a_constant_equals():
+    u, v = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    for p, c in ((MultiPoly.zero(2), 0), (MultiPoly.one(2), 1), (MultiPoly.constant(2, -3), -3),
+                 (MultiPoly.constant(2, 2), 2), (MultiPoly.constant(3, 7), 7), (u - u + 4, 4)):
+        assert p.as_int() == c and type(p.as_int()) is int
+    for p in (u, v, u * v, u + 1, MultiPoly.monomial((0, 2), 5)):
+        assert p.as_int() is None
+    assert IntLaurent.from_int(-3).as_int() == -3 and IntLaurent.zero().as_int() == 0
+    assert IntLaurent.term(1).as_int() is None and IntLaurent.term(-1, 2).as_int() is None
+
+
+def test_a_constant_hashes_as_its_int():
+    # a constant polynomial equals its int, so a set or dict must see one key
+    assert MultiPoly.constant(2, 3) == 3
+    assert len({MultiPoly.constant(2, 3), 3}) == 1
+    assert hash(MultiPoly.zero(2)) == hash(0) and len({MultiPoly.zero(3), 0}) == 1
+    assert {3: "three"}[MultiPoly.constant(2, 3)] == "three"
+    assert {MultiPoly.one(2): "one"}[1] == "one"
+
+
 @given(multipolys())
 def test_json_round_trip(p):
     assert MultiPoly.from_json(p.to_json()) == p

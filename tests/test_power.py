@@ -4,14 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from math import comb, factorial
+
 from stackzeta import (
     DomainError,
     IntLaurent,
     MotivicClass,
+    MultiPoly,
     TruncatedSeries,
     axiom_suite,
     bgl_class,
     binomial_series,
+    hd_provider,
     lambda_factorize,
     motivic_provider,
     motivic_ring,
@@ -21,7 +25,7 @@ from stackzeta import (
 )
 from stackzeta.power import AxiomSample
 
-from _strategies import motivic_classes
+from _strategies import motivic_classes, multipolys
 
 MOT = motivic_ring()
 ONE = MotivicClass.one()
@@ -110,6 +114,9 @@ def test_power_rejects_cross_ring_series():
     s = TruncatedSeries.one(hd_ring(2), 2)
     with pytest.raises(DomainError):
         lambda_factorize(s, provider)
+    for exponent in (MotivicClass.zero(), ONE, MotivicClass.l_power(1)):
+        with pytest.raises(DomainError, match="series ring does not match the provider"):
+            power(s, exponent, provider)
 
 
 def test_binomial_series_linear_coefficient():
@@ -188,3 +195,73 @@ def test_axiom_suite_rejects_a_broken_provider():
     assert not report.passed
     assert report.failures()
     assert all(c.witness for c in report.failures())
+
+
+# -- integer exponents ----------------------------------------------------------
+
+PROVIDERS = {
+    "motivic": motivic_provider(),
+    "motivic-opposite": opposite_provider(motivic_provider()),
+    "hd": hd_provider(),
+    "hd-opposite": opposite_provider(hd_provider()),
+}
+
+
+def general_power(series, exponent, provider):
+    """The route for every exponent: lambda-factorize, then assemble the
+    ghosts sum_{kr=n} k psi^r(m b_k) of A^m."""
+    ring, order = provider.ring, series.order
+    ghosts = [ring.zero] * (order + 1)
+    for k, bk in enumerate(lambda_factorize(series, provider), start=1):
+        for r in range(1, order // k + 1):
+            ghosts[k * r] = ghosts[k * r] + k * provider.psi(exponent * bk, r)
+    return TruncatedSeries.from_ghosts(ring, ghosts)
+
+
+@st.composite
+def provider_unit_series(draw, order=3):
+    """A provider and a series with constant term 1 over its ring."""
+    name = draw(st.sampled_from(sorted(PROVIDERS)))
+    provider = PROVIDERS[name]
+    ring = provider.ring
+    if name.startswith("motivic"):
+        coeffs = st.lists(motivic_classes(max_terms=2), min_size=order, max_size=order)
+    else:
+        coeffs = st.lists(multipolys(max_deg=2, max_terms=2), min_size=order, max_size=order)
+    return provider, TruncatedSeries(ring, (ring.one, *draw(coeffs)))
+
+
+@given(provider_unit_series(), st.integers(-3, 3))
+@settings(max_examples=40, deadline=None)
+def test_integer_exponents_give_the_ordinary_power(case, c):
+    provider, s = case
+    exponent = c * provider.ring.one
+    assert exponent.as_int() == c
+    result = power(s, exponent, provider)
+    assert result == general_power(s, exponent, provider)
+    assert result == s ** c
+
+
+@given(st.sampled_from(sorted(PROVIDERS)), st.integers(-3, 3), st.integers(0, 5))
+def test_binomial_series_of_an_integer_has_binomial_coefficients(name, c, order):
+    provider = PROVIDERS[name]
+    one = provider.ring.one
+    # binom(c, k) = c (c - 1) ... (c - k + 1) / k!, for negative c too
+    falling = [1]
+    for k in range(1, order + 1):
+        falling.append(falling[-1] * (c - k + 1))
+    expected = [f // factorial(k) for k, f in enumerate(falling)]
+    if c >= 0:
+        assert expected == [comb(c, k) for k in range(order + 1)]
+    assert binomial_series(c * one, order, provider).coefficients == tuple(e * one for e in expected)
+
+
+@pytest.mark.parametrize("name", sorted(PROVIDERS))
+@pytest.mark.parametrize("c", (-2, 0, 1, 3))
+def test_integer_exponents_need_constant_term_one(name, c):
+    provider = PROVIDERS[name]
+    ring = provider.ring
+    two = ring.one + ring.one
+    s = TruncatedSeries(ring, (two, ring.one, ring.zero))
+    with pytest.raises(DomainError, match="ghost components need constant term 1"):
+        power(s, c * ring.one, provider)

@@ -23,12 +23,12 @@ POLY_OPERATORS = {
 #: Public methods and properties of the polynomial types.
 POLY_PUBLIC = {
     stackzeta.IntLaurent: {
-        "adams", "coeff_sum", "coefficient", "div_cyclotomic", "divexact", "divide_exact_int", "eval_rational",
+        "adams", "as_int", "coeff_sum", "coefficient", "div_cyclotomic", "divexact", "divide_exact_int", "eval_rational",
         "from_int", "is_zero", "items", "max_deg", "min_deg", "one", "shift", "substitute",
         "term", "zero",
     },
     stackzeta.MultiPoly: {
-        "adams", "coefficient", "constant", "divide_exact_int", "from_json", "is_zero", "items",
+        "adams", "as_int", "coefficient", "constant", "divide_exact_int", "from_json", "is_zero", "items",
         "monomial", "nvars", "one", "to_json", "top_part", "total_degree",
         "variable", "zero",
     },

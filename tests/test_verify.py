@@ -123,10 +123,13 @@ def test_axiom_scenario_hd_ring():
     assert report.passed, report.witness
 
 
-def test_axiom_negative_control():
-    report = verify_axioms("motivic", 2, 3, 0, perturbed=True)
+@pytest.mark.parametrize("ring", ("motivic", "hd"))
+def test_axiom_negative_control(ring):
+    # integer exponents give the ordinary power on any provider, so the broken
+    # Adams operations first show where a class exponent meets a product
+    report = verify_axioms(ring, 2, 3, 0, perturbed=True)
     assert not report.passed
-    assert report.witness
+    assert report.witness.startswith("axiom 3 ((A*B)^m = A^m * B^m): sample 0: ")
 
 
 def test_axiom_guards():

@@ -232,7 +232,7 @@ def provider_unit_series(draw, order=3):
 
 
 @given(provider_unit_series(), st.integers(-3, 3))
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 def test_integer_exponents_give_the_ordinary_power(case, c):
     provider, s = case
     exponent = c * provider.ring.one

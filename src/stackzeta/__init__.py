@@ -6,6 +6,19 @@ fraction in L with a structured denominator.  On top of that sit the
 Kapranov zeta function as a pre-lambda structure, the power structures it
 induces, the Hodge-Deligne realization with effectiveness refutation, and a
 verification suite that checks each identity two independent ways.
+
+The exports of the two verification-only modules resolve on first access
+(PEP 562), and so do the modules themselves as ``stackzeta.oracles`` and
+``stackzeta.verify``: the engine never needs them, and every CLI call is a
+fresh process that would otherwise pay for them at import.  They are, from
+``oracles``: ``FuncEqReport``, ``Partition``, ``PrefixReport``,
+``block_distinct_oracle``, ``block_distinct_sum``,
+``check_functional_equation``, ``distinct_exponent_oracle``,
+``distinct_exponent_sum``, ``distinct_exponent_sum_taylor``,
+``infinite_product_prefix``, ``partitions_of``, ``zeta_from_sigma`` and
+``zeta_of_polynomial``; from ``verify``: ``VerificationReport``,
+``verify_axioms``, ``verify_distinct_sum``, ``verify_grassmannian`` and
+``verify_zeta_closed_form``.
 """
 
 from .errors import (
@@ -55,31 +68,54 @@ from .hodge import (
     stack_power_counterexample,
 )
 from .zeta import motivic_provider, motivic_ring, opposite_zeta, sym_power, zeta_series
-from .oracles import (
-    FuncEqReport,
-    Partition,
-    PrefixReport,
-    block_distinct_oracle,
-    block_distinct_sum,
-    check_functional_equation,
-    distinct_exponent_oracle,
-    distinct_exponent_sum,
-    distinct_exponent_sum_taylor,
-    infinite_product_prefix,
-    partitions_of,
-    zeta_from_sigma,
-    zeta_of_polynomial,
-)
 from .expr import parse_class, parse_poly, parse_series
-from .verify import (
-    VerificationReport,
-    verify_axioms,
-    verify_distinct_sum,
-    verify_grassmannian,
-    verify_zeta_closed_form,
-)
 
 __version__ = "0.1.0"
+
+#: The exports resolved on first access, by the module that defines them.
+_LAZY_EXPORTS = {
+    "oracles": (
+        "FuncEqReport",
+        "Partition",
+        "PrefixReport",
+        "block_distinct_oracle",
+        "block_distinct_sum",
+        "check_functional_equation",
+        "distinct_exponent_oracle",
+        "distinct_exponent_sum",
+        "distinct_exponent_sum_taylor",
+        "infinite_product_prefix",
+        "partitions_of",
+        "zeta_from_sigma",
+        "zeta_of_polynomial",
+    ),
+    "verify": (
+        "VerificationReport",
+        "verify_axioms",
+        "verify_distinct_sum",
+        "verify_grassmannian",
+        "verify_zeta_closed_form",
+    ),
+}
+_LAZY_OWNER = {name: module for module, names in _LAZY_EXPORTS.items() for name in names}
+
+
+def __getattr__(name: str):
+    """Import ``oracles`` or ``verify`` when one of its exports, or the module
+    itself, is first asked for, and keep the value in the module globals."""
+    owner = name if name in _LAZY_EXPORTS else _LAZY_OWNER.get(name)
+    if owner is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    module = import_module(f"{__name__}.{owner}")
+    value = module if owner == name else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _LAZY_EXPORTS.keys() | _LAZY_OWNER.keys())
 
 __all__ = [
     "AxiomReport",

@@ -12,11 +12,10 @@ inconsistency (a bug, not bad input).
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
-from fractions import Fraction
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 from .errors import (
     DomainError,
@@ -30,14 +29,13 @@ from .expr import evaluate_class, parse_class, parse_class_or_poly, parse_poly, 
 from .hodge import check_class_effectiveness, check_polynomial_effectiveness, hd_zeta
 from .multipoly import MultiPoly
 from .power import power
-from .verify import (
-    SCENARIOS,
-    verify_axioms,
-    verify_distinct_sum,
-    verify_grassmannian,
-    verify_zeta_closed_form,
-)
 from .zeta import motivic_provider, opposite_zeta, sym_power, zeta_series
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+#: The named scenarios of ``verify``, which is imported only by that command.
+SCENARIOS = ("distinct-sum", "zeta-closed-form", "grassmannian", "axioms")
 
 
 @lru_cache(maxsize=1)
@@ -125,7 +123,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def _emit(args, text_value, json_value) -> int:
     """Print the result; json_value may hold Fractions and polynomials, written as strings."""
     with int_text_limit():
-        text = json.dumps(json_value, default=str) if args.json else str(text_value)
+        if args.json:
+            import json
+
+            text = json.dumps(json_value, default=str)
+        else:
+            text = str(text_value)
     print(text)
     return 0
 
@@ -175,6 +178,8 @@ def _run(args) -> int:
     if args.command == "verify":
         if args.perturb and args.scenario not in ("distinct-sum", "axioms"):
             raise DomainError(f"--perturb is supported by distinct-sum and axioms, not {args.scenario}")
+        from .verify import verify_axioms, verify_distinct_sum, verify_grassmannian, verify_zeta_closed_form
+
         if args.scenario == "distinct-sum":
             report = verify_distinct_sum(args.k, args.cap_degree, perturb=args.perturb)
         elif args.scenario == "zeta-closed-form":
@@ -185,10 +190,7 @@ def _run(args) -> int:
             report = verify_axioms(
                 args.ring, args.order, args.samples, args.seed, perturbed=args.perturb
             )
-        if args.json:
-            print(json.dumps(report.to_json()))
-        else:
-            print(report)
+        _emit(args, report, report.to_json())
         return 0 if report.passed else 1
 
     raise InternalConsistencyError(f"unhandled command {args.command!r}")
@@ -218,6 +220,8 @@ def _at_value(text: str) -> Fraction:
             f"--at value has an exponent of {exp}, so 10^{abs(exp)} is above the limit of {limit} digits"
             " for integer conversion"
         )
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import re
 import sys
-from fractions import Fraction
-from typing import NamedTuple
+from collections import namedtuple
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, ElaborationError, NonInvertibleError, ParseError, ResourceLimitError
 from .motivic import MotivicClass, bgl_class, gl_class, grassmannian_class, standard_forms
@@ -30,6 +30,9 @@ from .power import check_order
 from .series import TruncatedSeries
 from .zeta import MOTIVIC
 
+if TYPE_CHECKING:
+    from fractions import Fraction
+
 # -- tokens ----------------------------------------------------------------------
 
 #: One alternative per token kind.  \d is exactly the decimal digits that int()
@@ -37,11 +40,11 @@ from .zeta import MOTIVIC
 _TOKEN = re.compile(r"(?P<INT>\d+)|(?P<NAME>[^\W\d]\w*)|(?P<OP>[-+*/^(),])|(?P<NL>\n)|(?P<ERR>\S)")
 
 
-class Token(NamedTuple):
-    kind: str  # INT, NAME, OP, END
-    text: str
-    line: int
-    col: int
+class Token(namedtuple("Token", "kind text line col")):
+    """A token: its kind (INT, NAME, OP or END), its text, and the 1-based
+    line and column where it starts."""
+
+    __slots__ = ()
 
 
 def tokenize(text: str) -> list[Token]:
@@ -62,37 +65,40 @@ def tokenize(text: str) -> list[Token]:
 # -- syntax tree -------------------------------------------------------------------
 
 
-class Num(NamedTuple):
-    value: int
-    tok: Token
+class Num(namedtuple("Num", "value tok")):
+    """An integer literal."""
+
+    __slots__ = ()
 
 
-class Sym(NamedTuple):
-    name: str
-    tok: Token
+class Sym(namedtuple("Sym", "name tok")):
+    """A bare identifier."""
+
+    __slots__ = ()
 
 
-class Call(NamedTuple):
-    name: str
-    args: tuple
-    tok: Token
+class Call(namedtuple("Call", "name args tok")):
+    """A constructor call: its name and a tuple of argument nodes."""
+
+    __slots__ = ()
 
 
-class Neg(NamedTuple):
-    operand: object
+class Neg(namedtuple("Neg", "operand")):
+    """Unary minus."""
+
+    __slots__ = ()
 
 
-class BinOp(NamedTuple):
-    op: str
-    left: object
-    right: object
-    tok: Token
+class BinOp(namedtuple("BinOp", "op left right tok")):
+    """A binary operation; op is one of + - * /."""
+
+    __slots__ = ()
 
 
-class Pow(NamedTuple):
-    base: object
-    exponent: int
-    tok: Token
+class Pow(namedtuple("Pow", "base exponent tok")):
+    """A node raised to an int exponent."""
+
+    __slots__ = ()
 
 
 class _Parser:
@@ -320,8 +326,11 @@ class _PointEnv(_ClassEnv):
     """
 
     def __init__(self, t: Fraction):
+        from fractions import Fraction
+
         self.t = t
         self.classes = _ClassEnv()
+        self.fraction = Fraction  # of_int runs once per integer leaf, so it imports nothing
 
     def run(self, node):
         if isinstance(node, BinOp) and node.op == "/":
@@ -336,7 +345,7 @@ class _PointEnv(_ClassEnv):
         return _at_token(tok, unit.inverse).eval_rational(self.t)
 
     def of_int(self, n: int):
-        return Fraction(n)
+        return self.fraction(n)
 
     def symbol(self, node: Sym):
         if node.name == "L":

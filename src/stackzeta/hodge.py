@@ -21,8 +21,7 @@ refutes effectiveness conclusively; the passing verdict is only
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import NamedTuple
+from collections import Counter, namedtuple
 
 from .errors import DomainError, int_text_limit
 from .laurent import IntLaurent
@@ -59,10 +58,11 @@ def hd_opposite_provider(nvars: int = 2) -> LambdaProvider:
 # -- effectiveness --------------------------------------------------------------
 
 
-class EffectivenessResult(NamedTuple):
-    verdict: str
-    witness: MultiPoly | None = None
-    detail: str = ""
+class EffectivenessResult(namedtuple("EffectivenessResult", "verdict witness detail", defaults=(None, ""))):
+    """A verdict of the effectiveness heuristic, the top-degree MultiPoly that
+    refutes effectiveness (or None), and a line of detail."""
+
+    __slots__ = ()
 
     @property
     def refuted(self) -> bool:
@@ -141,12 +141,13 @@ def check_class_effectiveness(a: MotivicClass) -> EffectivenessResult:
 # -- the two non-effectiveness reproductions ------------------------------------
 
 
-class CounterexampleReport(NamedTuple):
-    name: str
-    passed: bool
-    coefficient: object
-    effectiveness: EffectivenessResult
-    notes: tuple[str, ...] = ()
+class CounterexampleReport(
+    namedtuple("CounterexampleReport", "name passed coefficient effectiveness notes", defaults=((),))
+):
+    """One reproduction: whether every check held, the T^2 coefficient, its
+    EffectivenessResult, and notes (failed checks, then the series)."""
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         head = f"{self.name}: {'ok' if self.passed else 'FAILED'}"

@@ -15,12 +15,14 @@ numerators.
 from __future__ import annotations
 
 import struct
-from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from .errors import DomainError, InternalConsistencyError
 from .multipoly import _INT, MultiPoly, _TermPoly
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 #: Products are packed (Kronecker substitution) when both operands have at
@@ -280,6 +282,8 @@ class IntLaurent(_TermPoly):
 
     def eval_rational(self, t: Fraction | int) -> Fraction:
         """Exact value at L = t."""
+        from fractions import Fraction
+
         t = Fraction(t)
         if t == 0 and not self.is_zero and self.min_deg < 0:
             raise DomainError("evaluation at 0 with negative powers of L")

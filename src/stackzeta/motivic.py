@@ -29,16 +29,19 @@ b * q^m / ((1-q^{n_1})...(1-q^{n_r})) that the zeta engine consumes, since
 
 from __future__ import annotations
 
-from fractions import Fraction
+from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate
 from operator import sub
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from ._frozen import Frozen
 from .errors import DomainError, NonInvertibleError
 from .laurent import IntLaurent, cyclotomic, divisors, l_minus_one, prime_factors, totient
 from .multipoly import MultiPoly
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 #: Cyclotomic exponents: ascending (d, e) pairs, e >= 1, for prod Phi_d^e.
 Exponents = tuple[tuple[int, int], ...]
@@ -95,6 +98,8 @@ class DenomForm(Frozen):
     def eval_rational(self, t: Fraction) -> Fraction:
         """The value at L = t, on integers: for t = p/r in lowest terms,
         p^l_exp * prod(p^n - r^n) / r^(l_exp + sum(n)) is in lowest terms too."""
+        from fractions import Fraction
+
         p, r = t.numerator, t.denominator
         num = p ** self.l_exp
         for n in self.factors:
@@ -105,13 +110,13 @@ class DenomForm(Frozen):
         return " * ".join(_denominator_parts(self.l_exp, self.factors, "L")) or "1"
 
 
-class _CyclotomicDenom(NamedTuple):
+class _CyclotomicDenom(namedtuple("_CyclotomicDenom", "l_exp exponents")):
     """The stored denominator L^l_exp * prod(Phi_d^e for (d, e) in exponents),
-    with l_exp >= 0 and ascending (d, e) pairs, d and e >= 1.  Built only
-    inside this module, through ``_denominator``; the trivial one is ``_NO_DEN``."""
+    with l_exp >= 0 and ascending (d, e) pairs (``Exponents``), d and e >= 1.
+    Built only inside this module, through ``_denominator``; the trivial one
+    is ``_NO_DEN``."""
 
-    l_exp: int
-    exponents: Exponents
+    __slots__ = ()
 
 
 _TRIVIAL_DEN = DenomForm()
@@ -543,6 +548,8 @@ class MotivicClass(Frozen):
 
     def eval_rational(self, t: Fraction | int) -> Fraction:
         """Exact value at L = t; poles of the reduced denominator raise DomainError."""
+        from fractions import Fraction
+
         t = Fraction(t)
         den = t ** self._den.l_exp
         for d, e in self._den.exponents:
@@ -622,12 +629,13 @@ def _product_denominator(a: _CyclotomicDenom, b: _CyclotomicDenom) -> _Cyclotomi
     return _denominator(a.l_exp + b.l_exp, _sorted_exponents(exps))
 
 
-#: Sum plans kept computed, one per pair of denominators.  One power-axioms
-#: pass asks 854 times for 253 pairs, and the bound only stops unbounded growth.
-EXPAND_CACHE_SIZE = 1024
+#: Bound of the ``_sum_plan`` cache, which keeps one plan per pair of
+#: denominators.  One power-axioms pass asks 854 times for 253 pairs, and the
+#: bound only stops unbounded growth.
+SUM_PLAN_CACHE_SIZE = 1024
 
 
-@lru_cache(maxsize=EXPAND_CACHE_SIZE)
+@lru_cache(maxsize=SUM_PLAN_CACHE_SIZE)
 def _sum_plan(a: _CyclotomicDenom, b: _CyclotomicDenom) -> tuple:
     """How a/A + b/B is put over the exponent-wise max M of A and B: M, the
     complements M/A and M/B, and the d whose Phi_d can divide the sum.  Only
@@ -655,12 +663,11 @@ def _coerce(x) -> MotivicClass | None:
     return None
 
 
-class HDRealization(NamedTuple):
-    """Image of a class under E: num(uv) / ((uv)^l_exp * prod((uv)^n - 1))."""
+class HDRealization(namedtuple("HDRealization", "num l_exp factors")):
+    """Image of a class under E: num(uv) / ((uv)^l_exp * prod((uv)^n - 1)),
+    with num a MultiPoly in u, v and factors an ascending tuple of ints."""
 
-    num: MultiPoly
-    l_exp: int
-    factors: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def is_polynomial(self) -> bool:

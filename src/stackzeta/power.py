@@ -38,7 +38,8 @@ coefficient types (``MotivicClass.adams`` for the Kapranov zeta function,
 
 from __future__ import annotations
 
-from typing import Any, Callable, NamedTuple, Sequence
+from collections import namedtuple
+from typing import Any, Callable, Sequence
 
 from ._frozen import Frozen
 from .errors import DomainError, ResourceLimitError
@@ -160,27 +161,24 @@ def opposite_provider(provider: LambdaProvider) -> LambdaProvider:
 # -- axiom suite ----------------------------------------------------------------
 
 
-class AxiomSample(NamedTuple):
-    """One randomized test point: two series, two exponents, a substitution index."""
+class AxiomSample(namedtuple("AxiomSample", "a b m n k", defaults=(2,))):
+    """One randomized test point: two series a and b, two exponents m and n
+    from their coefficient ring, and a substitution index k."""
 
-    a: TruncatedSeries
-    b: TruncatedSeries
-    m: Any
-    n: Any
-    k: int = 2
+    __slots__ = ()
 
 
-class AxiomCheck(NamedTuple):
-    axiom: int
-    description: str
-    passed: bool
-    witness: str | None = None
+class AxiomCheck(namedtuple("AxiomCheck", "axiom description passed witness", defaults=(None,))):
+    """One axiom's number and text, whether it held, and the first witness
+    (a string) when it did not."""
+
+    __slots__ = ()
 
 
-class AxiomReport(NamedTuple):
-    provider: str
-    order: int
-    checks: tuple[AxiomCheck, ...]
+class AxiomReport(namedtuple("AxiomReport", "provider order checks")):
+    """The seven AxiomChecks of one provider (by name) at one order."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

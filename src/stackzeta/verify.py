@@ -22,8 +22,6 @@ from .hodge import hd_provider
 from .zeta import MOTIVIC, motivic_provider, zeta_series
 from .oracles import distinct_exponent_oracle, distinct_exponent_sum_taylor, zeta_of_polynomial
 
-SCENARIOS = ("distinct-sum", "zeta-closed-form", "grassmannian", "axioms")
-
 
 class VerificationReport(NamedTuple):
     scenario: str

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, JSON forms, exit codes."""
 
+import fractions
 import json
 import re
 import sys
@@ -199,7 +200,7 @@ def test_at_value_binds_by_syntax_without_reading_it(monkeypatch):
     def no_fraction(*args):
         raise AssertionError("Fraction read the value")
 
-    monkeypatch.setattr(cli, "Fraction", no_fraction)
+    monkeypatch.setattr(fractions, "Fraction", no_fraction)  # what _at_value imports when it runs
     for value in ("-7/3", "-2", "-1.5", "-.5e-3000000", "-1_000/3", "-1/0"):
         assert cli._bind_at_value(["eval", "L", "--at", value]) == ["eval", "L", f"--at={value}"]
     for argv in (["eval", "L", "--at", "-x"], ["eval", "L", "--at", "--json"], ["--", "--at", "-1"]):

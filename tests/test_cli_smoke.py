@@ -1,11 +1,16 @@
-"""Hostile inputs in a fresh interpreter: the documented exit code, no traceback.
+"""The CLI in a fresh interpreter: hostile inputs exit with the documented
+code and no traceback, and every command that imports a module on first use
+still finds it.
 
 Each case runs `python -m stackzeta.cli` as a user would, so a crash that the
 in-process tests would see only as an exception shows up here as exit 1 and a
-traceback on stderr.
+traceback on stderr.  In-process tests cannot see a missing deferred import
+(``fractions``, ``json``, ``verify``, ``oracles``): an earlier test has
+already loaded the module.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -56,11 +61,58 @@ HOSTILE = [
 ]
 
 
+def fresh_python(*args: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(Path(stackzeta.__file__).parents[1])}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=60)
+
+
 @pytest.mark.skipif(LIMIT == 0, reason="no int-to-string digit limit")
 @pytest.mark.parametrize("argv, err", [case[1:] for case in HOSTILE], ids=[case[0] for case in HOSTILE])
 def test_hostile_input_exits_4_without_a_traceback(argv, err):
-    env = {**os.environ, "PYTHONPATH": str(Path(stackzeta.__file__).parents[1])}
-    proc = subprocess.run(
-        [sys.executable, "-m", "stackzeta.cli", *argv], capture_output=True, text=True, env=env, timeout=60
-    )
+    proc = fresh_python("-m", "stackzeta.cli", *argv)
     assert (proc.returncode, proc.stdout, proc.stderr) == (4, "", err + "\n")
+
+
+VERIFY_JSON = (
+    '{"scenario": "axioms", "params": {"ring": "motivic", "order": 2, "samples": 2, "seed": 0, "perturbed": false},'
+    ' "verdict": "pass", "witness": null, "ms": MS}\n'
+)
+VERIFY_PERTURBED = (
+    "scenario axioms {'ring': 'motivic', 'order': 2, 'samples': 2, 'seed': 0, 'perturbed': True}: fail (MS ms)\n"
+    "  witness: axiom 3 ((A*B)^m = A^m * B^m): sample 0: lhs = "
+)
+
+#: (id, argv, exit code, stdout with timings masked as MS, or its start when it ends in "= ").
+DEFERRED = [
+    ("eval", ("eval", "GL(2)", "--at", "5/2"), 0, "315/16\n"),
+    ("eval-json", ("eval", "GL(2)", "--at", "5/2", "--json"), 0, '{"value": "315/16"}\n'),
+    ("eval-class", ("eval", "(L+1)/(L^2-1)", "--at", "-1"), 0, "-1/2\n"),
+    (
+        "effective-json",
+        ("effective", "GL(2)", "--json"),
+        0,
+        '{"verdict": "effective-candidate", "witness": null, "detail": "polynomial class; top part 1*(uv)^4"}\n',
+    ),
+    ("verify-json", ("verify", "axioms", "--order", "2", "--samples", "2", "--json"), 0, VERIFY_JSON),
+    ("verify-perturbed", ("verify", "axioms", "--order", "2", "--samples", "2", "--perturb"), 1, VERIFY_PERTURBED),
+]
+
+
+@pytest.mark.parametrize("argv, code, out", [case[1:] for case in DEFERRED], ids=[case[0] for case in DEFERRED])
+def test_commands_that_import_on_first_use(argv, code, out):
+    proc = fresh_python("-m", "stackzeta.cli", *argv)
+    stdout = re.sub(r'(?<="ms": )[0-9.e+-]+|(?<=\()[0-9.]+(?= ms\))', "MS", proc.stdout)
+    assert (proc.returncode, proc.stderr) == (code, "")
+    assert stdout.startswith(out) if out.endswith("= ") else stdout == out
+
+
+def test_the_package_resolves_its_deferred_exports():
+    code = (
+        "import stackzeta; stackzeta.zeta_from_sigma; stackzeta.verify_axioms;"
+        " print(sorted(dir(stackzeta)) == sorted(set(dir(stackzeta))))"
+    )
+    proc = fresh_python("-c", code)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "True\n", "")
+    star = "import stackzeta; from stackzeta import *; print(sorted(set(stackzeta.__all__) - set(globals())))"
+    proc = fresh_python("-S", "-c", star)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

@@ -22,9 +22,13 @@ Only ``_frozen.py`` defines ``__setattr__``, ``__delattr__`` or
 ``__reduce__``, and every class with a non-empty ``__slots__`` derives from
 its ``Frozen``, so immutability, copying and pickling have one owner.
 
-Importing the package and its CLI loads neither ``dataclasses`` nor
-``inspect``: every CLI call is a fresh process, and that machinery cost
-about two thirds of the import.
+Importing the package and its CLI loads only what every call needs: every
+CLI call is a fresh process, so each module it loads is paid for on every
+call.  ``dataclasses`` and ``inspect`` cost about two thirds of the import
+and are not used at all.  ``fractions`` (with ``decimal``) and ``json`` are
+imported by the functions that compute on Fractions or write JSON, and
+``oracles`` and ``verify`` by the ``verify`` command and on first access to
+their exports in the package namespace.
 """
 
 import ast
@@ -40,7 +44,8 @@ TERMS_OWNERS = {"laurent.py", "multipoly.py"}
 GENERIC_LAYERS = {"series.py", "power.py"}
 COEFFICIENT_MODULES = {"laurent", "multipoly", "motivic"}
 ORACLE_IMPORTERS = {"verify.py", "__init__.py"}
-SLOW_IMPORTS = {"dataclasses", "inspect"}
+#: Modules that importing the package and its CLI must not load.
+SLOW_IMPORTS = {"dataclasses", "decimal", "fractions", "inspect", "json", "stackzeta.oracles", "stackzeta.verify"}
 FROZEN_HOOKS = {"__setattr__", "__delattr__", "__reduce__"}
 
 
@@ -293,22 +298,46 @@ def test_the_scan_sees_unfrozen_values(tmp_path):
     ]
 
 
+def _import_time_statements(node: ast.AST):
+    """The statements under node that run when its module is imported: all
+    but function bodies and ``if TYPE_CHECKING:`` blocks."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(child, ast.If) and _base_name(child.test) == "TYPE_CHECKING":
+            yield from (s for stmt in child.orelse for s in (stmt, *_import_time_statements(stmt)))
+            continue
+        yield child
+        yield from _import_time_statements(child)
+
+
+def _imported_modules(node: ast.AST) -> list[str]:
+    """Full names of the modules an import statement may load; a relative
+    import is read inside the ``stackzeta`` package."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if not isinstance(node, ast.ImportFrom):
+        return []
+    base = ".".join(filter(None, ["stackzeta" if node.level else "", node.module]))
+    return [base] + [f"{base}.{alias.name}" for alias in node.names]
+
+
 def slow_imports(src: Path) -> list[str]:
-    """Absolute imports of a module in SLOW_IMPORTS, or of one of its submodules."""
+    """Imports of a module in SLOW_IMPORTS, or of one of its submodules, that
+    run when a module outside SLOW_IMPORTS is imported.  An import inside a
+    function runs only when the function is called, so it is not one."""
     found = []
     for path in sorted(src.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
-            elif isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            else:
-                continue
-            found.extend(f"{path.name}:{node.lineno}: {n}" for n in names if n.split(".")[0] in SLOW_IMPORTS)
+        if f"stackzeta.{path.stem}" in SLOW_IMPORTS:
+            continue
+        for node in _import_time_statements(ast.parse(path.read_text(), str(path))):
+            names = _imported_modules(node)
+            prefixes = {name.rsplit(".", cut)[0] for name in names for cut in range(name.count(".") + 1)}
+            found.extend(f"{path.name}:{node.lineno}: {n}" for n in sorted(prefixes & SLOW_IMPORTS))
     return found
 
 
-def test_import_loads_neither_dataclasses_nor_inspect():
+def test_import_loads_only_what_every_call_needs():
     src = Path(stackzeta.__file__).parent
     code = f"import sys, stackzeta, stackzeta.cli; print(sorted({sorted(SLOW_IMPORTS)} & sys.modules.keys()))"
     env = {**os.environ, "PYTHONPATH": str(src.parent)}
@@ -322,5 +351,23 @@ def test_the_scan_sees_slow_imports(tmp_path):
     (tmp_path / "expr.py").write_text(
         "from dataclasses import dataclass\nimport os, inspect\nfrom .dataclasses import x\nimport inspection\n"
     )
-    (tmp_path / "zeta.py").write_text("import dataclasses as dc\n")
-    assert slow_imports(tmp_path) == ["expr.py:1: dataclasses", "expr.py:2: inspect", "zeta.py:1: dataclasses"]
+    (tmp_path / "zeta.py").write_text("import dataclasses as dc\nimport json.decoder\n")
+    (tmp_path / "cli.py").write_text(
+        "from typing import TYPE_CHECKING\n\n"
+        "if TYPE_CHECKING:\n    from fractions import Fraction\nelse:\n    import decimal\n\n"
+        "from .verify import verify_axioms\nfrom . import oracles, zeta\nimport stackzeta.verify\n\n"
+        "def run(args):\n    import json\n    from fractions import Fraction\n    from .verify import x\n\n"
+        "class Env:\n    from json import dumps\n\n    def of_int(self, n):\n        from fractions import Fraction\n"
+    )
+    (tmp_path / "verify.py").write_text("from .oracles import zeta_of_polynomial\nimport json\n")
+    assert slow_imports(tmp_path) == [
+        "cli.py:6: decimal",
+        "cli.py:8: stackzeta.verify",
+        "cli.py:9: stackzeta.oracles",
+        "cli.py:10: stackzeta.verify",
+        "cli.py:18: json",
+        "expr.py:1: dataclasses",
+        "expr.py:2: inspect",
+        "zeta.py:1: dataclasses",
+        "zeta.py:2: json",
+    ]

@@ -1,6 +1,8 @@
 """The public namespace: every name in ``__all__`` must resolve, and the
 polynomial types keep every public method and operator they define."""
 
+import pytest
+
 import stackzeta
 
 
@@ -13,6 +15,17 @@ def test_star_import_succeeds():
 def test_every_exported_name_resolves():
     missing = [name for name in stackzeta.__all__ if not hasattr(stackzeta, name)]
     assert missing == []
+
+
+def test_deferred_exports_resolve_once_into_the_namespace():
+    for name in ("zeta_from_sigma", "Partition", "verify_axioms", "VerificationReport"):
+        value = getattr(stackzeta, name)
+        assert vars(stackzeta)[name] is value
+    assert stackzeta.oracles.zeta_from_sigma is stackzeta.zeta_from_sigma
+    assert stackzeta.verify.verify_axioms is stackzeta.verify_axioms
+    assert set(stackzeta.__all__) <= set(dir(stackzeta))
+    with pytest.raises(AttributeError, match="^module 'stackzeta' has no attribute 'zeta_from_sigmas'$"):
+        stackzeta.zeta_from_sigmas  # noqa: B018
 
 
 #: The operators the polynomial types define for themselves.

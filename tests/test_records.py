@@ -1,7 +1,11 @@
 """Value contracts of the package's record types.
 
-Records are ``typing.NamedTuple``s, or ``__slots__`` classes that derive from
-``stackzeta._frozen.Frozen``: the eight value types ``IntLaurent``,
+Records are subclasses of a ``collections.namedtuple`` with an empty
+``__slots__``, built that way because a ``typing.NamedTuple`` costs about
+twice as much to create at import; the verification-only modules ``oracles``
+and ``verify`` keep ``typing.NamedTuple``s.  The value types are
+``__slots__`` classes that derive from ``stackzeta._frozen.Frozen``: the
+eight of them are ``IntLaurent``,
 ``MultiPoly``, ``DenomForm``, ``MotivicClass``, ``TruncatedSeries``,
 ``Ring``, ``LambdaProvider`` and ``Partition``.  Each test pins the behaviour
 users see: the ``repr`` text, ``==``, hashability, and that fields can be
@@ -10,6 +14,7 @@ neither set nor deleted.  Every ``Frozen`` type, and the records, survive
 """
 
 import copy
+import importlib
 import pickle
 import re
 
@@ -207,3 +212,37 @@ def test_named_tuple_records_keep_their_text():
     assert str(realization) == "1 / ((u*v) * ((u*v)-1) * ((u*v)^2-1))"
     assert str(EffectivenessResult("not-effective", None, "top part")) == "not-effective [top part]"
     assert_frozen(realization, "l_exp")
+
+
+#: The records a fresh import builds, with their fields and defaults.
+IMPORT_PATH_RECORDS = {
+    "expr.Token": (("kind", "text", "line", "col"), {}),
+    "expr.Num": (("value", "tok"), {}),
+    "expr.Sym": (("name", "tok"), {}),
+    "expr.Call": (("name", "args", "tok"), {}),
+    "expr.Neg": (("operand",), {}),
+    "expr.BinOp": (("op", "left", "right", "tok"), {}),
+    "expr.Pow": (("base", "exponent", "tok"), {}),
+    "motivic._CyclotomicDenom": (("l_exp", "exponents"), {}),
+    "motivic.HDRealization": (("num", "l_exp", "factors"), {}),
+    "power.AxiomSample": (("a", "b", "m", "n", "k"), {"k": 2}),
+    "power.AxiomCheck": (("axiom", "description", "passed", "witness"), {"witness": None}),
+    "power.AxiomReport": (("provider", "order", "checks"), {}),
+    "hodge.EffectivenessResult": (("verdict", "witness", "detail"), {"witness": None, "detail": ""}),
+    "hodge.CounterexampleReport": (("name", "passed", "coefficient", "effectiveness", "notes"), {"notes": ()}),
+}
+
+
+@pytest.mark.parametrize("path", sorted(IMPORT_PATH_RECORDS))
+def test_records_keep_their_tuple_contract(path):
+    module, name = path.split(".")
+    cls = getattr(importlib.import_module(f"stackzeta.{module}"), name)
+    fields, defaults = IMPORT_PATH_RECORDS[path]
+    assert (cls._fields, cls._field_defaults) == (fields, defaults)
+    assert cls.__doc__ and cls.__module__ == f"stackzeta.{module}"
+    value = cls(*range(len(fields)))
+    assert value == tuple(range(len(fields))) and not hasattr(value, "__dict__")
+    assert repr(value) == f"{name}(" + ", ".join(f"{f}={i}" for i, f in enumerate(fields)) + ")"
+    for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value)), value._replace()):
+        assert type(clone) is cls and clone == value
+    assert value._replace(**{fields[0]: "x"})[0] == "x"

@@ -220,10 +220,10 @@ def _at_value(text: str) -> Fraction:
             f"--at value has an exponent of {exp}, so 10^{abs(exp)} is above the limit of {limit} digits"
             " for integer conversion"
         )
-    from fractions import Fraction
+    import fractions
 
     try:
-        return Fraction(text)
+        return fractions.Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"--at expects a rational like 3 or 5/2, got {text!r}") from exc
 

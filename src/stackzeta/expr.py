@@ -326,11 +326,11 @@ class _PointEnv(_ClassEnv):
     """
 
     def __init__(self, t: Fraction):
-        from fractions import Fraction
+        import fractions
 
         self.t = t
         self.classes = _ClassEnv()
-        self.fraction = Fraction  # of_int runs once per integer leaf, so it imports nothing
+        self.fraction = fractions.Fraction  # of_int runs once per integer leaf, so it imports nothing
 
     def run(self, node):
         if isinstance(node, BinOp) and node.op == "/":

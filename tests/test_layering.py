@@ -305,7 +305,9 @@ def _import_time_statements(node: ast.AST):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         if isinstance(child, ast.If) and _base_name(child.test) == "TYPE_CHECKING":
-            yield from (s for stmt in child.orelse for s in (stmt, *_import_time_statements(stmt)))
+            for stmt in child.orelse:
+                yield stmt
+                yield from _import_time_statements(stmt)
             continue
         yield child
         yield from _import_time_statements(child)

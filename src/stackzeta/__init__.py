@@ -19,6 +19,10 @@ fresh process that would otherwise pay for them at import.  They are, from
 ``zeta_of_polynomial``; from ``verify``: ``VerificationReport``,
 ``verify_axioms``, ``verify_distinct_sum``, ``verify_grassmannian`` and
 ``verify_zeta_closed_form``.
+
+The package attribute ``power`` is the function ``power``, which shadows
+the submodule ``stackzeta.power``; the module's other names, such as
+``MAX_SERIES_ORDER``, are reached with ``from stackzeta.power import ...``.
 """
 
 from .errors import (

@@ -173,35 +173,24 @@ class IntLaurent(_TermPoly):
 
         Phi_d divides L^d - 1, so it divides self exactly when it divides the
         remainder of self mod L^d - 1: d residue sums, reduced mod Phi_d.  Only
-        when that short test passes is the quotient built, as
-        self * prod(L^k - 1, k in down) / prod(L^k - 1, k in up) for the
-        Moebius split of Phi_d, one linear binomial division at a time; the
-        divisions are exact because their product divides.
+        when that short test passes is the quotient built, by one synthetic
+        division by the monic Phi_d that visits only nonzero terms
+        (``_monic_quotient``).
         """
         if not self._terms:
             return self
-        phi = cyclotomic(d)._terms
+        top, tail = _head_and_tail(cyclotomic(d)._terms)
         rem = [0] * d
         for e, c in self._terms.items():
             rem[e % d] += c
-        top = max(phi)
-        low = [(e, c) for e, c in phi.items() if e < top]
         for i in range(d - 1, top - 1, -1):
             q = rem[i]
             if q:
-                for e, c in low:
+                for e, c in tail:
                     rem[i - top + e] -= q * c
         if any(rem[:top]):
             return None
-        up, down = _moebius_split(d)
-        out = self
-        for k in down:
-            out = out._times_binomial(k)
-        for k in up:
-            out = out._div_binomial(k)
-            if out is None:
-                raise InternalConsistencyError(f"Phi_{d} passed the residue test but does not divide")
-        return out
+        return IntLaurent._raw(_monic_quotient(self._terms, top, tail))
 
     def divexact(self, other) -> IntLaurent | None:
         """Exact quotient self/other for a divisor L^a * (L^n - 1), n >= 1, or
@@ -221,42 +210,6 @@ class IntLaurent(_TermPoly):
                         return None
                 return out
         raise DomainError("divexact divides only by L^a * (L^n - 1)")
-
-    def _times_binomial(self, n: int) -> IntLaurent:
-        """self * (L^n - 1)."""
-        out = {d + n: c for d, c in self._terms.items()}
-        return IntLaurent._raw(self._accumulate(out, ((d, -c) for d, c in self._terms.items())))
-
-    def _div_binomial(self, n: int) -> IntLaurent | None:
-        """Exact quotient by L^n - 1, linear in the output size, or None.
-
-        Working per residue class mod n, the quotient coefficient at degree e
-        is the sum of the dividend coefficients strictly above e in the same
-        class, and the division is exact iff every class sums to zero.
-        """
-        va = self.min_deg
-        sums: dict[int, int] = {}
-        for d, c in self._terms.items():
-            r = (d - va) % n
-            sums[r] = sums.get(r, 0) + c
-        if any(sums.values()):
-            return None
-        classes: dict[int, list[tuple[int, int]]] = {}
-        for d, c in self._terms.items():
-            classes.setdefault((d - va) % n, []).append((d - va, c))
-        quot: dict[int, int] = {}
-        for terms in classes.values():
-            terms.sort(reverse=True)
-            s = 0
-            for i in range(len(terms) - 1):
-                d, c = terms[i]
-                s += c
-                if not s:
-                    continue
-                floor = terms[i + 1][0]
-                for e in range(d - n, floor - 1, -n):
-                    quot[e] = s
-        return IntLaurent._raw(quot).shift(va)
 
     # -- maps out of the ring ------------------------------------------------
 
@@ -396,27 +349,75 @@ def totient(n: int) -> int:
     return n
 
 
-def _moebius_split(d: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(up, down) with Phi_d = prod(L^k - 1, k in up) / prod(L^k - 1, k in down):
-    the k = d/s over the squarefree divisors s of d, by the sign of mu(s)."""
-    up, down = [d], []
-    for p in sorted(set(prime_factors(d))):
-        up, down = up + [k // p for k in down], down + [k // p for k in up]
-    return tuple(up), tuple(down)
+def _head_and_tail(poly: dict[int, int]) -> tuple[int, list[tuple[int, int]]]:
+    """The degree of a polynomial and its terms below that degree."""
+    top = max(poly)
+    return top, [(e, c) for e, c in poly.items() if e < top]
 
 
-#: Built once per d: one power-axioms pass asks 1,546 times for 6 of them,
-#: zeta_series(bgl_class(1), 30) 17,900 times for 30.  The bound only stops
-#: unbounded growth.
+def _monic_quotient(terms: dict[int, int], top: int, tail: Sequence[tuple[int, int]]) -> dict[int, int]:
+    """The quotient of terms by the monic L^top + (sum of tail), which must
+    divide them exactly.
+
+    Synthetic division from the top: the leading term c*L^e of what is left
+    gives the quotient term c*L^(e - top), and taking that multiple of the
+    divisor away changes only the degrees e - top + k of the tail, all below
+    e.  A heap of the degrees still to visit yields them in descending order,
+    so the work is the terms of the dividend and the quotient times the
+    terms of the tail, up to the heap's log factor, whatever the degree span.
+    The quotient starts at the dividend's lowest degree, since the tail has
+    a constant term, so a visit below it means the division was not exact.
+    """
+    import heapq  # only quotients use it, so importing the package does not load it
+
+    rem = dict(terms)
+    lo = min(rem)
+    todo = [-e for e in rem]
+    heapq.heapify(todo)
+    pop, push, get = heapq.heappop, heapq.heappush, rem.get
+    quot: dict[int, int] = {}
+    while todo:
+        e = -pop(todo)
+        c = rem.pop(e, 0)
+        if not c:  # cancelled, or queued again after a cancellation
+            continue
+        q = e - top
+        if q < lo:
+            raise InternalConsistencyError("a cyclotomic quotient was not exact")
+        quot[q] = c
+        for k, a in tail:
+            t = q + k
+            v = get(t, 0) - c * a
+            if not v:
+                del rem[t]
+            else:
+                if t not in rem:
+                    push(todo, -t)
+                rem[t] = v
+    return quot
+
+
+#: Built once per d: one power-axioms pass (seed 1) asks 2,358 times for 6
+#: of them, zeta_series(bgl_class(1), 30) 18,311 times for 30, the calls
+#: that build Phi_d from Phi_(d/p) included.  The bound only stops unbounded
+#: growth.
 @lru_cache(maxsize=4096)
 def cyclotomic(d: int) -> IntLaurent:
-    """The d-th cyclotomic polynomial Phi_d, built on first use."""
+    """The d-th cyclotomic polynomial Phi_d, built on first use.
+
+    With p the largest prime factor of d and d = p*m, Phi_d(L) is Phi_m(L^p)
+    when p divides m, and Phi_m(L^p) / Phi_m(L) otherwise: at most one
+    synthetic division, whose quotient is Phi_d itself.  Dividing L^d - 1 by
+    the Phi_k of every proper divisor k instead passes through quotients of
+    up to d terms: 85 s against 0.4 s for d = 30030 (CPython 3.11, x86-64).
+    """
     if type(d) is not int or d < 1:
         raise DomainError("cyclotomic polynomials are indexed by d >= 1")
-    up, down = _moebius_split(d)
-    out = IntLaurent.one()
-    for k in up:
-        out = out._times_binomial(k)
-    for k in down:
-        out = out._div_binomial(k)
-    return out
+    if d == 1:
+        return IntLaurent._raw({1: 1, 0: -1})
+    p = prime_factors(d)[-1]
+    base = cyclotomic(d // p)
+    stretched = base.adams(p)
+    if d // p % p == 0:
+        return stretched
+    return IntLaurent._raw(_monic_quotient(stretched._terms, *_head_and_tail(base._terms)))

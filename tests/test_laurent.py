@@ -1,16 +1,18 @@
 """Sparse integer Laurent polynomials: ring laws, exact division, rendering."""
 
+import time
 from collections import Counter
 from types import MappingProxyType
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from stackzeta import DomainError, IntLaurent, InternalConsistencyError, L, MultiPoly
 from stackzeta import laurent
 from stackzeta.laurent import cyclotomic, divisors, l_minus_one
 
+from _reference import dense, long_divide, phi
 from _strategies import EVAL_POINTS, laurents, polynomials
 
 
@@ -122,6 +124,63 @@ def test_div_cyclotomic_inverts_cyclotomic_multiples(p, d):
     q = p.div_cyclotomic(d)
     if q is not None:
         assert q * cyclotomic(d) == p
+
+
+@given(
+    st.integers(min_value=1, max_value=60),
+    laurents(min_deg=-60, max_deg=600, max_terms=6),
+    st.sampled_from(("multiple", "shifted multiple", "as drawn")),
+)
+@example(2, L ** 10000 + L ** 9999 + L + 1, "as drawn")
+@example(3, L ** 5000 - IntLaurent.term(-7), "multiple")
+@example(12, L ** 3001 + IntLaurent.term(-40, 2), "shifted multiple")
+def test_div_cyclotomic_agrees_with_long_division(d, p, kind):
+    """Wide sparse numerators with negative degrees: exact multiples of
+    Phi_d, multiples moved by one term (rarely divisible), and the numerators
+    as drawn, all against long division on coefficient lists."""
+    phi_d = IntLaurent(dict(enumerate(phi(d))))
+    if kind != "as drawn":
+        p = p * phi_d
+    if kind == "shifted multiple":
+        p = p + L ** 7
+    got = p.div_cyclotomic(d)
+    if p.is_zero:
+        assert got == p
+        return
+    lo, coeffs = dense(p.items())
+    quot, rem = long_divide(coeffs, list(phi(d)))
+    if any(rem):
+        assert got is None
+    else:
+        assert got == IntLaurent({lo + i: c for i, c in enumerate(quot)})
+    if kind == "multiple":
+        assert got is not None
+
+
+def test_cyclotomic_products_are_the_binomials():
+    for n in range(1, 401):
+        product = IntLaurent.one()
+        for d in divisors(n):
+            product = product * cyclotomic(d)
+        assert product == l_minus_one(n), n
+
+
+def test_sparse_quotients_do_not_walk_the_degree_span():
+    # the quotient visits only the nonzero terms, not the 10^6 degrees of the span
+    target = L ** 10 ** 6 + 1
+    for d in (2, 3, 12):
+        product = target * cyclotomic(d)
+        start = time.perf_counter()
+        got = product.div_cyclotomic(d)
+        elapsed = time.perf_counter() - start
+        assert got == target
+        assert elapsed < 0.05, f"dividing by Phi_{d} took {elapsed:.3f}s, budget 0.05s"
+
+
+def test_the_quotient_walk_stops_below_the_dividend():
+    # (L^2 + 1) / (L - 1) is not exact; the walk must not run on below degree 0
+    with pytest.raises(InternalConsistencyError):
+        laurent._monic_quotient({2: 1, 0: 1}, 1, [(0, -1)])
 
 
 def test_cyclotomic_polynomials():

@@ -13,8 +13,9 @@ engine never leans on the routes it is checked against.
 
 Outside ``laurent.py`` the library divides polynomials only through
 ``IntLaurent.div_cyclotomic``, by a cyclotomic polynomial Phi_d, whose one
-kernel inside ``laurent.py`` is the linear division by a binomial L^n - 1:
-no library module calls ``divexact`` or reaches ``_div_binomial``, and
+kernel inside ``laurent.py`` is a synthetic division by the monic Phi_d
+that visits only nonzero terms: no library module calls ``divexact`` or
+reaches a private division helper such as ``_div_binomial``, and
 ``DenomForm`` keeps no ``lcm`` or ``complement_in`` merge of denominator
 shapes, since sums are taken over cyclotomic exponents.
 
@@ -26,7 +27,8 @@ Importing the package and its CLI loads only what every call needs: every
 CLI call is a fresh process, so each module it loads is paid for on every
 call.  ``dataclasses`` and ``inspect`` cost about two thirds of the import
 and are not used at all.  ``fractions`` (with ``decimal``) and ``json`` are
-imported by the functions that compute on Fractions or write JSON, and
+imported by the functions that compute on Fractions or write JSON,
+``heapq`` by the cyclotomic quotient, and
 ``oracles`` and ``verify`` by the ``verify`` command and on first access to
 their exports in the package namespace.
 """
@@ -45,7 +47,9 @@ GENERIC_LAYERS = {"series.py", "power.py"}
 COEFFICIENT_MODULES = {"laurent", "multipoly", "motivic"}
 ORACLE_IMPORTERS = {"verify.py", "__init__.py"}
 #: Modules that importing the package and its CLI must not load.
-SLOW_IMPORTS = {"dataclasses", "decimal", "fractions", "inspect", "json", "stackzeta.oracles", "stackzeta.verify"}
+SLOW_IMPORTS = {
+    "dataclasses", "decimal", "fractions", "heapq", "inspect", "json", "stackzeta.oracles", "stackzeta.verify",
+}
 FROZEN_HOOKS = {"__setattr__", "__delattr__", "__reduce__"}
 
 
@@ -354,6 +358,7 @@ def test_the_scan_sees_slow_imports(tmp_path):
         "from dataclasses import dataclass\nimport os, inspect\nfrom .dataclasses import x\nimport inspection\n"
     )
     (tmp_path / "zeta.py").write_text("import dataclasses as dc\nimport json.decoder\n")
+    (tmp_path / "laurent.py").write_text("from heapq import heappop\n\ndef quotient():\n    import heapq\n")
     (tmp_path / "cli.py").write_text(
         "from typing import TYPE_CHECKING\n\n"
         "if TYPE_CHECKING:\n    from fractions import Fraction\nelse:\n    import decimal\n\n"
@@ -370,6 +375,7 @@ def test_the_scan_sees_slow_imports(tmp_path):
         "cli.py:18: json",
         "expr.py:1: dataclasses",
         "expr.py:2: inspect",
+        "laurent.py:1: heapq",
         "zeta.py:1: dataclasses",
         "zeta.py:2: json",
     ]

@@ -24,6 +24,7 @@ from stackzeta.expr import parse_class
 from stackzeta.laurent import cyclotomic, divisors, l_minus_one
 from stackzeta.motivic import unit_part
 
+from _reference import long_divide, phi
 from _strategies import (
     EVAL_POINTS,
     laurents,
@@ -234,6 +235,49 @@ def test_fast_paths_keep_the_general_route_shape(pair, k):
     assert (k * a).structural_key() == _reference_product(a, k).structural_key()
     assert (a * k).structural_key() == _reference_product(a, k).structural_key()
     assert (a * 1).structural_key() == a.structural_key()
+
+
+# An independent check of the stored form, read from structural_key() alone:
+# the checks above compare against classes that the constructor reduced, so a
+# cancellation the constructor misses would pass them.
+def _assert_reduced(a):
+    terms, l_exp, exps = a.structural_key()
+    if not terms:
+        assert (l_exp, exps) == (0, ())
+        return
+    assert terms[0][0] >= 0, "negative degree in the numerator"
+    assert l_exp >= 0 and all(e >= 1 for _, e in exps) and list(exps) == sorted(set(exps))
+    num = [0] * (terms[-1][0] + 1)
+    for deg, c in terms:
+        num[deg] = c
+    assert not (l_exp and num[0] == 0), "L divides the numerator"
+    for d, _ in exps:
+        assert any(long_divide(num, list(phi(d)))[1]), f"Phi_{d} divides the numerator"
+
+
+class_pairs = st.one_of(shared_denominator_pairs(), st.tuples(motivic_classes(), motivic_classes()))
+
+
+@given(class_pairs, st.integers(min_value=-5, max_value=5).filter(bool), st.integers(min_value=1, max_value=5))
+def test_arithmetic_results_are_reduced(pair, k, r):
+    a, b = pair
+    for value in (a + b, a - b, a * b, k * a, a * k, a.adams(r)):
+        _assert_reduced(value)
+
+
+@given(unit_classes(), laurents(), wide_denom_forms)
+def test_inverses_and_constructed_classes_are_reduced(u, num, den):
+    _assert_reduced(u.inverse())
+    _assert_reduced(MotivicClass(num, den))
+    _assert_reduced(MotivicClass(num * l_minus_one(max(den.factors, default=1)), den))
+
+
+def test_the_reduced_check_sees_a_missed_cancellation():
+    with pytest.raises(AssertionError, match="Phi_2 divides"):
+        # 1/(L + 1) stores the denominator Phi_2 alone
+        _assert_reduced(MotivicClass._raw(l_minus_one(2), MotivicClass(l_minus_one(1), DenomForm(0, (2,)))._den))
+    with pytest.raises(AssertionError, match="L divides"):
+        _assert_reduced(MotivicClass._raw(IntLaurent.term(1), MotivicClass.l_power(-1)._den))
 
 
 # -- normalization ------------------------------------------------------------

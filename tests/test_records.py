@@ -125,6 +125,7 @@ UNNORMALIZED = MotivicClass(IntLaurent({2: 1, 0: -1}), DenomForm(1, (1, 2)))
         IntLaurent({3: 1, 0: -2, -1: 5}),
         MultiPoly(2, {(1, 2): 3, (0, 0): -1}),
         UNNORMALIZED,
+        MotivicClass(3),
         zeta_series(bgl_class(1), 3),
         motivic_ring(),
     ],
@@ -134,6 +135,8 @@ def test_values_copy_and_pickle(obj):
         assert clone == obj
         if isinstance(obj, MotivicClass):
             assert clone.structural_key() == obj.structural_key()
+            # a copied class with no denominator still hashes and reads as its int
+            assert (hash(clone), clone.as_int()) == (hash(obj), obj.as_int())
 
 
 #: One value of each concrete Frozen type, with its repr (function addresses masked).

@@ -361,25 +361,27 @@ def _monic_quotient(terms: dict[int, int], top: int, tail: Sequence[tuple[int, i
 
     Synthetic division from the top: the leading term c*L^e of what is left
     gives the quotient term c*L^(e - top), and taking that multiple of the
-    divisor away changes only the degrees e - top + k of the tail, all below
-    e.  A heap of the degrees still to visit yields them in descending order,
-    so the work is the terms of the dividend and the quotient times the
-    terms of the tail, up to the heap's log factor, whatever the degree span.
-    The quotient starts at the dividend's lowest degree, since the tail has
-    a constant term, so a visit below it means the division was not exact.
+    divisor away changes only the degrees e - top + k of the tail, all among
+    the top degrees below e.  So what is left is the dividend's terms not yet
+    visited plus at most top near ones, and the next degree to visit is the
+    largest of either: the work is the terms of the dividend and the quotient
+    times the terms of the tail, plus a C-level max over the near terms,
+    whatever the degree span.  The quotient starts at the dividend's lowest
+    degree, since the tail has a constant term, so a visit below it means
+    the division was not exact.
     """
-    import heapq  # only quotients use it, so importing the package does not load it
-
-    rem = dict(terms)
-    lo = min(rem)
-    todo = [-e for e in rem]
-    heapq.heapify(todo)
-    pop, push, get = heapq.heappop, heapq.heappush, rem.get
+    degrees = sorted(terms)  # popped from the end, so largest first
+    lo = degrees[0]
+    near: dict[int, int] = {}
     quot: dict[int, int] = {}
-    while todo:
-        e = -pop(todo)
-        c = rem.pop(e, 0)
-        if not c:  # cancelled, or queued again after a cancellation
+    while degrees or near:
+        e = max(near) if near else degrees[-1]
+        if degrees and degrees[-1] >= e:
+            e = degrees.pop()
+            c = terms[e] + near.pop(e, 0)
+        else:
+            c = near.pop(e)
+        if not c:
             continue
         q = e - top
         if q < lo:
@@ -387,13 +389,11 @@ def _monic_quotient(terms: dict[int, int], top: int, tail: Sequence[tuple[int, i
         quot[q] = c
         for k, a in tail:
             t = q + k
-            v = get(t, 0) - c * a
-            if not v:
-                del rem[t]
+            v = near.get(t, 0) - c * a
+            if v:
+                near[t] = v
             else:
-                if t not in rem:
-                    push(todo, -t)
-                rem[t] = v
+                del near[t]
     return quot
 
 

@@ -4,6 +4,12 @@ Subcommands mirror the library: zeta / sym / power / opposite for series and
 sym powers, hd / hd-zeta / effective for the Hodge-Deligne side, eval for
 exact rational specialization, verify for the named verification scenarios.
 
+Every argument is declared once, in ``COMMANDS``.  A well-formed argv is read
+from that table directly.  Only help, abbreviated options and usage errors
+import argparse and build its parser from the same table, so an ordinary call
+pays neither for the import (with ``gettext``) nor for building the parser.
+An expression that begins with "-" goes after "--": ``stackzeta hd -- -L``.
+
 Exit codes: 0 success (and verification pass), 1 verification fail, 2 parse
 or elaboration error, 3 domain error, 4 resource-cap error, 5 internal
 inconsistency (a bug, not bad input).
@@ -11,10 +17,10 @@ inconsistency (a bug, not bad input).
 
 from __future__ import annotations
 
-import argparse
 import re
 import sys
 from functools import lru_cache
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -32,91 +38,141 @@ from .power import power
 from .zeta import motivic_provider, opposite_zeta, sym_power, zeta_series
 
 if TYPE_CHECKING:
+    import argparse
     from fractions import Fraction
 
 #: The named scenarios of ``verify``, which is imported only by that command.
 SCENARIOS = ("distinct-sum", "zeta-closed-form", "grassmannian", "axioms")
 
+_JSON = ("--json", {"action": "store_true", "help": "emit JSON instead of text"})
+_ORDER = ("--order", {"type": int, "required": True, "metavar": "N"})
+
+#: The subcommands: each name maps to the keywords of its ``add_parser`` and to
+#: its arguments, in order.  An argument is a name, positional or an option if
+#: it starts with "--", and the keywords of its ``add_argument``.  Both
+#: ``_read_args`` and ``_build_parser`` read this table, so it is the one place
+#: an argument is declared.
+COMMANDS = {
+    "zeta": ({"help": "zeta series of a class expression"}, (("expr", {}), _ORDER, _JSON)),
+    "sym": (
+        {"help": "k-th symmetric power of a class expression"},
+        (("k", {"type": int}), ("expr", {}), _JSON),
+    ),
+    "power": (
+        {"help": "raise a series to a class exponent"},
+        (("series", {}), ("expr", {}), _ORDER, _JSON),
+    ),
+    "opposite": ({"help": "opposite-structure series of a class expression"}, (("expr", {}), _ORDER, _JSON)),
+    "hd": ({"help": "Hodge-Deligne realization of a class expression"}, (("expr", {}), _JSON)),
+    "hd-zeta": ({"help": "zeta series of an E-polynomial in u, v"}, (("poly", {}), _ORDER, _JSON)),
+    "effective": ({"help": "effectiveness heuristic on a class or E-polynomial"}, (("expr", {}), _JSON)),
+    "eval": (
+        {
+            "help": "evaluate a class expression at a rational L",
+            "description": (
+                "Evaluate a class expression at L = P/Q. Away from 0, 1 and -1 the"
+                " expression is evaluated on exact fractions without expanding the"
+                " class; at those three points the class is built first, and a"
+                " reduced denominator that vanishes there exits 3."
+            ),
+        },
+        (("expr", {}), ("--at", {"required": True, "metavar": "P/Q", "help": "rational value for L"}), _JSON),
+    ),
+    "verify": (
+        {"help": "run a named verification scenario"},
+        (
+            ("scenario", {"choices": SCENARIOS}),
+            ("--k", {"type": int, "default": 2, "help": "distinct-sum: number of arguments"}),
+            ("--cap-degree", {"type": int, "default": 6, "help": "distinct-sum: expansion degree"}),
+            ("--m", {"type": int, "default": 0, "help": "zeta-closed-form: numerator twist q^m"}),
+            ("--n", {"type": int, "default": 1, "help": "zeta-closed-form: denominator twist 1-q^n"}),
+            ("--order", {"type": int, "default": 4, "help": "series truncation order"}),
+            ("--n-max", {"type": int, "default": 4, "help": "grassmannian: largest L-power in the product"}),
+            ("--ring", {"choices": ("motivic", "hd"), "default": "motivic", "help": "axioms: coefficient ring"}),
+            ("--samples", {"type": int, "default": 20, "help": "axioms: number of random samples"}),
+            ("--seed", {"type": int, "default": 0, "help": "axioms: RNG seed"}),
+            (
+                "--perturb",
+                {"action": "store_true", "help": "negative control: deliberately break one side (must fail)"},
+            ),
+            _JSON,
+        ),
+    ),
+}
+
+
+def _read_args(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse would give for a well-formed argv, read by the
+    table alone; None for anything argparse is needed for.
+
+    That is help, ``--``, any token starting with "-" that is not an option of
+    the command as spelled in the table (an abbreviation, a negative number),
+    a repeated option, ``--flag=value``, an option value starting with "-", a
+    value that ``int`` or the choices reject, the wrong number of positionals,
+    a missing required option, and an unknown command or an empty argv.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    arguments = COMMANDS[argv[0]][1]
+    specs = dict(arguments)
+    positionals = [name for name, _ in arguments if name[0] != "-"]
+    values = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token[:1] != "-":
+            if not positionals:
+                return None
+            name, value = positionals.pop(0), token
+        else:
+            name, eq, value = token.partition("=")
+            if name not in specs or name in values:
+                return None
+            if specs[name].get("action") == "store_true":
+                if eq:
+                    return None
+                values[name] = True
+                continue
+            if not eq:
+                value = next(tokens, "-")
+            if value[:1] == "-":
+                return None
+        spec = specs[name]
+        if "type" in spec:
+            try:
+                value = spec["type"](value)
+            except ValueError:
+                return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        values[name] = value
+    if positionals:
+        return None
+    args = SimpleNamespace(command=argv[0])
+    for name, spec in arguments:
+        if name not in values:
+            if spec.get("required"):
+                return None
+            values[name] = spec.get("default", False if spec.get("action") == "store_true" else None)
+        setattr(args, name.lstrip("-").replace("-", "_"), values[name])
+    return args
+
 
 @lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and shared by later calls
-    (parse_args leaves the parser unchanged)."""
+    """The argument parser, built from ``COMMANDS`` on first use and shared by
+    later calls (parse_args leaves the parser unchanged).  Only an argv that
+    ``_read_args`` declines reaches it."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="stackzeta",
         description="Exact Kapranov zeta functions and power structures on motivic classes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_json(p):
-        p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-
-    p = sub.add_parser("zeta", help="zeta series of a class expression")
-    p.add_argument("expr")
-    p.add_argument("--order", type=int, required=True, metavar="N")
-    add_json(p)
-
-    p = sub.add_parser("sym", help="k-th symmetric power of a class expression")
-    p.add_argument("k", type=int)
-    p.add_argument("expr")
-    add_json(p)
-
-    p = sub.add_parser("power", help="raise a series to a class exponent")
-    p.add_argument("series")
-    p.add_argument("expr")
-    p.add_argument("--order", type=int, required=True, metavar="N")
-    add_json(p)
-
-    p = sub.add_parser("opposite", help="opposite-structure series of a class expression")
-    p.add_argument("expr")
-    p.add_argument("--order", type=int, required=True, metavar="N")
-    add_json(p)
-
-    p = sub.add_parser("hd", help="Hodge-Deligne realization of a class expression")
-    p.add_argument("expr")
-    add_json(p)
-
-    p = sub.add_parser("hd-zeta", help="zeta series of an E-polynomial in u, v")
-    p.add_argument("poly")
-    p.add_argument("--order", type=int, required=True, metavar="N")
-    add_json(p)
-
-    p = sub.add_parser("effective", help="effectiveness heuristic on a class or E-polynomial")
-    p.add_argument("expr")
-    add_json(p)
-
-    p = sub.add_parser(
-        "eval",
-        help="evaluate a class expression at a rational L",
-        description=(
-            "Evaluate a class expression at L = P/Q. Away from 0, 1 and -1 the"
-            " expression is evaluated on exact fractions without expanding the"
-            " class; at those three points the class is built first, and a"
-            " reduced denominator that vanishes there exits 3."
-        ),
-    )
-    p.add_argument("expr")
-    p.add_argument("--at", required=True, metavar="P/Q", help="rational value for L")
-    add_json(p)
-
-    p = sub.add_parser("verify", help="run a named verification scenario")
-    p.add_argument("scenario", choices=SCENARIOS)
-    p.add_argument("--k", type=int, default=2, help="distinct-sum: number of arguments")
-    p.add_argument("--cap-degree", type=int, default=6, help="distinct-sum: expansion degree")
-    p.add_argument("--m", type=int, default=0, help="zeta-closed-form: numerator twist q^m")
-    p.add_argument("--n", type=int, default=1, help="zeta-closed-form: denominator twist 1-q^n")
-    p.add_argument("--order", type=int, default=4, help="series truncation order")
-    p.add_argument("--n-max", type=int, default=4, help="grassmannian: largest L-power in the product")
-    p.add_argument("--ring", choices=("motivic", "hd"), default="motivic", help="axioms: coefficient ring")
-    p.add_argument("--samples", type=int, default=20, help="axioms: number of random samples")
-    p.add_argument("--seed", type=int, default=0, help="axioms: RNG seed")
-    p.add_argument(
-        "--perturb",
-        action="store_true",
-        help="negative control: deliberately break one side (must fail)",
-    )
-    add_json(p)
-
+    for command, (keywords, arguments) in COMMANDS.items():
+        p = sub.add_parser(command, **keywords)
+        for name, spec in arguments:
+            p.add_argument(name, **spec)
     return parser
 
 
@@ -245,8 +301,8 @@ def _bind_at_value(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    args = _build_parser().parse_args(_bind_at_value(argv))
+    argv = _bind_at_value(sys.argv[1:] if argv is None else argv)
+    args = _read_args(argv) or _build_parser().parse_args(argv)
     try:
         return _run(args)
     except ParseError as exc:

@@ -1,6 +1,8 @@
 """Command-line interface: outputs, JSON forms, exit codes."""
 
+import contextlib
 import fractions
+import io
 import json
 import re
 import sys
@@ -8,7 +10,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stackzeta import (
@@ -143,13 +145,123 @@ def test_eval_at_negative_values(capsys):
         assert (code, out.strip(), err) == (0, want, "")
 
 
-def test_parser_is_built_once(capsys):
+def test_parser_is_built_only_for_declined_argvs(capsys):
     cli._build_parser.cache_clear()
     for _ in range(5):
         run(capsys, "sym", "2", "L + 1")
         run(capsys, "hd", "BGL(1)", "--json")
-    assert cli._build_parser.cache_info().misses == 1
-    assert cli._build_parser.cache_info().hits == 9
+    assert cli._build_parser.cache_info().misses == 0
+    for argv, code in ((["--help"], 0), (["zeta", "L"], 2)):  # --order is required
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code
+    capsys.readouterr()
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_an_expression_that_begins_with_a_minus_goes_after_a_double_dash(capsys):
+    assert run(capsys, "hd", "--", "-L") == (0, "-u*v\n", "")
+    with pytest.raises(SystemExit) as exc:
+        main(["hd", "-L"])
+    assert exc.value.code == 2
+    assert "the following arguments are required: expr" in capsys.readouterr().err
+
+
+#: Values to draw for an argument of each kind: the well-formed ones first,
+#: then the kinds that argparse reads differently or rejects.
+INT_VALUES = ("3", "0", "12", " 4", "1_0"), ("-2", "x", "", "2.5", "-L")
+STR_VALUES = ("L", "BGL(1)", "1/(L-1)", "2", "7/2", ""), ("-7/3", "-L", "-L + 1", "-", "--json", "-h")
+JUNK = ("-h", "--help", "--", "-L", "-L + 1", "-2", "--ord", "--frob", "extra", "")
+
+
+@st.composite
+def table_argvs(draw):
+    """An argv built from ``cli.COMMANDS``: its positionals and options in any
+    order, each option as ``--opt v`` or ``--opt=v``.  Each argument may be
+    spoiled: left out, repeated, abbreviated or given a bad value; and stray
+    tokens may be mixed in."""
+    command = draw(st.sampled_from([*cli.COMMANDS, "frob", "--help", "-h", "--"]))
+    if command not in cli.COMMANDS:
+        return draw(st.sampled_from([[], [command], [command, "L"]]))
+    groups = []
+    for name, spec in cli.COMMANDS[command][1]:
+        good, bad = ((*spec["choices"],), ("nope",)) if "choices" in spec else INT_VALUES if "type" in spec else STR_VALUES
+        spoil = draw(st.integers(0, 5)) == 0
+        values = st.sampled_from(good + bad if spoil else good)
+        usual = 1 if name[0] != "-" or spec.get("required") else draw(st.integers(0, 1))
+        for _ in range(draw(st.integers(0, 2)) if spoil else usual):
+            if name[0] != "-":
+                groups.append([draw(values)])
+                continue
+            spelled = name[: draw(st.sampled_from([3, 4, len(name) - 1]))] if spoil and draw(st.booleans()) else name
+            if spec.get("action") == "store_true":
+                groups.append([f"{spelled}=1"] if spoil and draw(st.booleans()) else [spelled])
+            else:
+                value = draw(values)
+                groups.append([f"{spelled}={value}"] if draw(st.booleans()) else [spelled, value])
+    groups += [[token] for token in draw(st.lists(st.sampled_from(JUNK), max_size=1))]
+    return [command, *(token for group in draw(st.permutations(groups)) for token in group)]
+
+
+def argparse_reads(argv):
+    """vars() of argparse's namespace, each value with its type, or None if argparse exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            namespace = cli._build_parser().parse_args(argv)
+        except SystemExit:
+            return None
+    return {key: (type(value), value) for key, value in vars(namespace).items()}
+
+
+@settings(max_examples=600)
+@given(table_argvs())
+def test_direct_reader_agrees_with_argparse(argv):
+    for read in (argv, cli._bind_at_value(argv)):
+        want = argparse_reads(read)
+        got = cli._read_args(read)
+        if got is not None:
+            assert {key: (type(value), value) for key, value in vars(got).items()} == want, read
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["zeta", "L", "--ord", "2"],
+        ["zeta", "L", "--ord=2"],
+        ["sym", "-2", "L"],
+        ["zeta", "L", "--order", "-2"],
+        ["eval", "L", "--at=-7/3"],
+        ["zeta", "L", "--order", "2", "--order", "3"],
+        ["hd", "--", "-L"],
+        ["zeta", "--order", "2", "--", "L"],
+        ["verify", "axioms", "--perturb", "--perturb"],
+    ],
+)
+def test_direct_reader_leaves_argparse_its_own_rules(argv):
+    # argparse reads each of these, by rules the table does not spell out
+    assert argparse_reads(argv) is not None
+    assert cli._read_args(argv) is None
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["zeta", "BGL(1)", "--order", "3", "--json"],
+        ["zeta", "--order=3", "L"],
+        ["sym", "2", "L + 1"],
+        ["power", "1 + T", "--order", "2", "1/(L-1)"],
+        ["opposite", "", "--order", "0"],
+        ["hd", "--json", "BGL(1)"],
+        ["hd-zeta", "u*v", "--order", " 2"],
+        ["effective", "GL(2)"],
+        ["eval", "L", "--at", "5/2", "--json"],
+        ["verify", "axioms", "--ring", "hd", "--samples=3", "--perturb", "--cap-degree", "1_0"],
+    ],
+)
+def test_direct_reader_reads_well_formed_argvs(argv):
+    got = cli._read_args(argv)
+    assert got is not None and vars(got) == vars(cli._build_parser().parse_args(argv))
 
 
 def test_reused_parser_keeps_no_state_between_calls(capsys):

@@ -5,8 +5,8 @@ still finds it.
 Each case runs `python -m stackzeta.cli` as a user would, so a crash that the
 in-process tests would see only as an exception shows up here as exit 1 and a
 traceback on stderr.  In-process tests cannot see a missing deferred import
-(``fractions``, ``json``, ``verify``, ``oracles``): an earlier test has
-already loaded the module.
+(``fractions``, ``json``, ``verify``, ``oracles``, ``argparse``): an earlier
+test has already loaded the module.
 """
 
 import os
@@ -82,28 +82,52 @@ VERIFY_PERTURBED = (
     "  witness: axiom 3 ((A*B)^m = A^m * B^m): sample 0: lhs = "
 )
 
-#: (id, argv, exit code, stdout with timings masked as MS, or its start when it ends in "= ").
+ZETA_L_ORDER2 = "1 + (L)*T + (L^2)*T^2\n"
+
+#: (id, argv, exit code, stdout with timings masked as MS, or its start when it
+#: ends in a space, and a text that stderr holds, or "" when it must be empty).
+#: The last four take the argparse route, which imports argparse on first use.
 DEFERRED = [
-    ("eval", ("eval", "GL(2)", "--at", "5/2"), 0, "315/16\n"),
-    ("eval-json", ("eval", "GL(2)", "--at", "5/2", "--json"), 0, '{"value": "315/16"}\n'),
-    ("eval-class", ("eval", "(L+1)/(L^2-1)", "--at", "-1"), 0, "-1/2\n"),
+    ("eval", ("eval", "GL(2)", "--at", "5/2"), 0, "315/16\n", ""),
+    ("eval-json", ("eval", "GL(2)", "--at", "5/2", "--json"), 0, '{"value": "315/16"}\n', ""),
+    ("eval-class", ("eval", "(L+1)/(L^2-1)", "--at", "-1"), 0, "-1/2\n", ""),
     (
         "effective-json",
         ("effective", "GL(2)", "--json"),
         0,
         '{"verdict": "effective-candidate", "witness": null, "detail": "polynomial class; top part 1*(uv)^4"}\n',
+        "",
     ),
-    ("verify-json", ("verify", "axioms", "--order", "2", "--samples", "2", "--json"), 0, VERIFY_JSON),
-    ("verify-perturbed", ("verify", "axioms", "--order", "2", "--samples", "2", "--perturb"), 1, VERIFY_PERTURBED),
+    ("verify-json", ("verify", "axioms", "--order", "2", "--samples", "2", "--json"), 0, VERIFY_JSON, ""),
+    ("verify-perturbed", ("verify", "axioms", "--order", "2", "--samples", "2", "--perturb"), 1, VERIFY_PERTURBED, ""),
+    ("zeta", ("zeta", "L", "--order", "2"), 0, ZETA_L_ORDER2, ""),
+    ("help", ("--help",), 0, "usage: stackzeta ", ""),
+    ("missing-order", ("zeta", "L"), 2, "", "the following arguments are required: --order"),
+    ("abbreviated-order", ("zeta", "L", "--ord", "2"), 0, ZETA_L_ORDER2, ""),
+    ("unknown-command", ("frob",), 2, "", "invalid choice: 'frob'"),
 ]
 
 
-@pytest.mark.parametrize("argv, code, out", [case[1:] for case in DEFERRED], ids=[case[0] for case in DEFERRED])
-def test_commands_that_import_on_first_use(argv, code, out):
+@pytest.mark.parametrize(
+    "argv, code, out, err", [case[1:] for case in DEFERRED], ids=[case[0] for case in DEFERRED]
+)
+def test_commands_that_import_on_first_use(argv, code, out, err):
     proc = fresh_python("-m", "stackzeta.cli", *argv)
     stdout = re.sub(r'(?<="ms": )[0-9.e+-]+|(?<=\()[0-9.]+(?= ms\))', "MS", proc.stdout)
-    assert (proc.returncode, proc.stderr) == (code, "")
-    assert stdout.startswith(out) if out.endswith("= ") else stdout == out
+    assert proc.returncode == code
+    assert err in proc.stderr if err else proc.stderr == ""
+    assert stdout.startswith(out) if out.endswith(" ") else stdout == out
+
+
+def test_a_well_formed_call_does_not_load_argparse():
+    code = (
+        "import sys; from stackzeta.cli import main;"
+        " code = main(['zeta', 'BGL(1)', '--order', '3', '--json']);"
+        " print(code, sorted({'argparse', 'gettext'} & sys.modules.keys()))"
+    )
+    proc = fresh_python("-S", "-c", code)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith('{"order": 3, ') and proc.stdout.endswith("\n0 []\n")
 
 
 def test_the_package_resolves_its_deferred_exports():

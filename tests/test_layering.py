@@ -31,6 +31,8 @@ imported by the functions that compute on Fractions or write JSON, and
 ``oracles`` and ``verify`` by the ``verify`` command and on first access to
 their exports in the package namespace.  ``heapq`` loads a C extension,
 about 0.6 ms on first use, so the cyclotomic quotient does without it.
+``argparse``, which loads ``gettext``, is imported only for the CLI's help
+and usage errors: a well-formed argv is read from the command table.
 """
 
 import ast
@@ -48,7 +50,8 @@ COEFFICIENT_MODULES = {"laurent", "multipoly", "motivic"}
 ORACLE_IMPORTERS = {"verify.py", "__init__.py"}
 #: Modules that importing the package and its CLI must not load.
 SLOW_IMPORTS = {
-    "dataclasses", "decimal", "fractions", "heapq", "inspect", "json", "stackzeta.oracles", "stackzeta.verify",
+    "argparse", "dataclasses", "decimal", "fractions", "gettext", "heapq", "inspect", "json",
+    "stackzeta.oracles", "stackzeta.verify",
 }
 FROZEN_HOOKS = {"__setattr__", "__delattr__", "__reduce__"}
 
@@ -367,6 +370,9 @@ def test_the_scan_sees_slow_imports(tmp_path):
         "class Env:\n    from json import dumps\n\n    def of_int(self, n):\n        from fractions import Fraction\n"
     )
     (tmp_path / "verify.py").write_text("from .oracles import zeta_of_polynomial\nimport json\n")
+    (tmp_path / "hodge.py").write_text(
+        "import argparse\nfrom gettext import gettext\n\ndef build_parser():\n    import argparse\n"
+    )
     assert slow_imports(tmp_path) == [
         "cli.py:6: decimal",
         "cli.py:8: stackzeta.verify",
@@ -375,6 +381,8 @@ def test_the_scan_sees_slow_imports(tmp_path):
         "cli.py:18: json",
         "expr.py:1: dataclasses",
         "expr.py:2: inspect",
+        "hodge.py:1: argparse",
+        "hodge.py:2: gettext",
         "laurent.py:1: heapq",
         "zeta.py:1: dataclasses",
         "zeta.py:2: json",

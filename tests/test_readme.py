@@ -45,7 +45,7 @@ EXAMPLES = cli_examples()
 
 def test_the_readme_has_cli_examples():
     commands = [command.split()[0] for command, _ in EXAMPLES]
-    assert commands == ["zeta", "sym", "power", "effective", "hd", "eval", "verify"]
+    assert commands == ["zeta", "sym", "power", "effective", "hd", "hd", "eval", "verify"]
 
 
 @pytest.mark.parametrize("command, expected", EXAMPLES, ids=[command for command, _ in EXAMPLES])

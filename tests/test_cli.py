@@ -160,14 +160,6 @@ def test_parser_is_built_only_for_declined_argvs(capsys):
     assert (info.misses, info.hits) == (1, 1)
 
 
-def test_an_expression_that_begins_with_a_minus_goes_after_a_double_dash(capsys):
-    assert run(capsys, "hd", "--", "-L") == (0, "-u*v\n", "")
-    with pytest.raises(SystemExit) as exc:
-        main(["hd", "-L"])
-    assert exc.value.code == 2
-    assert "the following arguments are required: expr" in capsys.readouterr().err
-
-
 #: Values to draw for an argument of each kind: the well-formed ones first,
 #: then the kinds that argparse reads differently or rejects.
 INT_VALUES = ("3", "0", "12", " 4", "1_0"), ("-2", "x", "", "2.5", "-L")

@@ -4,10 +4,11 @@ Subcommands mirror the library: zeta / sym / power / opposite for series and
 sym powers, hd / hd-zeta / effective for the Hodge-Deligne side, eval for
 exact rational specialization, verify for the named verification scenarios.
 
-Every argument is declared once, in ``COMMANDS``.  A well-formed argv is read
-from that table directly.  Only help, abbreviated options and usage errors
-import argparse and build its parser from the same table, so an ordinary call
-pays neither for the import (with ``gettext``) nor for building the parser.
+Every argument is declared once, in ``COMMANDS``.  A well-formed argv, a
+negative ``--at`` included, is read from that table directly.  Only help,
+abbreviated options and usage errors import argparse and build its parser
+from the same table, so an ordinary call pays neither for the import (with
+``gettext``) nor for building the parser.
 An expression that begins with "-" goes after "--": ``stackzeta hd -- -L``.
 
 Exit codes: 0 success (and verification pass), 1 verification fail, 2 parse
@@ -107,9 +108,11 @@ def _read_args(argv: list[str]) -> SimpleNamespace | None:
 
     That is help, ``--``, any token starting with "-" that is not an option of
     the command as spelled in the table (an abbreviation, a negative number),
-    a repeated option, ``--flag=value``, an option value starting with "-", a
-    value that ``int`` or the choices reject, the wrong number of positionals,
-    a missing required option, and an unknown command or an empty argv.
+    a repeated option, ``--flag=value``, a separate option value starting with
+    "-" (``--opt=value`` is taken verbatim, as argparse does, so a negative
+    ``--at`` is read here), a value that ``int`` or the choices reject, the
+    wrong number of positionals, a missing required option, and an unknown
+    command or an empty argv.
     """
     if not argv or argv[0] not in COMMANDS:
         return None
@@ -134,8 +137,8 @@ def _read_args(argv: list[str]) -> SimpleNamespace | None:
                 continue
             if not eq:
                 value = next(tokens, "-")
-            if value[:1] == "-":
-                return None
+                if value[:1] == "-":
+                    return None
         spec = specs[name]
         if "type" in spec:
             try:

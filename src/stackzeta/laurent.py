@@ -90,10 +90,6 @@ class IntLaurent(_TermPoly):
     def coefficient(self, deg: int) -> int:
         return self._terms.get(deg, 0)
 
-    def coeff_sum(self) -> int:
-        """Sum of all coefficients; the value at L = 1."""
-        return sum(self._terms.values())
-
     def items(self) -> Iterator[tuple[int, int]]:
         """Terms as (degree, coefficient), ascending by degree."""
         return iter(sorted(self._terms.items()))
@@ -191,25 +187,6 @@ class IntLaurent(_TermPoly):
         if any(rem[:top]):
             return None
         return IntLaurent._raw(_monic_quotient(self._terms, top, tail))
-
-    def divexact(self, other) -> IntLaurent | None:
-        """Exact quotient self/other for a divisor L^a * (L^n - 1), n >= 1, or
-        None when it does not divide; it divides by the Phi_d, d | n, in turn.
-
-        Any other divisor, zero included, is a domain error rather than None:
-        it signals a caller bug, not a failed divisibility test.
-        """
-        o = self._coerce(other)
-        if o is not None and len(o._terms) == 2:
-            lo, hi = min(o._terms), max(o._terms)
-            if o._terms[hi] == 1 and o._terms[lo] == -1:
-                out = self.shift(-lo)
-                for d in divisors(hi - lo):
-                    out = out.div_cyclotomic(d)
-                    if out is None:
-                        return None
-                return out
-        raise DomainError("divexact divides only by L^a * (L^n - 1)")
 
     # -- maps out of the ring ------------------------------------------------
 

@@ -91,10 +91,6 @@ class DenomForm(Frozen):
     def is_trivial(self) -> bool:
         return self.l_exp == 0 and not self.factors
 
-    def expand(self) -> IntLaurent:
-        """The denominator as an honest polynomial in L."""
-        return _denominator_product(self.l_exp, self.factors)
-
     def eval_rational(self, t: Fraction) -> Fraction:
         """The value at L = t, on integers: for t = p/r in lowest terms,
         p^l_exp * prod(p^n - r^n) / r^(l_exp + sum(n)) is in lowest terms too."""
@@ -509,12 +505,6 @@ class MotivicClass(Frozen):
         cyc = tuple((d, e * n) for d, e in den.exponents)
         return MotivicClass._raw(self._num ** n, _denominator(den.l_exp * n, cyc))
 
-    # -- canonicalization ----------------------------------------------------
-
-    def normalize(self) -> MotivicClass:
-        """The reduced form, which every class already is: returns self."""
-        return self
-
     def inverse(self) -> MotivicClass:
         """1/self; defined exactly for the units sign * L^a * prod Phi_d^e."""
         uf = unit_part(self._num)
@@ -659,10 +649,6 @@ class HDRealization(namedtuple("HDRealization", "num l_exp factors")):
     with num a MultiPoly in u, v and factors an ascending tuple of ints."""
 
     __slots__ = ()
-
-    @property
-    def is_polynomial(self) -> bool:
-        return self.l_exp == 0 and not self.factors
 
     def __str__(self) -> str:
         return _render_fraction(str(self.num), self.l_exp, self.factors, "(u*v)")

@@ -90,14 +90,6 @@ class Partition(Frozen):
     def __hash__(self) -> int:
         return hash((self.multiplicities,))
 
-    @property
-    def weight(self) -> int:
-        return sum(j * kj for j, kj in enumerate(self.multiplicities, start=1))
-
-    @property
-    def largest_part(self) -> int:
-        return len(self.multiplicities)
-
     def nonzero_blocks(self) -> tuple[tuple[int, int], ...]:
         """Pairs (j, k_j) for the part sizes that actually occur, ascending j."""
         return tuple((j, kj) for j, kj in enumerate(self.multiplicities, start=1) if kj)

@@ -1,10 +1,12 @@
-"""Plain long division on coefficient lists, as a reference for the library's
-cyclotomic division: it shares no code with ``stackzeta.laurent``.
+"""Plain long division and products on coefficient lists, as a reference for
+the library's cyclotomic division and denominators: it shares no code with
+``stackzeta.laurent`` or ``stackzeta.motivic``.
 
 A polynomial is a list of ints, ascending from degree 0.
 """
 
 from functools import lru_cache
+from itertools import zip_longest
 
 
 def long_divide(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
@@ -21,6 +23,15 @@ def long_divide(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
             for k, c in enumerate(den):
                 rem[i - top + k] -= q * c
     return quot, rem[:top]
+
+
+def denominator_product(l_exp: int, factors) -> list[int]:
+    """L^l_exp * prod(L^n - 1) over n in factors: each factor subtracts the
+    product so far from its shift by n."""
+    out = [0] * l_exp + [1]
+    for n in factors:
+        out = [hi - lo for hi, lo in zip_longest([0] * n + out, out, fillvalue=0)]
+    return out
 
 
 @lru_cache(maxsize=None)

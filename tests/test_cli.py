@@ -223,7 +223,7 @@ def test_direct_reader_agrees_with_argparse(argv):
         ["zeta", "L", "--ord=2"],
         ["sym", "-2", "L"],
         ["zeta", "L", "--order", "-2"],
-        ["eval", "L", "--at=-7/3"],
+        ["hd", "L", "--js"],
         ["zeta", "L", "--order", "2", "--order", "3"],
         ["hd", "--", "-L"],
         ["zeta", "--order", "2", "--", "L"],
@@ -248,6 +248,8 @@ def test_direct_reader_leaves_argparse_its_own_rules(argv):
         ["hd-zeta", "u*v", "--order", " 2"],
         ["effective", "GL(2)"],
         ["eval", "L", "--at", "5/2", "--json"],
+        ["eval", "L", "--at=-7/3"],
+        ["zeta", "L", "--order=-2"],
         ["verify", "axioms", "--ring", "hd", "--samples=3", "--perturb", "--cap-degree", "1_0"],
     ],
 )

@@ -64,11 +64,10 @@ def pool_combinations(draw):
 
 def peel_zeta(a: MotivicClass, order: int) -> TruncatedSeries:
     """zeta_a by the partition formula, peeling denominator factors largest-first."""
-    norm = a.normalize()
-    if not norm.den.factors:
-        return zeta_of_polynomial(norm.num.shift(-norm.den.l_exp), order)
-    n = norm.den.factors[-1]
-    base = MotivicClass(norm.num, DenomForm(norm.den.l_exp + n, norm.den.factors[:-1]))
+    if not a.den.factors:
+        return zeta_of_polynomial(a.num.shift(-a.den.l_exp), order)
+    n = a.den.factors[-1]
+    base = MotivicClass(a.num, DenomForm(a.den.l_exp + n, a.den.factors[:-1]))
     return zeta_from_sigma(peel_zeta(base, order).coefficients[1:], 0, n, order)
 
 

@@ -14,10 +14,15 @@ engine never leans on the routes it is checked against.
 Outside ``laurent.py`` the library divides polynomials only through
 ``IntLaurent.div_cyclotomic``, by a cyclotomic polynomial Phi_d, whose one
 kernel inside ``laurent.py`` is a synthetic division by the monic Phi_d
-that visits only nonzero terms: no library module calls ``divexact`` or
-reaches a private division helper such as ``_div_binomial``, and
-``DenomForm`` keeps no ``lcm`` or ``complement_in`` merge of denominator
-shapes, since sums are taken over cyclotomic exponents.
+that visits only nonzero terms: no library module reaches a private
+division helper such as ``_div_binomial``, and ``DenomForm`` keeps no
+``lcm`` or ``complement_in`` merge of denominator shapes, since sums are
+taken over cyclotomic exponents.
+
+Every public method and property of a class has a caller in the library or
+the benchmark, so a member the design no longer needs is deleted rather
+than kept alive by its own tests.  The exceptions are the entry points in
+``PUBLIC_ENTRY_POINTS``, which users call.
 
 Only ``_frozen.py`` defines ``__setattr__``, ``__delattr__`` or
 ``__reduce__``, and every class with a non-empty ``__slots__`` derives from
@@ -386,4 +391,78 @@ def test_the_scan_sees_slow_imports(tmp_path):
         "laurent.py:1: heapq",
         "zeta.py:1: dataclasses",
         "zeta.py:2: json",
+    ]
+
+
+#: Public members that need no caller in the library or the benchmark.
+PUBLIC_ENTRY_POINTS = {
+    # reading JSON back is documented in the README ("JSON forms"); the CLI only writes it
+    "from_json",
+    # the one public view of the stored cyclotomic form; the tests' independent
+    # check that classes are reduced reads it
+    "structural_key",
+}
+
+
+def uncalled_members(src: Path, bench: Path) -> list[str]:
+    """Public methods and properties defined in a class body in ``src`` that no
+    attribute of that name in ``src/*.py`` or ``bench/*.py`` reaches, outside
+    the member's own definition; PUBLIC_ENTRY_POINTS are exempt."""
+    library = sorted(src.glob("*.py"))
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in library + sorted(bench.glob("*.py"))}
+    uses = [
+        (path, node.lineno, node.attr)
+        for path, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+    ]
+    found = []
+    for path in library:
+        for cls in ast.walk(trees[path]):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for member in cls.body:
+                if (
+                    not isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    or member.name.startswith("_")
+                    or member.name in PUBLIC_ENTRY_POINTS
+                ):
+                    continue
+                outside = (
+                    (where, line) for where, line, attr in uses
+                    if attr == member.name and not (where == path and member.lineno <= line <= member.end_lineno)
+                )
+                if next(outside, None) is None:
+                    found.append(f"{path.name}:{member.lineno}: {cls.name}.{member.name}")
+    return found
+
+
+def test_every_public_method_has_a_caller():
+    src = Path(stackzeta.__file__).parent
+    assert uncalled_members(src, Path(__file__).parent.parent / "bench") == []
+
+
+def test_the_scan_sees_uncalled_members(tmp_path):
+    src, bench = tmp_path / "src", tmp_path / "bench"
+    src.mkdir()
+    bench.mkdir()
+    (src / "laurent.py").write_text(
+        "class IntLaurent:\n"
+        "    def divexact(self, other):\n        return self.divexact(other)\n\n"
+        "    @property\n    def weight(self):\n        return 0\n\n"
+        "    def items(self):\n        return self.weight\n\n"
+        "    @classmethod\n    def from_json(cls, data):\n        pass\n\n"
+        "    def _private(self):\n        pass\n\n"
+        "    def __str__(self):\n        pass\n\n"
+        "    def traced(self):\n        pass\n\n\n"
+        "def module_level(p):\n    return p\n"
+    )
+    (src / "motivic.py").write_text("class DenomForm:\n    def expand(self):\n        pass\n")
+    (bench / "tracer.py").write_text("def hook(a):\n    return a.traced()\n")
+    (bench / "tests").mkdir()
+    (bench / "tests" / "test_tracer.py").write_text("def test(p):\n    p.expand(), p.items()\n")
+    assert uncalled_members(src, bench) == [
+        "laurent.py:2: IntLaurent.divexact",
+        "laurent.py:9: IntLaurent.items",
+        "motivic.py:2: DenomForm.expand",
     ]

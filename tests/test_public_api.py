@@ -36,7 +36,7 @@ POLY_OPERATORS = {
 #: Public methods and properties of the polynomial types.
 POLY_PUBLIC = {
     stackzeta.IntLaurent: {
-        "adams", "as_int", "coeff_sum", "coefficient", "div_cyclotomic", "divexact", "divide_exact_int", "eval_rational",
+        "adams", "as_int", "coefficient", "div_cyclotomic", "divide_exact_int", "eval_rational",
         "from_int", "is_zero", "items", "max_deg", "min_deg", "one", "shift", "substitute",
         "term", "zero",
     },

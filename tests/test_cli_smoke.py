@@ -119,26 +119,19 @@ def test_commands_that_import_on_first_use(argv, code, out, err):
     assert stdout.startswith(out) if out.endswith(" ") else stdout == out
 
 
-def run_without_argparse(argv):
-    """main(argv) in a fresh interpreter; stdout ends with the exit code and
-    the list of argparse and gettext if either was loaded."""
-    code = (
-        "import sys; from stackzeta.cli import main;"
-        f" code = main({argv!r});"
-        " print(code, sorted({'argparse', 'gettext'} & sys.modules.keys()))"
-    )
-    return fresh_python("-S", "-c", code)
-
-
 def test_a_well_formed_call_does_not_load_argparse():
-    proc = run_without_argparse(["zeta", "BGL(1)", "--order", "3", "--json"])
-    assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout.startswith('{"order": 3, ') and proc.stdout.endswith("\n0 []\n")
-
-
-def test_a_negative_at_does_not_load_argparse():
-    proc = run_without_argparse(["eval", "1/(L-1)", "--at", "-7/3"])
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "-3/10\n0 []\n", "")
+    for argv, out in [
+        (["zeta", "BGL(1)", "--order", "3", "--json"], '{"order": 3, '),
+        (["eval", "1/(L-1)", "--at", "-7/3"], "-3/10\n"),
+    ]:
+        code = (
+            "import sys; from stackzeta.cli import main;"
+            f" code = main({argv!r});"
+            " print(code, sorted({'argparse', 'gettext'} & sys.modules.keys()))"
+        )
+        proc = fresh_python("-S", "-c", code)
+        assert (proc.returncode, proc.stderr) == (0, ""), argv
+        assert proc.stdout.startswith(out) and proc.stdout.endswith("\n0 []\n"), argv
 
 
 def test_the_package_resolves_its_deferred_exports():

@@ -423,16 +423,16 @@ def uncalled_members(src: Path, bench: Path) -> list[str]:
                 continue
             for member in cls.body:
                 if (
-                    not isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    not isinstance(member, ast.FunctionDef)
                     or member.name.startswith("_")
                     or member.name in PUBLIC_ENTRY_POINTS
                 ):
                     continue
-                outside = (
-                    (where, line) for where, line, attr in uses
-                    if attr == member.name and not (where == path and member.lineno <= line <= member.end_lineno)
+                called = any(
+                    attr == member.name and not (where == path and member.lineno <= line <= member.end_lineno)
+                    for where, line, attr in uses
                 )
-                if next(outside, None) is None:
+                if not called:
                     found.append(f"{path.name}:{member.lineno}: {cls.name}.{member.name}")
     return found
 

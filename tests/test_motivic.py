@@ -203,14 +203,15 @@ def test_int_and_laurent_coercion():
     assert MotivicClass.l_power(2) / MotivicClass.l_power(1) == MotivicClass.l_power(1)
 
 
+def _expanded(l_exp, factors):
+    """L^l_exp * prod(L^n - 1), built without the library's denominators."""
+    return IntLaurent(enumerate(denominator_product(l_exp, factors)))
+
+
 # The general route of the class arithmetic, kept as the reference for its
 # fast paths: every sum is taken over the product of the two shapes by
 # cross-multiplication, every product over the concatenated shapes, and the
 # public constructor reduces the result.
-def _expanded(l_exp, factors):
-    return IntLaurent(enumerate(denominator_product(l_exp, factors)))
-
-
 def _reference_sum(a, b):
     den = DenomForm(a.den.l_exp + b.den.l_exp, a.den.factors + b.den.factors)
     num = a.num * _expanded(b.den.l_exp, b.den.factors) + b.num * _expanded(a.den.l_exp, a.den.factors)

@@ -7,18 +7,11 @@ Kapranov zeta function as a pre-lambda structure, the power structures it
 induces, the Hodge-Deligne realization with effectiveness refutation, and a
 verification suite that checks each identity two independent ways.
 
-The exports of the two verification-only modules resolve on first access
-(PEP 562), and so do the modules themselves as ``stackzeta.oracles`` and
-``stackzeta.verify``: the engine never needs them, and every CLI call is a
-fresh process that would otherwise pay for them at import.  They are, from
-``oracles``: ``FuncEqReport``, ``Partition``, ``PrefixReport``,
-``block_distinct_oracle``, ``block_distinct_sum``,
-``check_functional_equation``, ``distinct_exponent_oracle``,
-``distinct_exponent_sum``, ``distinct_exponent_sum_taylor``,
-``infinite_product_prefix``, ``partitions_of``, ``zeta_from_sigma`` and
-``zeta_of_polynomial``; from ``verify``: ``VerificationReport``,
-``verify_axioms``, ``verify_distinct_sum``, ``verify_grassmannian`` and
-``verify_zeta_closed_form``.
+The exports of the two verification-only modules, listed in
+``_LAZY_EXPORTS``, resolve on first access (PEP 562), and so do the modules
+themselves as ``stackzeta.oracles`` and ``stackzeta.verify``: the engine
+never needs them, and every CLI call is a fresh process that would
+otherwise pay for them at import.
 
 The package attribute ``power`` is the function ``power``, which shadows
 the submodule ``stackzeta.power``; the module's other names, such as
@@ -44,32 +37,19 @@ from .motivic import (
     grassmannian_class,
 )
 from .multipoly import MultiPoly
-from .power import (
-    AxiomReport,
-    AxiomSample,
-    LambdaProvider,
-    axiom_suite,
-    binomial_series,
-    lambda_factorize,
-    opposite_provider,
-    opposite_series,
-    power,
-)
+from .power import LambdaProvider, binomial_series, lambda_factorize, opposite_provider, opposite_series, power
 from .series import Ring, TruncatedSeries
 from .hodge import (
     EFFECTIVE_CANDIDATE,
     INCONCLUSIVE,
     NOT_EFFECTIVE,
-    CounterexampleReport,
     EffectivenessResult,
     check_class_effectiveness,
     check_polynomial_effectiveness,
-    curve_opposite_counterexample,
     hd_opposite_provider,
     hd_provider,
     hd_ring,
     hd_zeta,
-    stack_power_counterexample,
 )
 from .zeta import motivic_provider, motivic_ring, opposite_zeta, sym_power, zeta_series
 from .expr import parse_class, parse_poly, parse_series
@@ -94,7 +74,13 @@ _LAZY_EXPORTS = {
         "zeta_of_polynomial",
     ),
     "verify": (
+        "AxiomReport",
+        "AxiomSample",
+        "CounterexampleReport",
         "VerificationReport",
+        "axiom_suite",
+        "curve_opposite_counterexample",
+        "stack_power_counterexample",
         "verify_axioms",
         "verify_distinct_sum",
         "verify_grassmannian",

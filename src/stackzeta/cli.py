@@ -9,7 +9,7 @@ negative ``--at`` included, is read from that table directly.  Only help,
 abbreviated options and usage errors import argparse and build its parser
 from the same table, so an ordinary call pays neither for the import (with
 ``gettext``) nor for building the parser.
-An expression that begins with "-" goes after "--": ``stackzeta hd -- -L``.
+An expression that begins with "-" goes after "--", as a usage error says: ``stackzeta hd -- -L``.
 
 Exit codes: 0 success (and verification pass), 1 verification fail, 2 parse
 or elaboration error, 3 domain error, 4 resource-cap error, 5 internal
@@ -303,9 +303,24 @@ def _bind_at_value(argv: list[str]) -> list[str]:
     return out
 
 
+#: A token argparse takes for an option that no command has: one "-", no space, not -h or a negative number.
+_UNKNOWN_OPTION = re.compile(r"-(?!h|\d+$|\d*\.\d+$)[^- ][^ ]*")
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = _bind_at_value(sys.argv[1:] if argv is None else argv)
-    args = _read_args(argv) or _build_parser().parse_args(argv)
+    try:
+        args = _read_args(argv) or _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse's help or usage error; a stray -L gets a line naming "--"
+        spec = COMMANDS[argv[0]][1] if exc.code == 2 and argv and argv[0] in COMMANDS else ()
+        valued = {n for n, kw in spec if n[0] == "-" and "action" not in kw}  # options that take a value
+        after = zip(argv, argv[1 : (argv + ["--"]).index("--")])  # (previous token, token) up to a "--"
+        if stray := [t for p, t in after if spec and p not in valued and _UNKNOWN_OPTION.fullmatch(t)]:
+            import shlex
+
+            hint = f"stackzeta {argv[0]} -- {shlex.quote(stray[0])}"
+            print(f'hint: an expression that begins with "-" goes after "--": {hint}', file=sys.stderr)
+        raise
     try:
         return _run(args)
     except ParseError as exc:

@@ -16,7 +16,9 @@ fact: the E-polynomial of a nonempty variety of dimension n has top-degree
 part ell * (uv)^n with ell >= 1 (count of top-dimensional components), and
 nonnegative combinations preserve that shape.  A violating top part therefore
 refutes effectiveness conclusively; the passing verdict is only
-"effective-candidate", never a proof.
+"effective-candidate", never a proof.  The paper's two refutations built on
+these checkers, for the opposite structure and for stacky powers, are in
+``verify``.
 """
 
 from __future__ import annotations
@@ -24,12 +26,10 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 
 from .errors import DomainError, int_text_limit
-from .laurent import IntLaurent
-from .motivic import DenomForm, MotivicClass, bgl_class
+from .motivic import MotivicClass
 from .multipoly import MultiPoly
-from .power import LambdaProvider, binomial_series, opposite_provider, opposite_series
+from .power import LambdaProvider, opposite_provider
 from .series import Ring, TruncatedSeries
-from .zeta import motivic_provider, zeta_series
 
 EFFECTIVE_CANDIDATE = "effective-candidate"
 NOT_EFFECTIVE = "not-effective"
@@ -114,7 +114,7 @@ def check_class_effectiveness(a: MotivicClass) -> EffectivenessResult:
     """
     if a.is_zero:
         return EffectivenessResult(EFFECTIVE_CANDIDATE, detail="zero class")
-    den = a.den
+    num, den = a._views()
     remaining = Counter(den.factors)
     ranks: list[int] = []
     while remaining:
@@ -131,87 +131,8 @@ def check_class_effectiveness(a: MotivicClass) -> EffectivenessResult:
         ranks.append(r)
     needed_l = sum(r * (r - 1) // 2 for r in ranks)
     deficit = needed_l - den.l_exp
-    num = a.num.shift(deficit) if deficit > 0 else a.num
-    realized = num.substitute(MultiPoly.monomial((1, 1)))
+    realized = num.shift(max(deficit, 0)).substitute(MultiPoly.monomial((1, 1)))
     inner = check_polynomial_effectiveness(realized)
     shape = f"numerator against GL ranks {tuple(ranks)}" if ranks else "polynomial class"
     return EffectivenessResult(inner.verdict, inner.witness, f"{shape}; {inner.detail}")
 
-
-# -- the two non-effectiveness reproductions ------------------------------------
-
-
-class CounterexampleReport(
-    namedtuple("CounterexampleReport", "name passed coefficient effectiveness notes", defaults=((),))
-):
-    """One reproduction: whether every check held, the T^2 coefficient, its
-    EffectivenessResult, and notes (failed checks, then the series)."""
-
-    __slots__ = ()
-
-    def __str__(self) -> str:
-        head = f"{self.name}: {'ok' if self.passed else 'FAILED'}"
-        body = [f"  T^2 coefficient: {self.coefficient}", f"  effectiveness: {self.effectiveness}"]
-        body.extend(f"  {n}" for n in self.notes)
-        return "\n".join([head] + body)
-
-
-def curve_opposite_counterexample() -> CounterexampleReport:
-    """Opposite power structure on the class of a genus-1 curve.
-
-    For e = 1 - u - v + uv (the E-polynomial of a smooth projective genus-1
-    curve), the T^2 coefficient of (1 + T)^e under the opposite power
-    structure equals e^2 - sym^2(e), and its top-degree part -u^2v - uv^2
-    refutes effectiveness.  So the opposite structure, unlike the Kapranov
-    one, does not preserve effectivity.
-    """
-    u = MultiPoly.variable(2, 0)
-    v = MultiPoly.variable(2, 1)
-    e = MultiPoly.one(2) - u - v + u * v
-    opp = opposite_series(hd_zeta(e, 2))
-    c2 = opp.coefficient(2)
-    expected = (
-        -(u ** 2 * v) - u * v ** 2 + u ** 2 + v ** 2 + 2 * u * v - u - v
-    )
-    binom = binomial_series(e, 2, hd_opposite_provider())
-    eff = check_polynomial_effectiveness(c2)
-    expected_witness = -(u ** 2 * v) - u * v ** 2
-    checks = (
-        (opp.coefficient(1) == e, f"T coefficient {opp.coefficient(1)} != {e}"),
-        (c2 == expected, f"T^2 coefficient differs from {expected}"),
-        (binom.coefficient(2) == c2, "(1+T)^e under the opposite provider disagrees with the direct series"),
-        (eff.refuted, "expected a refutation"),
-        (eff.witness == expected_witness, f"expected witness {expected_witness}, got {eff.witness}"),
-    )
-    notes = tuple(note for holds, note in checks if not holds) + (f"series: {opp}",)
-    return CounterexampleReport("curve-opposite", all(holds for holds, _ in checks), c2, eff, notes)
-
-
-def stack_power_counterexample(order: int = 2) -> CounterexampleReport:
-    """The power structure on stack classes does not preserve effectivity.
-
-    With m = [BGL(1)] = 1/(L-1), the series (1 + T)^m is computed two ways:
-    through the power structure and as zeta_m(T)/zeta_m(T^2) (valid since
-    (1+T) = (1-T^2)/(1-T) and (1-T)^{-m} = zeta_m).  Its T^2 coefficient is
-    (-L^3 + L^2 + L)/[GL(2)], whose realization has top part -(uv)^3, so no
-    stacky analogue of "effective" survives this power structure.
-    """
-    if order < 2:
-        raise DomainError("the refutation lives at T^2; need order >= 2")
-    m = bgl_class(1)
-    provider = motivic_provider()
-    via_power = binomial_series(m, order, provider)
-    zm = zeta_series(m, order)
-    via_ratio = zm * zm.substitute_tk(2).inverse()
-    target = MotivicClass(IntLaurent({3: -1, 2: 1, 1: 1}), DenomForm(1, (1, 2)))
-    div = via_power.first_divergence(via_ratio)
-    c2 = via_power.coefficient(2)
-    eff = check_class_effectiveness(c2)
-    checks = (
-        (div is None, f"power and ratio routes diverge at T^{div}"),
-        (via_power.coefficient(1) == m, "T coefficient is not [BGL(1)]"),
-        (c2 == target, f"T^2 coefficient {c2} != {target}"),
-        (eff.refuted, "expected a refutation"),
-    )
-    notes = tuple(note for holds, note in checks if not holds) + (f"series: {via_power}",)
-    return CounterexampleReport("stack-power", all(holds for holds, _ in checks), c2, eff, notes)

@@ -191,23 +191,19 @@ class IntLaurent(_TermPoly):
     # -- maps out of the ring ------------------------------------------------
 
     def substitute(self, image: MultiPoly) -> MultiPoly:
-        """Evaluate at L = image inside a multivariate polynomial ring.
+        """Evaluate at L = image, a single term c*x^e of a multivariate
+        polynomial ring, such as the uv of the Hodge-Deligne realization.
 
         Negative degrees have no polynomial image: callers clear them first.
         """
         if not self.is_zero and self.min_deg < 0:
             raise DomainError("negative powers of L must be cleared before substitution")
-        if len(image) == 1:
-            # c*x^e: each a*L^d goes to a*c^d*x^(d*e) (a constant image collides)
-            ((exps, c),) = image.items()
-            pairs = [(tuple(d * e for e in exps), coeff * c ** d) for d, coeff in self._terms.items()]
-        else:
-            pairs = []
-            power, at = MultiPoly.one(image.nvars), 0
-            for deg, coeff in sorted(self._terms.items()):
-                power, at = power * image ** (deg - at), deg
-                pairs.extend((exps, coeff * c) for exps, c in power.items())
-        # the exponents are products and sums of the image's, so they need no check
+        if len(image) != 1:
+            raise DomainError(f"L is substituted by a single term c*x^e, not by {len(image)} terms")
+        # each a*L^d goes to a*c^d*x^(d*e) (a constant image collides)
+        ((exps, c),) = image.items()
+        pairs = [(tuple(d * e for e in exps), coeff * c ** d) for d, coeff in self._terms.items()]
+        # the exponents are multiples of the image's, so they need no check
         return image._new(self._accumulate({}, pairs))
 
     def eval_rational(self, t: Fraction | int) -> Fraction:

@@ -372,13 +372,17 @@ class MotivicClass(Frozen):
     @property
     def num(self) -> IntLaurent:
         """The numerator over ``den``, the cover of the reduced denominator."""
-        extra = _cover(self._den.exponents)[1]
-        return self._num if extra is _ONE_NUM else self._num * extra
+        return self._views()[0]
 
     @property
     def den(self) -> DenomForm:
         """The reduced denominator written as L^a * prod(L^n - 1) by the cover rule."""
-        return DenomForm._raw(self._den.l_exp, _cover(self._den.exponents)[0])
+        return self._views()[1]
+
+    def _views(self) -> tuple[IntLaurent, DenomForm]:
+        """``num`` and ``den``, from one run of the cover rule."""
+        factors, extra = _cover(self._den.exponents)
+        return self._num if extra is _ONE_NUM else self._num * extra, DenomForm._raw(self._den.l_exp, factors)
 
     @property
     def is_zero(self) -> bool:
@@ -545,9 +549,9 @@ class MotivicClass(Frozen):
         Each 1/(L^n - 1) of ``den`` is q^n/(1-q^n), the geometric series
         q^n + q^{2n} + ...; the result is the truncated product.
         """
-        den = self.den
+        num, den = self._views()
         shift = den.l_exp + sum(den.factors)
-        cur = {shift - d: c for d, c in self.num.items()}  # one key per numerator degree
+        cur = {shift - d: c for d, c in num.items()}  # one key per numerator degree
         for n in den.factors:
             nxt: dict[int, int] = {}
             for exp, c in cur.items():
@@ -560,25 +564,22 @@ class MotivicClass(Frozen):
 
     def hd_realization(self) -> HDRealization:
         """Hodge-Deligne realization: L goes to uv, the denominator kept in the shape of ``den``."""
-        den = self.den
-        return HDRealization(self.num.substitute(MultiPoly.monomial((1, 1))), den.l_exp, den.factors)
+        num, den = self._views()
+        return HDRealization(num.substitute(MultiPoly.monomial((1, 1))), den.l_exp, den.factors)
 
     # -- rendering -----------------------------------------------------------
 
     def __str__(self) -> str:
-        den = self.den
-        return _render_fraction(str(self.num), den.l_exp, den.factors, "L")
+        num, den = self._views()
+        return _render_fraction(str(num), den.l_exp, den.factors, "L")
 
     def __repr__(self) -> str:
         return f"MotivicClass({self})"
 
     def to_json(self) -> dict:
-        num, den = self.num, self.den
-        if num.is_zero:
-            coeffs = {"min_deg": 0, "coeffs": [0]}
-        else:
-            lo, hi = num.min_deg, num.max_deg
-            coeffs = {"min_deg": lo, "coeffs": [num.coefficient(d) for d in range(lo, hi + 1)]}
+        num, den = self._views()
+        lo, hi = (0, 0) if num.is_zero else (num.min_deg, num.max_deg)
+        coeffs = {"min_deg": lo, "coeffs": [num.coefficient(d) for d in range(lo, hi + 1)]}
         return {"num": coeffs, "den": {"l_exp": den.l_exp, "factors": list(den.factors)}}
 
     @classmethod

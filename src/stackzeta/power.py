@@ -33,13 +33,13 @@ The ghost transforms are ``TruncatedSeries.ghosts`` and ``from_ghosts``; this
 module keeps the solve for the b_k and the ghost assembly of A^m.  It is
 generic over the coefficient ring: the Adams operations are methods of the
 coefficient types (``MotivicClass.adams`` for the Kapranov zeta function,
-``MultiPoly.adams`` for the Hodge-Deligne one).
+``MultiPoly.adams`` for the Hodge-Deligne one).  The seven axioms a power
+structure satisfies are checked by ``verify.axiom_suite``, not here.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 from ._frozen import Frozen
 from .errors import DomainError, ResourceLimitError
@@ -157,83 +157,3 @@ def opposite_provider(provider: LambdaProvider) -> LambdaProvider:
 
     return LambdaProvider(f"{provider.name}-opposite", provider.ring, psi)
 
-
-# -- axiom suite ----------------------------------------------------------------
-
-
-class AxiomSample(namedtuple("AxiomSample", "a b m n k", defaults=(2,))):
-    """One randomized test point: two series a and b, two exponents m and n
-    from their coefficient ring, and a substitution index k."""
-
-    __slots__ = ()
-
-
-class AxiomCheck(namedtuple("AxiomCheck", "axiom description passed witness", defaults=(None,))):
-    """One axiom's number and text, whether it held, and the first witness
-    (a string) when it did not."""
-
-    __slots__ = ()
-
-
-class AxiomReport(namedtuple("AxiomReport", "provider order checks")):
-    """The seven AxiomChecks of one provider (by name) at one order."""
-
-    __slots__ = ()
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failures(self) -> tuple[AxiomCheck, ...]:
-        return tuple(c for c in self.checks if not c.passed)
-
-
-_AXIOMS = (
-    (1, "A^0 = 1"),
-    (2, "A^1 = A"),
-    (3, "(A*B)^m = A^m * B^m"),
-    (4, "A^(m+n) = A^m * A^n"),
-    (5, "A^(m*n) = (A^n)^m"),
-    (6, "(1+T)^m = 1 + m*T + O(T^2)"),
-    (7, "A(T^k)^m = (A^m)(T^k)"),
-)
-
-
-def axiom_suite(provider: LambdaProvider, samples: Sequence[AxiomSample], order: int) -> AxiomReport:
-    """Check the seven power-structure axioms on the given samples.
-
-    Every axiom is evaluated on every sample; the first witness per axiom is
-    kept.  Series in the samples are truncated to the requested order.
-    """
-    ring = provider.ring
-    one_series = TruncatedSeries.one(ring, order)
-
-    def run(axiom: int, description: str) -> AxiomCheck:
-        for idx, s in enumerate(samples):
-            a = s.a.truncate(min(order, s.a.order))
-            b = s.b.truncate(min(order, s.b.order))
-            if axiom == 1:
-                lhs, rhs = power(a, ring.zero, provider), one_series
-            elif axiom == 2:
-                lhs, rhs = power(a, ring.one, provider), a
-            elif axiom == 3:
-                lhs = power(a * b, s.m, provider)
-                rhs = power(a, s.m, provider) * power(b, s.m, provider)
-            elif axiom == 4:
-                lhs = power(a, s.m + s.n, provider)
-                rhs = power(a, s.m, provider) * power(a, s.n, provider)
-            elif axiom == 5:
-                lhs = power(a, s.m * s.n, provider)
-                rhs = power(power(a, s.n, provider), s.m, provider)
-            elif axiom == 6:
-                lhs = binomial_series(s.m, order, provider).truncate(min(1, order))
-                rhs = TruncatedSeries(ring, tuple([ring.one, s.m][: order + 1]))
-            else:
-                lhs = power(a.substitute_tk(s.k), s.m, provider)
-                rhs = power(a, s.m, provider).substitute_tk(s.k)
-            if not lhs == rhs:
-                witness = f"sample {idx}: lhs = {lhs}; rhs = {rhs}"
-                return AxiomCheck(axiom, description, False, witness)
-        return AxiomCheck(axiom, description, True)
-
-    return AxiomReport(provider.name, order, tuple(run(i, d) for i, d in _AXIOMS))

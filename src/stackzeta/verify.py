@@ -1,4 +1,6 @@
-"""Named verification scenarios with timed pass/fail reports.
+"""Verification, never imported by the engine: timed scenarios, the seven
+power-structure axioms (``axiom_suite``) and the paper's two refutations of
+effectivity (``curve_opposite_counterexample``, ``stack_power_counterexample``).
 
 Each scenario checks one identity two independent ways and reports the first
 witness on divergence.  Sampling is seeded and deterministic.  The perturbed
@@ -10,15 +12,16 @@ from __future__ import annotations
 
 import random
 import time
-from typing import Callable, NamedTuple
+from collections import namedtuple
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import DomainError, ResourceLimitError
 from .laurent import IntLaurent
-from .motivic import DenomForm, MotivicClass, gl_class, grassmannian_class
+from .motivic import DenomForm, MotivicClass, bgl_class, gl_class, grassmannian_class
 from .multipoly import MultiPoly
-from .power import AxiomSample, LambdaProvider, axiom_suite
+from .power import LambdaProvider, binomial_series, opposite_series, power
 from .series import TruncatedSeries
-from .hodge import hd_provider
+from .hodge import check_class_effectiveness, check_polynomial_effectiveness, hd_opposite_provider, hd_provider, hd_zeta
 from .zeta import MOTIVIC, motivic_provider, zeta_series
 from .oracles import distinct_exponent_oracle, distinct_exponent_sum_taylor, zeta_of_polynomial
 
@@ -143,6 +146,87 @@ def verify_grassmannian(n_max: int, order: int) -> VerificationReport:
     return _timed("grassmannian", {"n_max": n_max, "order": order}, body)
 
 
+# -- axiom suite ----------------------------------------------------------------
+
+
+class AxiomSample(namedtuple("AxiomSample", "a b m n k", defaults=(2,))):
+    """One randomized test point: two series a and b, two exponents m and n
+    from their coefficient ring, and a substitution index k."""
+
+    __slots__ = ()
+
+
+class AxiomCheck(namedtuple("AxiomCheck", "axiom description passed witness", defaults=(None,))):
+    """One axiom's number and text, whether it held, and the first witness
+    (a string) when it did not."""
+
+    __slots__ = ()
+
+
+class AxiomReport(namedtuple("AxiomReport", "provider order checks")):
+    """The seven AxiomChecks of one provider (by name) at one order."""
+
+    __slots__ = ()
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks)
+
+    def failures(self) -> tuple[AxiomCheck, ...]:
+        return tuple(c for c in self.checks if not c.passed)
+
+
+_AXIOMS = (
+    (1, "A^0 = 1"),
+    (2, "A^1 = A"),
+    (3, "(A*B)^m = A^m * B^m"),
+    (4, "A^(m+n) = A^m * A^n"),
+    (5, "A^(m*n) = (A^n)^m"),
+    (6, "(1+T)^m = 1 + m*T + O(T^2)"),
+    (7, "A(T^k)^m = (A^m)(T^k)"),
+)
+
+
+def axiom_suite(provider: LambdaProvider, samples: Sequence[AxiomSample], order: int) -> AxiomReport:
+    """Check the seven power-structure axioms on the given samples.
+
+    Every axiom is evaluated on every sample; the first witness per axiom is
+    kept.  Series in the samples are truncated to the requested order.
+    """
+    ring = provider.ring
+    one_series = TruncatedSeries.one(ring, order)
+
+    def run(axiom: int, description: str) -> AxiomCheck:
+        for idx, s in enumerate(samples):
+            a = s.a.truncate(min(order, s.a.order))
+            b = s.b.truncate(min(order, s.b.order))
+            if axiom == 1:
+                lhs, rhs = power(a, ring.zero, provider), one_series
+            elif axiom == 2:
+                lhs, rhs = power(a, ring.one, provider), a
+            elif axiom == 3:
+                lhs = power(a * b, s.m, provider)
+                rhs = power(a, s.m, provider) * power(b, s.m, provider)
+            elif axiom == 4:
+                lhs = power(a, s.m + s.n, provider)
+                rhs = power(a, s.m, provider) * power(a, s.n, provider)
+            elif axiom == 5:
+                lhs = power(a, s.m * s.n, provider)
+                rhs = power(power(a, s.n, provider), s.m, provider)
+            elif axiom == 6:
+                lhs = binomial_series(s.m, order, provider).truncate(min(1, order))
+                rhs = TruncatedSeries(ring, tuple([ring.one, s.m][: order + 1]))
+            else:
+                lhs = power(a.substitute_tk(s.k), s.m, provider)
+                rhs = power(a, s.m, provider).substitute_tk(s.k)
+            if not lhs == rhs:
+                witness = f"sample {idx}: lhs = {lhs}; rhs = {rhs}"
+                return AxiomCheck(axiom, description, False, witness)
+        return AxiomCheck(axiom, description, True)
+
+    return AxiomReport(provider.name, order, tuple(run(i, d) for i, d in _AXIOMS))
+
+
 # -- axiom verification ----------------------------------------------------------
 
 _MOTIVIC_POOL = (
@@ -242,3 +326,80 @@ def verify_axioms(
         {"ring": ring_name, "order": order, "samples": samples, "seed": seed, "perturbed": perturbed},
         body,
     )
+
+
+# -- the two non-effectiveness reproductions ------------------------------------
+
+
+class CounterexampleReport(
+    namedtuple("CounterexampleReport", "name passed coefficient effectiveness notes", defaults=((),))
+):
+    """One reproduction: whether every check held, the T^2 coefficient, its
+    EffectivenessResult, and notes (failed checks, then the series)."""
+
+    __slots__ = ()
+
+    def __str__(self) -> str:
+        head = f"{self.name}: {'ok' if self.passed else 'FAILED'}"
+        body = [f"  T^2 coefficient: {self.coefficient}", f"  effectiveness: {self.effectiveness}"]
+        body.extend(f"  {n}" for n in self.notes)
+        return "\n".join([head] + body)
+
+
+def curve_opposite_counterexample() -> CounterexampleReport:
+    """Opposite power structure on the class of a genus-1 curve.
+
+    For e = 1 - u - v + uv (the E-polynomial of a smooth projective genus-1
+    curve), the T^2 coefficient of (1 + T)^e under the opposite power
+    structure equals e^2 - sym^2(e), and its top-degree part -u^2v - uv^2
+    refutes effectiveness.  So the opposite structure, unlike the Kapranov
+    one, does not preserve effectivity.
+    """
+    u = MultiPoly.variable(2, 0)
+    v = MultiPoly.variable(2, 1)
+    e = MultiPoly.one(2) - u - v + u * v
+    opp = opposite_series(hd_zeta(e, 2))
+    c2 = opp.coefficient(2)
+    expected = -(u ** 2 * v) - u * v ** 2 + u ** 2 + v ** 2 + 2 * u * v - u - v
+    binom = binomial_series(e, 2, hd_opposite_provider())
+    eff = check_polynomial_effectiveness(c2)
+    expected_witness = -(u ** 2 * v) - u * v ** 2
+    checks = (
+        (opp.coefficient(1) == e, f"T coefficient {opp.coefficient(1)} != {e}"),
+        (c2 == expected, f"T^2 coefficient differs from {expected}"),
+        (binom.coefficient(2) == c2, "(1+T)^e under the opposite provider disagrees with the direct series"),
+        (eff.refuted, "expected a refutation"),
+        (eff.witness == expected_witness, f"expected witness {expected_witness}, got {eff.witness}"),
+    )
+    notes = tuple(note for holds, note in checks if not holds) + (f"series: {opp}",)
+    return CounterexampleReport("curve-opposite", all(holds for holds, _ in checks), c2, eff, notes)
+
+
+def stack_power_counterexample(order: int = 2) -> CounterexampleReport:
+    """The power structure on stack classes does not preserve effectivity.
+
+    With m = [BGL(1)] = 1/(L-1), the series (1 + T)^m is computed two ways:
+    through the power structure and as zeta_m(T)/zeta_m(T^2) (valid since
+    (1+T) = (1-T^2)/(1-T) and (1-T)^{-m} = zeta_m).  Its T^2 coefficient is
+    (-L^3 + L^2 + L)/[GL(2)], whose realization has top part -(uv)^3, so no
+    stacky analogue of "effective" survives this power structure.
+    """
+    if order < 2:
+        raise DomainError("the refutation lives at T^2; need order >= 2")
+    m = bgl_class(1)
+    provider = motivic_provider()
+    via_power = binomial_series(m, order, provider)
+    zm = zeta_series(m, order)
+    via_ratio = zm * zm.substitute_tk(2).inverse()
+    target = MotivicClass(IntLaurent({3: -1, 2: 1, 1: 1}), DenomForm(1, (1, 2)))
+    div = via_power.first_divergence(via_ratio)
+    c2 = via_power.coefficient(2)
+    eff = check_class_effectiveness(c2)
+    checks = (
+        (div is None, f"power and ratio routes diverge at T^{div}"),
+        (via_power.coefficient(1) == m, "T coefficient is not [BGL(1)]"),
+        (c2 == target, f"T^2 coefficient {c2} != {target}"),
+        (eff.refuted, "expected a refutation"),
+    )
+    notes = tuple(note for holds, note in checks if not holds) + (f"series: {via_power}",)
+    return CounterexampleReport("stack-power", all(holds for holds, _ in checks), c2, eff, notes)

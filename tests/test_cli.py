@@ -258,6 +258,41 @@ def test_direct_reader_reads_well_formed_argvs(argv):
     assert got is not None and vars(got) == vars(cli._build_parser().parse_args(argv))
 
 
+@pytest.mark.parametrize(
+    "argv, code, hint",
+    [
+        (["hd", "-L"], 2, "stackzeta hd -- -L"),
+        (["effective", "-u*v", "--json"], 2, "stackzeta effective -- '-u*v'"),
+        (["eval", "-7/3", "--at", "2"], 2, "stackzeta eval -- -7/3"),
+        (["hd", "L", "-L"], 2, "stackzeta hd -- -L"),
+        (["hd", "--json", "-L"], 2, "stackzeta hd -- -L"),
+        # no "-" token here is an expression argparse took for an option
+        (["eval", "L", "--at", "-x"], 2, None),
+        (["zeta", "L", "--order", "-L"], 2, None),
+        (["hd", "--", "-L", "--bogus"], 2, None),
+        (["zeta", "-2", "--order", "x"], 2, None),
+        (["hd", "-L + 1", "--bogus"], 2, None),
+        (["hd", "L", "--bogus"], 2, None),
+        (["zeta", "L", "--order", "x", "-h"], 2, None),
+        (["frob", "-L"], 2, None),
+        ([], 2, None),
+        (["hd", "-L", "--help"], 0, None),
+    ],
+)
+def test_a_leading_dash_expression_gets_a_hint_naming_the_separator(capsys, argv, code, hint):
+    own = io.StringIO()
+    with contextlib.redirect_stdout(own), contextlib.redirect_stderr(own), pytest.raises(SystemExit):
+        cli._build_parser().parse_args(argv)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code
+    extra = f'hint: an expression that begins with "-" goes after "--": {hint}\n' if hint else ""
+    out, err = capsys.readouterr()
+    assert out + err == own.getvalue() + extra
+    if hint:
+        assert out == "" and err.endswith(extra)
+
+
 def test_reused_parser_keeps_no_state_between_calls(capsys):
     code, out, _ = run(capsys, "hd", "BGL(1)", "--json")
     assert code == 0

@@ -24,7 +24,7 @@ from stackzeta import (
     zeta_series,
 )
 
-from stackzeta import hodge
+from stackzeta import verify
 
 from _strategies import multipolys
 
@@ -159,8 +159,8 @@ def _bump(series, k, by):
 
 
 def test_curve_report_fails_on_a_wrong_t_coefficient(monkeypatch):
-    real = hodge.opposite_series
-    monkeypatch.setattr(hodge, "opposite_series", lambda s: _bump(real(s), 1, MultiPoly.one(2)))
+    real = verify.opposite_series
+    monkeypatch.setattr(verify, "opposite_series", lambda s: _bump(real(s), 1, MultiPoly.one(2)))
     report = curve_opposite_counterexample()
     assert not report.passed
     e = MultiPoly.one(2) - U - V + U * V
@@ -169,8 +169,8 @@ def test_curve_report_fails_on_a_wrong_t_coefficient(monkeypatch):
 
 
 def test_stack_report_fails_when_the_ratio_route_breaks(monkeypatch):
-    real = hodge.zeta_series
-    monkeypatch.setattr(hodge, "zeta_series", lambda a, order: _bump(real(a, order), 2, MotivicClass.one()))
+    real = verify.zeta_series
+    monkeypatch.setattr(verify, "zeta_series", lambda a, order: _bump(real(a, order), 2, MotivicClass.one()))
     report = stack_power_counterexample()
     assert not report.passed
     assert report.notes[:-1] == ("power and ratio routes diverge at T^2",)

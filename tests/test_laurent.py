@@ -288,6 +288,9 @@ def term_by_term(p, image):
 IMAGES = (
     MultiPoly.monomial((2, 1), -3),  # a monomial with coefficient != 1
     MultiPoly.constant(2, 5),  # every term lands on the constant: collisions
+)
+#: Images of other than one term, which substitution rejects.
+REJECTED_IMAGES = (
     MultiPoly(2, {(1, 0): 1, (0, 1): 2, (0, 0): -1}),  # not a monomial
     MultiPoly.zero(2),
 )
@@ -296,6 +299,12 @@ IMAGES = (
 @given(polynomials(max_deg=8, max_terms=6), st.sampled_from(IMAGES))
 def test_substitute_matches_term_by_term(p, image):
     assert p.substitute(image) == term_by_term(p, image)
+
+
+@given(polynomials(max_deg=8, max_terms=6), st.sampled_from(REJECTED_IMAGES))
+def test_substitute_rejects_an_image_of_other_than_one_term(p, image):
+    with pytest.raises(DomainError, match="^L is substituted by a single term c\\*x\\^e, not by [03] terms$"):
+        p.substitute(image)
 
 
 def test_substitute_sums_colliding_terms():

@@ -34,7 +34,10 @@ call.  ``dataclasses`` and ``inspect`` cost about two thirds of the import
 and are not used at all.  ``fractions`` (with ``decimal``) and ``json`` are
 imported by the functions that compute on Fractions or write JSON, and
 ``oracles`` and ``verify`` by the ``verify`` command and on first access to
-their exports in the package namespace.  ``heapq`` loads a C extension,
+their exports in the package namespace.  The checks of the paper's claims,
+the power-structure axiom suite and the two non-effectiveness
+reproductions, are defined in ``verify`` alone, so the engine modules
+``power`` and ``hodge`` do not build them at import.  ``heapq`` loads a C extension,
 about 0.6 ms on first use, so the cyclotomic quotient does without it.
 ``argparse``, which loads ``gettext``, is imported only for the CLI's help
 and usage errors: a well-formed argv is read from the command table.
@@ -359,6 +362,30 @@ def test_import_loads_only_what_every_call_needs():
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, check=True)
     assert proc.stdout == "[]\n", f"loaded {proc.stdout.strip()}, imported at {slow_imports(src)}"
     assert slow_imports(src) == []
+
+
+#: The package exports that only verification uses: ``verify`` defines them,
+#: and the package resolves them on first access.
+VERIFICATION_EXPORTS = (
+    "AxiomReport", "AxiomSample", "CounterexampleReport", "axiom_suite",
+    "curve_opposite_counterexample", "stack_power_counterexample",
+)
+
+
+def test_verification_lives_only_in_verify():
+    src = Path(stackzeta.__file__).parent
+    code = (
+        "import sys, stackzeta, stackzeta.cli\n"
+        f"names = {VERIFICATION_EXPORTS!r}\n"
+        "engine = [sys.modules['stackzeta.power'], stackzeta.hodge]\n"
+        "print([n for n in names if n in vars(stackzeta)], 'stackzeta.verify' in sys.modules)\n"
+        "print([f'{m.__name__}.{n}' for m in engine for n in names if n in vars(m)])\n"
+        "from stackzeta import axiom_suite\n"
+        "print(axiom_suite.__module__, 'stackzeta.verify' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src.parent)}
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout == "[] False\n[]\nstackzeta.verify True\n"
 
 
 def test_the_scan_sees_slow_imports(tmp_path):

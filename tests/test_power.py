@@ -23,7 +23,7 @@ from stackzeta import (
     opposite_series,
     power,
 )
-from stackzeta.power import AxiomSample
+from stackzeta.verify import AxiomSample
 
 from _strategies import motivic_classes, multipolys
 

@@ -217,7 +217,8 @@ def test_named_tuple_records_keep_their_text():
     assert_frozen(realization, "l_exp")
 
 
-#: The records a fresh import builds, with their fields and defaults.
+#: The named-tuple records, with their fields and defaults; a fresh import
+#: builds all but those of ``verify``, which is loaded on first use.
 IMPORT_PATH_RECORDS = {
     "expr.Token": (("kind", "text", "line", "col"), {}),
     "expr.Num": (("value", "tok"), {}),
@@ -228,11 +229,11 @@ IMPORT_PATH_RECORDS = {
     "expr.Pow": (("base", "exponent", "tok"), {}),
     "motivic._CyclotomicDenom": (("l_exp", "exponents"), {}),
     "motivic.HDRealization": (("num", "l_exp", "factors"), {}),
-    "power.AxiomSample": (("a", "b", "m", "n", "k"), {"k": 2}),
-    "power.AxiomCheck": (("axiom", "description", "passed", "witness"), {"witness": None}),
-    "power.AxiomReport": (("provider", "order", "checks"), {}),
+    "verify.AxiomSample": (("a", "b", "m", "n", "k"), {"k": 2}),
+    "verify.AxiomCheck": (("axiom", "description", "passed", "witness"), {"witness": None}),
+    "verify.AxiomReport": (("provider", "order", "checks"), {}),
     "hodge.EffectivenessResult": (("verdict", "witness", "detail"), {"witness": None, "detail": ""}),
-    "hodge.CounterexampleReport": (("name", "passed", "coefficient", "effectiveness", "notes"), {"notes": ()}),
+    "verify.CounterexampleReport": (("name", "passed", "coefficient", "effectiveness", "notes"), {"notes": ()}),
 }
 
 

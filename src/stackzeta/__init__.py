@@ -41,7 +41,6 @@ from .power import LambdaProvider, binomial_series, lambda_factorize, opposite_p
 from .series import Ring, TruncatedSeries
 from .hodge import (
     EFFECTIVE_CANDIDATE,
-    INCONCLUSIVE,
     NOT_EFFECTIVE,
     EffectivenessResult,
     check_class_effectiveness,
@@ -118,7 +117,6 @@ __all__ = [
     "ElaborationError",
     "FuncEqReport",
     "HDRealization",
-    "INCONCLUSIVE",
     "IntLaurent",
     "InternalConsistencyError",
     "L",

@@ -160,6 +160,17 @@ def _read_args(argv: list[str]) -> SimpleNamespace | None:
     return args
 
 
+@lru_cache(maxsize=None)
+def _option_names(command: str) -> dict[str, str]:
+    """Each spelling argparse takes for an option of ``command``, mapped to the
+    option: its name, and each prefix of it ("--ord" of "--order") that begins
+    no other option, "--help" included."""
+    options = [name for name, _ in COMMANDS[command][1] if name[0] == "-"] + ["--help"]
+    prefixes = [(option[:end], option) for option in options for end in range(3, len(option))]
+    names = {p: option for p, option in prefixes if sum(other.startswith(p) for other in options) == 1}
+    return names | {option: option for option in options}  # a full name is itself: "--n" is not "--n-max"
+
+
 @lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built from ``COMMANDS`` on first use and shared by
@@ -288,15 +299,17 @@ def _at_value(text: str) -> Fraction:
 
 
 def _bind_at_value(argv: list[str]) -> list[str]:
-    """Rewrite '--at VALUE' as '--at=VALUE' when VALUE has the syntax of a rational.
+    """Rewrite '--at VALUE', or an abbreviation such as '--a VALUE', as
+    '--at=VALUE' when VALUE has the syntax of a rational.
 
     argparse reads a token such as -7/3 as an option, not as the value of
     --at (it makes that exception only for plain negative numbers like -2).
     The value itself is read later, by ``_at_value``.
     """
+    names = _option_names(argv[0]) if argv and argv[0] in COMMANDS else {}  # "--at" itself binds in any command
     out: list[str] = []
     for token in argv:
-        if out and out[-1] == "--at" and "--" not in out and _RATIONAL.fullmatch(token):
+        if out and names.get(out[-1], out[-1]) == "--at" and "--" not in out and _RATIONAL.fullmatch(token):
             out[-1] = f"--at={token}"
         else:
             out.append(token)
@@ -314,8 +327,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse's help or usage error; a stray -L gets a line naming "--"
         spec = COMMANDS[argv[0]][1] if exc.code == 2 and argv and argv[0] in COMMANDS else ()
         valued = {n for n, kw in spec if n[0] == "-" and "action" not in kw}  # options that take a value
+        names = _option_names(argv[0]) if spec else {}  # each spelling of an option, "--ord" for "--order"
         after = zip(argv, argv[1 : (argv + ["--"]).index("--")])  # (previous token, token) up to a "--"
-        if stray := [t for p, t in after if spec and p not in valued and _UNKNOWN_OPTION.fullmatch(t)]:
+        if stray := [t for p, t in after if spec and names.get(p) not in valued and _UNKNOWN_OPTION.fullmatch(t)]:
             import shlex
 
             hint = f"stackzeta {argv[0]} -- {shlex.quote(stray[0])}"

@@ -10,11 +10,12 @@ which realizes the Kapranov zeta function of any polynomial class.  It is
 computed by Newton's identity on the Adams operations psi^r(P)(u, v) =
 P(u^r, v^r), the same engine as the motivic zeta.
 
-Effectiveness here means "is the class of an actual variety, or a nonnegative
-combination of such".  The checkers are refutation heuristics built on one
-fact: the E-polynomial of a nonempty variety of dimension n has top-degree
-part ell * (uv)^n with ell >= 1 (count of top-dimensional components), and
-nonnegative combinations preserve that shape.  A violating top part therefore
+Effectiveness here means "is the class of an actual variety or stack, or a
+nonnegative combination of such".  The checkers are refutation heuristics
+built on one fact: the E-polynomial of a nonempty variety of dimension n has
+top-degree part ell * (uv)^n with ell >= 1 (count of top-dimensional
+components), nonnegative combinations keep that shape, and a class leads
+with it exactly when its realized numerator does.  A violating top part
 refutes effectiveness conclusively; the passing verdict is only
 "effective-candidate", never a proof.  The paper's two refutations built on
 these checkers, for the opposite structure and for stacky powers, are in
@@ -23,7 +24,7 @@ these checkers, for the opposite structure and for stacky powers, are in
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 
 from .errors import DomainError, int_text_limit
 from .motivic import MotivicClass
@@ -33,7 +34,6 @@ from .series import Ring, TruncatedSeries
 
 EFFECTIVE_CANDIDATE = "effective-candidate"
 NOT_EFFECTIVE = "not-effective"
-INCONCLUSIVE = "inconclusive (denominator shape)"
 
 
 def hd_ring(nvars: int = 2) -> Ring:
@@ -100,39 +100,21 @@ def check_polynomial_effectiveness(poly: MultiPoly) -> EffectivenessResult:
 
 
 def check_class_effectiveness(a: MotivicClass) -> EffectivenessResult:
-    """Refutation heuristic on a motivic class.
+    """Refutation test on a motivic class, conclusive for every denominator.
 
-    The denominator, in the shape L^a * prod(L^n - 1) that the cover rule
-    writes the reduced one in (``den``), must be a product of [GL(r)]-shapes:
-    factors are matched greedily as staircases {1, ..., r} (largest remaining
-    exponent fixes r).
-    Powers of L are units and never affect the verdict: a missing L-power is
-    moved into the numerator and an excess one is discarded, so the verdict
-    is invariant under multiplication by L^{+-1}.  A denominator that is not
-    a product of staircases yields the inconclusive verdict: the class may
-    still be ineffective, but this test cannot tell.
+    Let lead(N/D) = top(N)/top(D), the quotient of the top-degree parts: it
+    is multiplicative, and leads of one degree add unless they cancel.  A
+    stack with affine stabilizers is a nonnegative sum of quotients [Y/GL(n)]
+    (Ekedahl), each leading with ell*(uv)^(dim Y - n^2), ell >= 1, as E(GL(n))
+    is monic; such leads never cancel, so an effective class leads with
+    ell*(uv)^m, ell >= 1.  The realized ``den``, (uv)^a * prod((uv)^n - 1), is
+    monic too, so the class leads with top(E(num))/(uv)^(a + sum(n)): the
+    polynomial test on the realized numerator decides the class, whatever its
+    denominator, and its witness is that top part.
     """
     if a.is_zero:
         return EffectivenessResult(EFFECTIVE_CANDIDATE, detail="zero class")
-    num, den = a._views()
-    remaining = Counter(den.factors)
-    ranks: list[int] = []
-    while remaining:
-        r = max(remaining)
-        for j in range(1, r + 1):
-            if remaining[j] <= 0:
-                return EffectivenessResult(
-                    INCONCLUSIVE,
-                    detail=f"denominator factors {den.factors} are not GL-staircases",
-                )
-            remaining[j] -= 1
-            if not remaining[j]:
-                del remaining[j]
-        ranks.append(r)
-    needed_l = sum(r * (r - 1) // 2 for r in ranks)
-    deficit = needed_l - den.l_exp
-    realized = num.shift(max(deficit, 0)).substitute(MultiPoly.monomial((1, 1)))
-    inner = check_polynomial_effectiveness(realized)
-    shape = f"numerator against GL ranks {tuple(ranks)}" if ranks else "polynomial class"
+    realization = a.hd_realization()
+    inner = check_polynomial_effectiveness(realization.num)
+    shape = str(realization._replace(num="numerator")) if realization.factors else "polynomial class"
     return EffectivenessResult(inner.verdict, inner.witness, f"{shape}; {inner.detail}")
-

@@ -381,8 +381,8 @@ def stack_power_counterexample(order: int = 2) -> CounterexampleReport:
     With m = [BGL(1)] = 1/(L-1), the series (1 + T)^m is computed two ways:
     through the power structure and as zeta_m(T)/zeta_m(T^2) (valid since
     (1+T) = (1-T^2)/(1-T) and (1-T)^{-m} = zeta_m).  Its T^2 coefficient is
-    (-L^3 + L^2 + L)/[GL(2)], whose realization has top part -(uv)^3, so no
-    stacky analogue of "effective" survives this power structure.
+    (-L^3 + L^2 + L)/[GL(2)], whose realized numerator has top part -(uv)^2,
+    so no stacky analogue of "effective" survives this power structure.
     """
     if order < 2:
         raise DomainError("the refutation lives at T^2; need order >= 2")
@@ -395,11 +395,13 @@ def stack_power_counterexample(order: int = 2) -> CounterexampleReport:
     div = via_power.first_divergence(via_ratio)
     c2 = via_power.coefficient(2)
     eff = check_class_effectiveness(c2)
+    expected_witness = -MultiPoly.monomial((2, 2))
     checks = (
         (div is None, f"power and ratio routes diverge at T^{div}"),
         (via_power.coefficient(1) == m, "T coefficient is not [BGL(1)]"),
         (c2 == target, f"T^2 coefficient {c2} != {target}"),
         (eff.refuted, "expected a refutation"),
+        (eff.witness == expected_witness, f"expected witness {expected_witness}, got {eff.witness}"),
     )
     notes = tuple(note for holds, note in checks if not holds) + (f"series: {via_power}",)
     return CounterexampleReport("stack-power", all(holds for holds, _ in checks), c2, eff, notes)

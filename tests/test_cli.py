@@ -120,7 +120,7 @@ def test_effective_dispatches_on_variables(capsys):
     code, out, _ = run(capsys, "effective", "(-L^3 + L^2 + L) / GL(2)")
     assert code == 0
     assert "not-effective" in out
-    assert "-u^3*v^3" in out
+    assert "-u^2*v^2" in out
 
     code, out, _ = run(capsys, "effective", "L^2 + L", "--json")
     assert code == 0
@@ -277,6 +277,10 @@ def test_direct_reader_reads_well_formed_argvs(argv):
         (["frob", "-L"], 2, None),
         ([], 2, None),
         (["hd", "-L", "--help"], 0, None),
+        # an abbreviated option is read as argparse reads it
+        (["hd", "--js", "-L"], 2, "stackzeta hd -- -L"),
+        (["zeta", "L", "--ord", "-L"], 2, None),
+        (["verify", "axioms", "--n-m", "-L"], 2, None),
     ],
 )
 def test_a_leading_dash_expression_gets_a_hint_naming_the_separator(capsys, argv, code, hint):
@@ -346,6 +350,42 @@ def test_at_value_binds_by_syntax_without_reading_it(monkeypatch):
         assert cli._bind_at_value(["eval", "L", "--at", value]) == ["eval", "L", f"--at={value}"]
     for argv in (["eval", "L", "--at", "-x"], ["eval", "L", "--at", "--json"], ["--", "--at", "-1"]):
         assert cli._bind_at_value(argv) == argv
+
+
+def test_an_abbreviated_at_binds_a_rational_value(capsys):
+    assert cli._bind_at_value(["eval", "L", "--a", "-7/3"]) == ["eval", "L", "--at=-7/3"]
+    for argv in (["eval", "L", "--a", "-7/3"], ["eval", "L", "--at", "-7/3"], ["eval", "L", "--a=-7/3"]):
+        assert run(capsys, *argv) == (0, "-7/3\n", "")
+    assert run(capsys, "eval", "L", "--a", "5") == (0, "5\n", "")
+
+
+#: The arguments of a well-formed call of each command, after its name.
+WELL_FORMED = {
+    "zeta": ["L", "--order", "1"],
+    "sym": ["2", "L"],
+    "power": ["1 + T", "L", "--order", "1"],
+    "opposite": ["L", "--order", "1"],
+    "hd": ["L"],
+    "hd-zeta": ["u", "--order", "1"],
+    "effective": ["L"],
+    "eval": ["L", "--at", "2"],
+    "verify": ["axioms"],
+}
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_option_spellings_are_argparses(command):
+    # a prefix of an option reads as that option exactly when the table maps it there
+    names = cli._option_names(command)
+    for name, spec in cli.COMMANDS[command][1]:
+        if name[0] != "-":
+            continue
+        value = [] if "action" in spec else [str(spec.get("choices", ("7",))[-1])]
+        want = argparse_reads([command, *WELL_FORMED[command], name, *value])
+        assert want is not None
+        for end in range(3, len(name) + 1):
+            got = argparse_reads([command, *WELL_FORMED[command], name[:end], *value])
+            assert (got == want) == (names.get(name[:end]) == name), name[:end]
 
 
 @given(st.text(alphabet="0123456789_./eE+- ", max_size=10))

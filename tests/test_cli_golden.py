@@ -245,12 +245,33 @@ GOLDEN = [
     (
         ('effective', '(-L^3 + L^2 + L) * BGL(2)'),
         (
-            'not-effective; witness: -u^3*v^3 [numerator against GL ranks (2,); '
+            'not-effective; witness: -u^2*v^2 [numerator / (((u*v)-1) * ((u*v)^2-1)); '
             'top-degree part not ell*(uv)^n]\n'
         ),
         (
-            '{"verdict": "not-effective", "witness": "-u^3*v^3", "detail": "numerator '
-            'against GL ranks (2,); top-degree part not ell*(uv)^n"}\n'
+            '{"verdict": "not-effective", "witness": "-u^2*v^2", "detail": "numerator / '
+            '(((u*v)-1) * ((u*v)^2-1)); top-degree part not ell*(uv)^n"}\n'
+        ),
+    ),
+    (
+        ('effective', '1/(L^3-1)-1/(L-1)'),
+        (
+            'not-effective; witness: -u^2*v^2 [numerator / ((u*v)^3-1); '
+            'top-degree part not ell*(uv)^n]\n'
+        ),
+        (
+            '{"verdict": "not-effective", "witness": "-u^2*v^2", "detail": "numerator / '
+            '((u*v)^3-1); top-degree part not ell*(uv)^n"}\n'
+        ),
+    ),
+    (
+        ('effective', '1/(L^2-1)'),
+        (
+            'effective-candidate [numerator / ((u*v)^2-1); top part 1*(uv)^0]\n'
+        ),
+        (
+            '{"verdict": "effective-candidate", "witness": null, "detail": "numerator / '
+            '((u*v)^2-1); top part 1*(uv)^0"}\n'
         ),
     ),
     (

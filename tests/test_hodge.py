@@ -2,10 +2,10 @@
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stackzeta import (
     EFFECTIVE_CANDIDATE,
-    INCONCLUSIVE,
     NOT_EFFECTIVE,
     DenomForm,
     DomainError,
@@ -17,16 +17,19 @@ from stackzeta import (
     check_class_effectiveness,
     check_polynomial_effectiveness,
     curve_opposite_counterexample,
+    gl_class,
+    grassmannian_class,
     hd_opposite_provider,
     hd_provider,
     hd_zeta,
+    parse_class,
     stack_power_counterexample,
     zeta_series,
 )
 
 from stackzeta import verify
 
-from _strategies import multipolys
+from _strategies import multipolys, nonzero_classes
 
 U = MultiPoly.variable(2, 0)
 V = MultiPoly.variable(2, 1)
@@ -126,10 +129,49 @@ def test_class_effectiveness_is_invariant_under_l_units():
     assert check_class_effectiveness(a * l.inverse()).verdict == base.verdict
 
 
-def test_class_effectiveness_inconclusive_denominator():
-    # (L^2-1) alone is not a GL staircase
-    a = MotivicClass(IntLaurent.one(), DenomForm(0, (2,)))
-    assert check_class_effectiveness(a).verdict == INCONCLUSIVE
+def test_class_effectiveness_decides_every_denominator():
+    # none of these denominators is a product of [GL(n)]s
+    assert check_class_effectiveness(parse_class("-1/(L^2-1)")).verdict == NOT_EFFECTIVE
+    assert check_class_effectiveness(parse_class("1/(L^3-1)-1/(L-1)")).verdict == NOT_EFFECTIVE
+    assert check_class_effectiveness(parse_class("1/(L^2-1)")).verdict == EFFECTIVE_CANDIDATE
+
+
+_GR = st.integers(0, 4).flatmap(lambda n: st.tuples(st.integers(0, n), st.just(n)))
+_EFFECTIVE_FACTORS = st.one_of(
+    st.builds(gl_class, st.integers(0, 3)),
+    st.builds(bgl_class, st.integers(0, 3)),
+    _GR.map(lambda kn: grassmannian_class(*kn)),
+    st.builds(MotivicClass.l_power, st.integers(-3, 3)),  # L^s, and q^s for s < 0
+)
+
+
+@st.composite
+def effective_classes(draw):
+    """Nonnegative integer combinations of products of GL(n), BGL(n), Gr(k, n), L^s and q^s."""
+    total = MotivicClass.zero()
+    terms = st.tuples(st.integers(0, 3), st.lists(_EFFECTIVE_FACTORS, max_size=3))
+    for coeff, factors in draw(st.lists(terms, max_size=3)):
+        term = MotivicClass.one() * coeff
+        for factor in factors:
+            term = term * factor
+        total = total + term
+    return total
+
+
+@given(effective_classes())
+@settings(max_examples=60)
+def test_effective_combinations_are_never_refuted(a):
+    assert not check_class_effectiveness(a).refuted, a
+
+
+@given(st.one_of(nonzero_classes(), effective_classes().filter(lambda a: not a.is_zero)))
+@settings(max_examples=60)
+def test_class_verdict_is_the_sign_of_the_leading_q_coefficient(a):
+    # the q-adic expansion leads with the same coefficient as the realization,
+    # by geometric series instead of top-degree parts; every degree here is below 40
+    expansion = a.q_expansion(40)
+    leading = expansion[min(expansion)]
+    assert (check_class_effectiveness(a).verdict == EFFECTIVE_CANDIDATE) == (leading > 0), a
 
 
 # -- the two reproductions ------------------------------------------------------
@@ -150,6 +192,7 @@ def test_stack_power_counterexample():
     target = MotivicClass(IntLaurent({3: -1, 2: 1, 1: 1}), DenomForm(1, (1, 2)))
     assert report.coefficient == target
     assert report.effectiveness.refuted
+    assert report.effectiveness.witness == -(U ** 2 * V ** 2)
 
 
 def _bump(series, k, by):
@@ -175,6 +218,15 @@ def test_stack_report_fails_when_the_ratio_route_breaks(monkeypatch):
     assert not report.passed
     assert report.notes[:-1] == ("power and ratio routes diverge at T^2",)
     assert str(report).startswith("stack-power: FAILED")
+
+
+def test_stack_report_fails_on_a_wrong_witness(monkeypatch):
+    real = verify.check_class_effectiveness
+    wrong = -(U ** 3 * V ** 3)
+    monkeypatch.setattr(verify, "check_class_effectiveness", lambda c: real(c)._replace(witness=wrong))
+    report = stack_power_counterexample()
+    assert not report.passed
+    assert report.notes[:-1] == (f"expected witness -u^2*v^2, got {wrong}",)
 
 
 def test_stack_power_counterexample_needs_order_two():

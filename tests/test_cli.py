@@ -347,13 +347,13 @@ def test_at_value_binds_by_syntax_without_reading_it(monkeypatch):
 
     monkeypatch.setattr(fractions, "Fraction", no_fraction)  # what _at_value imports when it runs
     for value in ("-7/3", "-2", "-1.5", "-.5e-3000000", "-1_000/3", "-1/0"):
-        assert cli._bind_at_value(["eval", "L", "--at", value]) == ["eval", "L", f"--at={value}"]
+        for option in ("--at", "--a"):
+            assert cli._bind_at_value(["eval", "L", option, value]) == ["eval", "L", f"--at={value}"]
     for argv in (["eval", "L", "--at", "-x"], ["eval", "L", "--at", "--json"], ["--", "--at", "-1"]):
         assert cli._bind_at_value(argv) == argv
 
 
 def test_an_abbreviated_at_binds_a_rational_value(capsys):
-    assert cli._bind_at_value(["eval", "L", "--a", "-7/3"]) == ["eval", "L", "--at=-7/3"]
     for argv in (["eval", "L", "--a", "-7/3"], ["eval", "L", "--at", "-7/3"], ["eval", "L", "--a=-7/3"]):
         assert run(capsys, *argv) == (0, "-7/3\n", "")
     assert run(capsys, "eval", "L", "--a", "5") == (0, "5\n", "")

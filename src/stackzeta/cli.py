@@ -306,10 +306,10 @@ def _bind_at_value(argv: list[str]) -> list[str]:
     --at (it makes that exception only for plain negative numbers like -2).
     The value itself is read later, by ``_at_value``.
     """
-    names = _option_names(argv[0]) if argv and argv[0] in COMMANDS else {}  # "--at" itself binds in any command
+    names = _option_names(argv[0]) if argv and argv[0] in COMMANDS else {}
     out: list[str] = []
     for token in argv:
-        if out and names.get(out[-1], out[-1]) == "--at" and "--" not in out and _RATIONAL.fullmatch(token):
+        if out and names.get(out[-1]) == "--at" and "--" not in out and _RATIONAL.fullmatch(token):
             out[-1] = f"--at={token}"
         else:
             out.append(token)

@@ -1,7 +1,8 @@
 """Hodge-Deligne realization, zeta functions of E-polynomials, effectiveness.
 
 The realization sends a motivic class to its Hodge-Deligne polynomial in u, v
-via L -> uv; denominators stay structured as powers of (uv)^n - 1.  The zeta
+via L -> uv (``MotivicClass.hd_realization``); denominators stay structured
+as powers of (uv)^n - 1.  The zeta
 function acts on an E-polynomial P = sum c_{ab} u^a v^b monomial by monomial:
 
     zeta_P(T) = prod_{a,b} (1 - u^a v^b T)^{-c_{ab}}
@@ -15,9 +16,9 @@ nonnegative combination of such".  The checkers are refutation heuristics
 built on one fact: the E-polynomial of a nonempty variety of dimension n has
 top-degree part ell * (uv)^n with ell >= 1 (count of top-dimensional
 components), nonnegative combinations keep that shape, and a class leads
-with it exactly when its realized numerator does.  A violating top part
-refutes effectiveness conclusively; the passing verdict is only
-"effective-candidate", never a proof.  The paper's two refutations built on
+with it exactly when the leading coefficient of its numerator in L is
+positive.  A violating top part refutes effectiveness conclusively; the
+passing verdict is only "effective-candidate", never a proof.  The paper's two refutations built on
 these checkers, for the opposite structure and for stacky powers, are in
 ``verify``.
 """
@@ -27,7 +28,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import DomainError, int_text_limit
-from .motivic import MotivicClass
+from .motivic import HDRealization, MotivicClass
 from .multipoly import MultiPoly
 from .power import LambdaProvider, opposite_provider
 from .series import Ring, TruncatedSeries
@@ -108,13 +109,15 @@ def check_class_effectiveness(a: MotivicClass) -> EffectivenessResult:
     (Ekedahl), each leading with ell*(uv)^(dim Y - n^2), ell >= 1, as E(GL(n))
     is monic; such leads never cancel, so an effective class leads with
     ell*(uv)^m, ell >= 1.  The realized ``den``, (uv)^a * prod((uv)^n - 1), is
-    monic too, so the class leads with top(E(num))/(uv)^(a + sum(n)): the
-    polynomial test on the realized numerator decides the class, whatever its
-    denominator, and its witness is that top part.
+    monic too, so the class leads with top(E(num))/(uv)^(a + sum(n)), and
+    top(E(num)) is ell*(uv)^D for the leading term ell*L^D of ``num``: that
+    one monomial decides the class, whatever its denominator, and is the
+    witness, so the rest of the numerator is never realized.
     """
     if a.is_zero:
         return EffectivenessResult(EFFECTIVE_CANDIDATE, detail="zero class")
-    realization = a.hd_realization()
-    inner = check_polynomial_effectiveness(realization.num)
-    shape = str(realization._replace(num="numerator")) if realization.factors else "polynomial class"
+    num, den = a.num, a.den
+    top = num.max_deg
+    inner = check_polynomial_effectiveness(MultiPoly(2, {(top, top): num.coefficient(top)}))
+    shape = "polynomial class" if den.is_trivial else str(HDRealization("numerator", den.l_exp, den.factors))
     return EffectivenessResult(inner.verdict, inner.witness, f"{shape}; {inner.detail}")

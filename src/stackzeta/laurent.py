@@ -4,12 +4,13 @@ Polynomials are sparse maps from degree to nonzero integer coefficient, so
 arithmetic is exact at every step.  The key-blind part of the arithmetic
 (accumulating terms, addition, negation, subtraction, scaling by an int,
 powers, exact division by an int, rendering) is the term-map kernel ``multipoly._TermPoly``, shared
-with ``MultiPoly``; this module adds what reads the degrees: products, the
-cyclotomic polynomials Phi_d that denominators are made of and the exact
-division by them, Adams operations, shifts and maps out of the ring.
-Negative degrees are allowed; the class layer on top of this module is
-responsible for clearing them where its invariants demand nonnegative
-numerators.
+with ``MultiPoly`` and the only part of ``multipoly`` used here; this module
+adds what reads the degrees: products, the cyclotomic polynomials Phi_d that
+denominators are made of and the exact division by them, Adams operations,
+shifts and evaluation at a rational point.  Negative degrees are allowed;
+the class layer on top of this module is responsible for clearing them
+where its invariants demand nonnegative numerators, and maps L to uv
+(``MotivicClass.hd_realization``).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from .errors import DomainError, InternalConsistencyError
-from .multipoly import _INT, MultiPoly, _TermPoly
+from .multipoly import _INT, _TermPoly
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -188,23 +189,7 @@ class IntLaurent(_TermPoly):
             return None
         return IntLaurent._raw(_monic_quotient(self._terms, top, tail))
 
-    # -- maps out of the ring ------------------------------------------------
-
-    def substitute(self, image: MultiPoly) -> MultiPoly:
-        """Evaluate at L = image, a single term c*x^e of a multivariate
-        polynomial ring, such as the uv of the Hodge-Deligne realization.
-
-        Negative degrees have no polynomial image: callers clear them first.
-        """
-        if not self.is_zero and self.min_deg < 0:
-            raise DomainError("negative powers of L must be cleared before substitution")
-        if len(image) != 1:
-            raise DomainError(f"L is substituted by a single term c*x^e, not by {len(image)} terms")
-        # each a*L^d goes to a*c^d*x^(d*e) (a constant image collides)
-        ((exps, c),) = image.items()
-        pairs = [(tuple(d * e for e in exps), coeff * c ** d) for d, coeff in self._terms.items()]
-        # the exponents are multiples of the image's, so they need no check
-        return image._new(self._accumulate({}, pairs))
+    # -- evaluation ------------------------------------------------------------
 
     def eval_rational(self, t: Fraction | int) -> Fraction:
         """Exact value at L = t."""

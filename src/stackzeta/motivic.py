@@ -563,9 +563,11 @@ class MotivicClass(Frozen):
         return {k: v for k, v in cur.items() if v and k <= max_degree}
 
     def hd_realization(self) -> HDRealization:
-        """Hodge-Deligne realization: L goes to uv, the denominator kept in the shape of ``den``."""
+        """Hodge-Deligne realization, the library's one map L -> uv: each
+        c*L^d of ``num`` becomes c*u^d*v^d, the denominator kept in the shape
+        of ``den``."""
         num, den = self._views()
-        return HDRealization(num.substitute(MultiPoly.monomial((1, 1))), den.l_exp, den.factors)
+        return HDRealization(MultiPoly(2, {(d, d): c for d, c in num.items()}), den.l_exp, den.factors)
 
     # -- rendering -----------------------------------------------------------
 

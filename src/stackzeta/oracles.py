@@ -51,7 +51,8 @@ from .multipoly import MultiPoly
 from .series import TruncatedSeries
 from .zeta import MOTIVIC, zeta_series
 
-#: Largest k the closed form accepts; it is a sum of k! permutation summands.
+#: Largest number k of arguments the closed form accepts: its prefix
+#: recurrence fills 2^k subset entries in 2^k * k products.
 PERMUTATION_CAP = 8
 
 #: Hard caps for the brute-force enumeration oracles.

@@ -281,6 +281,8 @@ def test_direct_reader_reads_well_formed_argvs(argv):
         (["hd", "--js", "-L"], 2, "stackzeta hd -- -L"),
         (["zeta", "L", "--ord", "-L"], 2, None),
         (["verify", "axioms", "--n-m", "-L"], 2, None),
+        # only a command with --at binds its value, so this reads as "hd L --foo -7/3" does
+        (["hd", "L", "--at", "-7/3"], 2, "stackzeta hd -- -7/3"),
     ],
 )
 def test_a_leading_dash_expression_gets_a_hint_naming_the_separator(capsys, argv, code, hint):
@@ -349,7 +351,9 @@ def test_at_value_binds_by_syntax_without_reading_it(monkeypatch):
     for value in ("-7/3", "-2", "-1.5", "-.5e-3000000", "-1_000/3", "-1/0"):
         for option in ("--at", "--a"):
             assert cli._bind_at_value(["eval", "L", option, value]) == ["eval", "L", f"--at={value}"]
-    for argv in (["eval", "L", "--at", "-x"], ["eval", "L", "--at", "--json"], ["--", "--at", "-1"]):
+    for argv in (
+        ["eval", "L", "--at", "-x"], ["eval", "L", "--at", "--json"], ["--", "--at", "-1"], ["hd", "L", "--at", "-7/3"]
+    ):
         assert cli._bind_at_value(argv) == argv
 
 

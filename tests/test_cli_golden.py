@@ -275,6 +275,37 @@ GOLDEN = [
         ),
     ),
     (
+        ('effective', 'q'),
+        (
+            'effective-candidate [numerator / (u*v); top part 1*(uv)^0]\n'
+        ),
+        (
+            '{"verdict": "effective-candidate", "witness": null, "detail": "numerator / '
+            '(u*v); top part 1*(uv)^0"}\n'
+        ),
+    ),
+    (
+        ('effective', '1/L^2'),
+        (
+            'effective-candidate [numerator / (u*v)^2; top part 1*(uv)^0]\n'
+        ),
+        (
+            '{"verdict": "effective-candidate", "witness": null, "detail": "numerator / '
+            '(u*v)^2; top part 1*(uv)^0"}\n'
+        ),
+    ),
+    (
+        ('effective', 'q - L'),
+        (
+            'not-effective; witness: -u^2*v^2 [numerator / (u*v); '
+            'top-degree part not ell*(uv)^n]\n'
+        ),
+        (
+            '{"verdict": "not-effective", "witness": "-u^2*v^2", "detail": "numerator / '
+            '(u*v); top-degree part not ell*(uv)^n"}\n'
+        ),
+    ),
+    (
         ('effective', '1 - u - v + u*v'),
         (
             'effective-candidate [top part 1*(uv)^1]\n'

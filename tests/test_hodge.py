@@ -29,7 +29,8 @@ from stackzeta import (
 
 from stackzeta import verify
 
-from _strategies import multipolys, nonzero_classes
+from _strategies import motivic_classes, multipolys, nonzero_classes
+from test_laurent import term_by_term
 
 U = MultiPoly.variable(2, 0)
 V = MultiPoly.variable(2, 1)
@@ -172,6 +173,19 @@ def test_class_verdict_is_the_sign_of_the_leading_q_coefficient(a):
     expansion = a.q_expansion(40)
     leading = expansion[min(expansion)]
     assert (check_class_effectiveness(a).verdict == EFFECTIVE_CANDIDATE) == (leading > 0), a
+
+
+@given(st.one_of(motivic_classes(), effective_classes()))
+@settings(max_examples=60)
+def test_class_effectiveness_matches_the_realized_numerator(a):
+    # the reference route: the top-part test on the whole realized numerator
+    realized = a.hd_realization().num
+    assert realized == term_by_term(a.num, U * V)
+    got = check_class_effectiveness(a)
+    want = check_polynomial_effectiveness(realized)
+    assert (got.verdict, got.witness) == (want.verdict, want.witness), a
+    if not a.is_zero:
+        assert got.detail.endswith(f"; {want.detail}"), a
 
 
 # -- the two reproductions ------------------------------------------------------

@@ -13,7 +13,7 @@ from stackzeta import laurent
 from stackzeta.laurent import cyclotomic, divisors, l_minus_one
 
 from _reference import dense, long_divide, phi
-from _strategies import EVAL_POINTS, laurents, polynomials
+from _strategies import EVAL_POINTS, laurents
 
 
 @given(laurents(), laurents(), laurents())
@@ -195,13 +195,6 @@ def test_int_coercion_both_sides():
     assert IntLaurent.from_int(0) == IntLaurent.zero()
 
 
-def test_substitute_maps_l_to_image():
-    uv = MultiPoly.monomial((1, 1))
-    assert (L ** 2 + L).substitute(uv) == MultiPoly(2, {(2, 2): 1, (1, 1): 1})
-    with pytest.raises(DomainError):
-        IntLaurent.term(-1).substitute(uv)
-
-
 def schoolbook(a, b):
     """Reference product: every pair of terms, one at a time."""
     out = {}
@@ -278,42 +271,12 @@ def test_only_dense_wide_products_are_packed(monkeypatch):
 
 
 def term_by_term(p, image):
-    """Reference substitution: sum of coeff * image^deg over the terms."""
+    """Reference substitution of image for L: sum of coeff * image^deg over
+    the terms; the Hodge-Deligne realization is checked against it."""
     out = MultiPoly.zero(image.nvars)
     for deg, coeff in p.items():
         out = out + image ** deg * coeff
     return out
-
-
-IMAGES = (
-    MultiPoly.monomial((2, 1), -3),  # a monomial with coefficient != 1
-    MultiPoly.constant(2, 5),  # every term lands on the constant: collisions
-)
-#: Images of other than one term, which substitution rejects.
-REJECTED_IMAGES = (
-    MultiPoly(2, {(1, 0): 1, (0, 1): 2, (0, 0): -1}),  # not a monomial
-    MultiPoly.zero(2),
-)
-
-
-@given(polynomials(max_deg=8, max_terms=6), st.sampled_from(IMAGES))
-def test_substitute_matches_term_by_term(p, image):
-    assert p.substitute(image) == term_by_term(p, image)
-
-
-@given(polynomials(max_deg=8, max_terms=6), st.sampled_from(REJECTED_IMAGES))
-def test_substitute_rejects_an_image_of_other_than_one_term(p, image):
-    with pytest.raises(DomainError, match="^L is substituted by a single term c\\*x\\^e, not by [03] terms$"):
-        p.substitute(image)
-
-
-def test_substitute_sums_colliding_terms():
-    five = MultiPoly.constant(2, 5)
-    assert (L ** 2 + L + 1).substitute(five) == MultiPoly.constant(2, 31)
-    assert (L - 1).substitute(MultiPoly.constant(2, 1)) == MultiPoly.zero(2)
-    assert (2 * L ** 3 - L).substitute(MultiPoly.monomial((1, 1), -2)) == MultiPoly(
-        2, {(3, 3): -16, (1, 1): 2}
-    )
 
 
 def test_eval_at_zero_with_negative_degrees():

@@ -173,6 +173,40 @@ def test_the_scan_sees_coefficient_imports(tmp_path):
         assert forbidden_imports(src, *import_rules(src)[rule]) == expected, rule
 
 
+#: All that laurent.py takes from multipoly: the term-map kernel and the int
+#: types it checks degrees against.  The Hodge-Deligne image in MultiPoly is
+#: built by the class layer.
+LAURENT_FROM_MULTIPOLY = {"_INT", "_TermPoly"}
+
+
+def names_from_multipoly(path: Path) -> set[str]:
+    """The names a module imports from ``multipoly``; importing the module
+    itself, in any spelling, counts as the name "multipoly"."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[-1] == "multipoly":
+                found.update(alias.name for alias in node.names)
+            else:
+                found.update(alias.name for alias in node.names if alias.name == "multipoly")
+        elif isinstance(node, ast.Import):
+            found.update("multipoly" for alias in node.names if alias.name.split(".")[-1] == "multipoly")
+    return found
+
+
+def test_laurent_takes_only_the_kernel_from_multipoly():
+    assert names_from_multipoly(Path(stackzeta.__file__).parent / "laurent.py") == LAURENT_FROM_MULTIPOLY
+
+
+def test_the_scan_sees_names_from_multipoly(tmp_path):
+    path = tmp_path / "laurent.py"
+    path.write_text(
+        "from .multipoly import _INT, MultiPoly, _TermPoly\nfrom . import errors, multipoly\n"
+        "import stackzeta.multipoly\nfrom .motivic import MultiPolyView\n"
+    )
+    assert names_from_multipoly(path) == {"_INT", "MultiPoly", "_TermPoly", "multipoly"}
+
+
 #: IntLaurent division methods that library modules other than laurent.py may call.
 DIVISION_ROUTES = {"div_cyclotomic"}
 #: IntLaurent division methods, public and private, that only laurent.py calls.

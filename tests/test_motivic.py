@@ -55,6 +55,12 @@ def test_denom_form_validation():
     assert not DenomForm(1, ()).is_trivial
 
 
+def test_denominator_shapes_print_as_factors():
+    assert str(DenomForm(2, (3, 1))) == "L^2 * (L-1) * (L^3-1)"
+    assert str(DenomForm()) == "1"
+    assert str(DenomForm(1, ())) == "L"
+
+
 def _counter_exponents(factors):
     """The cyclotomic exponents of prod(L^n - 1): Phi_d once for each n that d divides."""
     return Counter(d for n in factors for d in divisors(n))

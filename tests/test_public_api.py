@@ -37,8 +37,8 @@ POLY_OPERATORS = {
 POLY_PUBLIC = {
     stackzeta.IntLaurent: {
         "adams", "as_int", "coefficient", "div_cyclotomic", "divide_exact_int", "eval_rational",
-        "from_int", "is_zero", "items", "max_deg", "min_deg", "one", "shift", "substitute",
-        "term", "zero",
+        "from_int", "is_zero", "items", "max_deg", "min_deg", "one", "shift", "term",
+        "zero",
     },
     stackzeta.MultiPoly: {
         "adams", "as_int", "coefficient", "constant", "divide_exact_int", "from_json", "is_zero", "items",

@@ -18,6 +18,7 @@ canonical renderings produced by this package parse back to equal values.
 
 from __future__ import annotations
 
+import operator
 import re
 import sys
 from collections import namedtuple
@@ -106,16 +107,17 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> Token:
+    def take(self, ops: str) -> Token | None:
+        """The next token, consumed, if it is an OP whose text is in ops; else None."""
         tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+        if tok.kind == "OP" and tok.text in ops:
+            self.pos += 1
+            return tok
+        return None
 
     def integer(self) -> int:
-        tok = self.next()
+        tok = self.tokens[self.pos]
+        self.pos += 1
         try:
             return int(tok.text)
         except ValueError as exc:  # the only failure of int() on \d+ is the digit limit
@@ -125,78 +127,61 @@ class _Parser:
                 f" (line {tok.line}, col {tok.col})"
             ) from exc
 
-    def expect_op(self, text: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "OP" or tok.text != text:
+    def expect_op(self, text: str) -> None:
+        if self.take(text) is None:
+            tok = self.tokens[self.pos]
             raise ParseError(f"expected {text!r}, found {tok.text or 'end of input'!r}", tok.line, tok.col)
-        return self.next()
-
-    def at_op(self, *texts: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "OP" and tok.text in texts
 
     def parse(self):
         node = self.expr()
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind != "END":
             raise ParseError(f"unexpected {tok.text!r} after expression", tok.line, tok.col)
         return node
 
     def expr(self):
         node = self.term()
-        while self.at_op("+", "-"):
-            tok = self.next()
+        while tok := self.take("+-"):
             node = BinOp(tok.text, node, self.term(), tok)
         return node
 
     def term(self):
         node = self.factor()
-        while self.at_op("*", "/"):
-            tok = self.next()
+        while tok := self.take("*/"):
             node = BinOp(tok.text, node, self.factor(), tok)
         return node
 
     def factor(self):
-        if self.at_op("-"):
-            self.next()
+        if self.take("-"):
             return Neg(self.factor())
-        return self.power()
-
-    def power(self):
         node = self.atom()
-        if self.at_op("^"):
-            tok = self.next()
-            sign = 1
-            if self.at_op("-"):
-                self.next()
-                sign = -1
-            itok = self.peek()
-            if itok.kind != "INT":
-                raise ParseError("exponent must be an integer literal", itok.line, itok.col)
-            node = Pow(node, sign * self.integer(), tok)
-        return node
+        tok = self.take("^")
+        if tok is None:
+            return node
+        sign = -1 if self.take("-") else 1
+        itok = self.tokens[self.pos]
+        if itok.kind != "INT":
+            raise ParseError("exponent must be an integer literal", itok.line, itok.col)
+        return Pow(node, sign * self.integer(), tok)
 
     def atom(self):
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind == "INT":
             return Num(self.integer(), tok)
-        if tok.kind == "NAME":
-            self.next()
-            if self.at_op("("):
-                self.next()
-                args = [self.expr()]
-                while self.at_op(","):
-                    self.next()
-                    args.append(self.expr())
-                self.expect_op(")")
-                return Call(tok.text, tuple(args), tok)
-            return Sym(tok.text, tok)
-        if tok.kind == "OP" and tok.text == "(":
-            self.next()
+        if self.take("("):
             node = self.expr()
             self.expect_op(")")
             return node
-        raise ParseError(f"unexpected {tok.text or 'end of input'!r}", tok.line, tok.col)
+        if tok.kind != "NAME":
+            raise ParseError(f"unexpected {tok.text or 'end of input'!r}", tok.line, tok.col)
+        self.pos += 1
+        if not self.take("("):
+            return Sym(tok.text, tok)
+        args = [self.expr()]
+        while self.take(","):
+            args.append(self.expr())
+        self.expect_op(")")
+        return Call(tok.text, tuple(args), tok)
 
 
 def parse_ast(text: str):
@@ -214,8 +199,14 @@ def _int_literal(node, call: Call) -> int:
     raise ElaborationError(f"{call.name} arguments must be integer literals", call.tok.line, call.tok.col)
 
 
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
 class _Env:
-    """Shared tree-walk; contexts override the symbol table and the edges."""
+    """Shared tree-walk.  Each context defines ``of_int``, the value of an
+    integer literal, and overrides ``symbol``, ``call``, ``div`` and ``pow``
+    where it admits more than this base, which rejects every identifier,
+    call and division and every negative exponent."""
 
     context = "expression"
 
@@ -229,23 +220,13 @@ class _Env:
         if isinstance(node, Neg):
             return -self.run(node.operand)
         if isinstance(node, Pow):
-            step, args = self.pow, (self.run(node.base), node.exponent, node.tok)
-        elif isinstance(node, BinOp):
-            left = self.run(node.left)
-            right = self.run(node.right)
-            if node.op == "+":
-                return left + right
-            if node.op == "-":
-                return left - right
-            if node.op == "*":
-                return left * right
-            step, args = self.div, (left, right, node.tok)
-        else:
+            return _at_token(node.tok, self.pow, self.run(node.base), node.exponent, node.tok)
+        if not isinstance(node, BinOp):
             raise ElaborationError(f"cannot elaborate {node!r}")
-        return _at_token(node.tok, step, *args)
-
-    def of_int(self, n: int):
-        raise NotImplementedError
+        left, right = self.run(node.left), self.run(node.right)
+        if node.op in _ARITHMETIC:
+            return _ARITHMETIC[node.op](left, right)
+        return _at_token(node.tok, self.div, left, right, node.tok)
 
     def symbol(self, node: Sym):
         raise ElaborationError(
@@ -388,14 +369,11 @@ class _SeriesEnv(_Env):
         return self._constant(MotivicClass(n))
 
     def symbol(self, node: Sym):
-        if node.name == "T":
-            coeffs = [MotivicClass.zero()] * (self.order + 1)
-            if self.order >= 1:
-                coeffs[1] = MotivicClass.one()
-            else:
-                raise ElaborationError("T does not fit in an order-0 series", node.tok.line, node.tok.col)
-            return TruncatedSeries(MOTIVIC, tuple(coeffs))
-        return self._constant(self.classes.symbol(node))
+        if node.name != "T":
+            return self._constant(self.classes.symbol(node))
+        if self.order < 1:
+            raise ElaborationError("T does not fit in an order-0 series", node.tok.line, node.tok.col)
+        return TruncatedSeries(MOTIVIC, (MOTIVIC.zero, MOTIVIC.one) + (MOTIVIC.zero,) * (self.order - 1))
 
     def call(self, node: Call):
         return self._constant(self.classes.call(node))
@@ -423,9 +401,20 @@ class _SeriesEnv(_Env):
         return self._constant(c.inverse() ** (-n))
 
 
+def _elaborate(env: _Env, tokens: list[Token]):
+    """The value of the parsed tokens in env's context; a tree too deep for
+    the Python stack raises ResourceLimitError."""
+    try:
+        return env.run(_Parser(tokens).parse())
+    except RecursionError as exc:
+        raise ResourceLimitError(
+            f"expression nested too deeply (Python recursion limit {sys.getrecursionlimit()})"
+        ) from exc
+
+
 def parse_class(text: str) -> MotivicClass:
     """Elaborate a class expression in L, q, GL, BGL, Gr."""
-    return _ClassEnv().run(parse_ast(text))
+    return _elaborate(_ClassEnv(), tokenize(text))
 
 
 def evaluate_class(text: str, t: Fraction) -> Fraction:
@@ -440,12 +429,12 @@ def evaluate_class(text: str, t: Fraction) -> Fraction:
     """
     if t in (0, 1, -1):
         return parse_class(text).eval_rational(t)
-    return _PointEnv(t).run(parse_ast(text))
+    return _elaborate(_PointEnv(t), tokenize(text))
 
 
 def parse_poly(text: str) -> MultiPoly:
     """Elaborate an E-polynomial expression in u, v."""
-    return _PolyEnv().run(parse_ast(text))
+    return _elaborate(_PolyEnv(), tokenize(text))
 
 
 def parse_class_or_poly(text: str) -> MotivicClass | MultiPoly:
@@ -453,9 +442,9 @@ def parse_class_or_poly(text: str) -> MotivicClass | MultiPoly:
     class expression otherwise; the text is tokenized once for both."""
     tokens = tokenize(text)
     env = _PolyEnv() if any(tok.kind == "NAME" and tok.text in ("u", "v") for tok in tokens) else _ClassEnv()
-    return env.run(_Parser(tokens).parse())
+    return _elaborate(env, tokens)
 
 
 def parse_series(text: str, order: int) -> TruncatedSeries:
     """Elaborate a series expression in T with motivic-class coefficients."""
-    return _SeriesEnv(order).run(parse_ast(text))
+    return _elaborate(_SeriesEnv(order), tokenize(text))

@@ -116,7 +116,7 @@ def check_class_effectiveness(a: MotivicClass) -> EffectivenessResult:
     """
     if a.is_zero:
         return EffectivenessResult(EFFECTIVE_CANDIDATE, detail="zero class")
-    num, den = a.num, a.den
+    num, den = a.num_den()
     top = num.max_deg
     inner = check_polynomial_effectiveness(MultiPoly(2, {(top, top): num.coefficient(top)}))
     shape = "polynomial class" if den.is_trivial else str(HDRealization("numerator", den.l_exp, den.factors))

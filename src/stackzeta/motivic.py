@@ -372,14 +372,14 @@ class MotivicClass(Frozen):
     @property
     def num(self) -> IntLaurent:
         """The numerator over ``den``, the cover of the reduced denominator."""
-        return self._views()[0]
+        return self.num_den()[0]
 
     @property
     def den(self) -> DenomForm:
         """The reduced denominator written as L^a * prod(L^n - 1) by the cover rule."""
-        return self._views()[1]
+        return self.num_den()[1]
 
-    def _views(self) -> tuple[IntLaurent, DenomForm]:
+    def num_den(self) -> tuple[IntLaurent, DenomForm]:
         """``num`` and ``den``, from one run of the cover rule."""
         factors, extra = _cover(self._den.exponents)
         return self._num if extra is _ONE_NUM else self._num * extra, DenomForm._raw(self._den.l_exp, factors)
@@ -549,7 +549,7 @@ class MotivicClass(Frozen):
         Each 1/(L^n - 1) of ``den`` is q^n/(1-q^n), the geometric series
         q^n + q^{2n} + ...; the result is the truncated product.
         """
-        num, den = self._views()
+        num, den = self.num_den()
         shift = den.l_exp + sum(den.factors)
         cur = {shift - d: c for d, c in num.items()}  # one key per numerator degree
         for n in den.factors:
@@ -566,20 +566,20 @@ class MotivicClass(Frozen):
         """Hodge-Deligne realization, the library's one map L -> uv: each
         c*L^d of ``num`` becomes c*u^d*v^d, the denominator kept in the shape
         of ``den``."""
-        num, den = self._views()
+        num, den = self.num_den()
         return HDRealization(MultiPoly(2, {(d, d): c for d, c in num.items()}), den.l_exp, den.factors)
 
     # -- rendering -----------------------------------------------------------
 
     def __str__(self) -> str:
-        num, den = self._views()
+        num, den = self.num_den()
         return _render_fraction(str(num), den.l_exp, den.factors, "L")
 
     def __repr__(self) -> str:
         return f"MotivicClass({self})"
 
     def to_json(self) -> dict:
-        num, den = self._views()
+        num, den = self.num_den()
         lo, hi = (0, 0) if num.is_zero else (num.min_deg, num.max_deg)
         coeffs = {"min_deg": lo, "coeffs": [num.coefficient(d) for d in range(lo, hi + 1)]}
         return {"num": coeffs, "den": {"l_exp": den.l_exp, "factors": list(den.factors)}}

@@ -25,6 +25,8 @@ from stackzeta.cli import main
 from stackzeta.power import MAX_SERIES_ORDER
 from stackzeta.expr import parse_class
 
+from test_expr import TOO_DEEP
+
 ZETA_BGL1_ORDER3 = (
     "1 + (1 / (L-1))*T + (L / ((L-1) * (L^2-1)))*T^2"
     " + (L^3 / ((L-1) * (L^2-1) * (L^3-1)))*T^3"
@@ -447,6 +449,13 @@ def test_resource_cap_exit_code(capsys):
     assert code == 4
     assert "error" in err
     assert str(MAX_SERIES_ORDER) in err and "3000" in err
+
+
+@pytest.mark.parametrize("text", TOO_DEEP.values(), ids=TOO_DEEP)
+def test_too_deep_expressions_exit_with_a_resource_error(capsys, text):
+    code, out, err = run(capsys, "hd", "--", text)
+    assert (code, out) == (4, "")
+    assert err == f"error: expression nested too deeply (Python recursion limit {sys.getrecursionlimit()})\n"
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):

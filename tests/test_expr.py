@@ -1,9 +1,11 @@
 """Expression parsing and elaboration into classes, polynomials, and series."""
 
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stackzeta import (
     DenomForm,
@@ -22,7 +24,7 @@ from stackzeta import (
     parse_poly,
     parse_series,
 )
-from stackzeta.expr import parse_class_or_poly
+from stackzeta.expr import BinOp, Call, Neg, Num, Pow, Sym, evaluate_class, parse_ast, parse_class_or_poly
 
 from _strategies import motivic_classes, multipolys
 
@@ -127,9 +129,94 @@ def test_literals_above_the_digit_limit_are_resource_errors(prefix):
     )
 
 
+#: Texts whose trees are deeper than any Python stack allows.
+TOO_DEEP = {
+    "parentheses": "(" * 5000 + "1" + ")" * 5000,
+    "minuses": "-" * 5000 + "1",
+    "sum": " + ".join(["1"] * 5000),
+}
+ENTRY_POINTS = {
+    "class": parse_class,
+    "poly": parse_poly,
+    "series": lambda text: parse_series(text, 2),
+    "class_or_poly": parse_class_or_poly,
+    "eval": lambda text: evaluate_class(text, Fraction(2)),
+    "eval_at_pole": lambda text: evaluate_class(text, Fraction(1)),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS)
+@pytest.mark.parametrize("text", TOO_DEEP.values(), ids=TOO_DEEP)
+def test_too_deep_expressions_are_resource_errors(text, entry):
+    message = f"expression nested too deeply (Python recursion limit {sys.getrecursionlimit()})"
+    with pytest.raises(ResourceLimitError) as exc:
+        entry(text)
+    assert str(exc.value) == message
+
+
+def test_moderately_nested_expressions_still_elaborate():
+    assert parse_class("(" * 150 + "L" + ")" * 150) == MotivicClass.l_power(1)
+    assert parse_class("-" * 150 + "L") == MotivicClass.l_power(1)
+
+
 @given(motivic_classes())
 def test_class_rendering_round_trips(a):
     assert parse_class(str(a)) == a
+
+
+# Syntax trees with the tokens left out.
+_leaves = st.one_of(
+    st.builds(Num, st.integers(0, 10 ** 6), st.none()),
+    st.builds(Sym, st.sampled_from(["L", "q", "T", "u", "x_1", "GLx"]), st.none()),
+)
+syntax_trees = st.recursive(
+    _leaves,
+    lambda children: st.one_of(
+        st.builds(Call, st.sampled_from(["GL", "Gr"]), st.lists(children, min_size=1, max_size=3).map(tuple),
+                  st.none()),
+        st.builds(Neg, children),
+        st.builds(BinOp, st.sampled_from("+-*/"), children, children, st.none()),
+        st.builds(Pow, children, st.integers(-3, 3), st.none()),
+    ),
+    max_leaves=12,
+)
+
+
+def render(node, level=0):
+    """node as text, parenthesized only where a context of precedence level
+    needs it: 0 expr, 1 term, 2 factor, 3 power, 4 atom."""
+    if isinstance(node, (Num, Sym)):
+        text, own = str(node[0]), 4
+    elif isinstance(node, Call):
+        text, own = f"{node.name}({', '.join(render(a) for a in node.args)})", 4
+    elif isinstance(node, Neg):
+        text, own = "-" + render(node.operand, 2), 2
+    elif isinstance(node, Pow):
+        text, own = f"{render(node.base, 4)}^{node.exponent}", 3
+    else:  # left-associative: only the right operand needs the tighter level
+        own = 0 if node.op in "+-" else 1
+        text = f"{render(node.left, own)} {node.op} {render(node.right, own + 1)}"
+    return text if own >= level else f"({text})"
+
+
+def strip(node):
+    """node with every token replaced by None."""
+    if isinstance(node, Neg):
+        return Neg(strip(node.operand))
+    if isinstance(node, Call):
+        return node._replace(args=tuple(map(strip, node.args)), tok=None)
+    if isinstance(node, BinOp):
+        return node._replace(left=strip(node.left), right=strip(node.right), tok=None)
+    if isinstance(node, Pow):
+        return node._replace(base=strip(node.base), tok=None)
+    return node._replace(tok=None)
+
+
+@given(syntax_trees)
+@settings(max_examples=300)
+def test_minimally_parenthesized_trees_parse_back(tree):
+    # repr names each node's type, which tuple equality would not compare
+    assert repr(strip(parse_ast(render(tree)))) == repr(tree)
 
 
 # -- polynomials ---------------------------------------------------------------

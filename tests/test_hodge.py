@@ -27,7 +27,7 @@ from stackzeta import (
     zeta_series,
 )
 
-from stackzeta import verify
+from stackzeta import motivic, verify
 
 from _strategies import motivic_classes, multipolys, nonzero_classes
 from test_laurent import term_by_term
@@ -77,6 +77,8 @@ def test_hd_zeta_order_guard():
 def test_hd_providers():
     p = hd_provider()
     assert p.series(U, 2).coefficient(2) == U ** 2
+    with pytest.raises(DomainError, match="element does not lie in the int-poly-2 ring"):
+        p.series(MotivicClass.one(), 2)
     opp = hd_opposite_provider()
     assert opp.name.endswith("-opposite")
     assert opp.ring == p.ring
@@ -186,6 +188,15 @@ def test_class_effectiveness_matches_the_realized_numerator(a):
     assert (got.verdict, got.witness) == (want.verdict, want.witness), a
     if not a.is_zero:
         assert got.detail.endswith(f"; {want.detail}"), a
+
+
+def test_class_effectiveness_runs_the_cover_rule_once(monkeypatch):
+    a = parse_class("BGL(6)*q^3 + 1/(L+1)")
+    calls = []
+    cover = motivic._cover
+    monkeypatch.setattr(motivic, "_cover", lambda cyc: calls.append(cyc) or cover(cyc))
+    assert check_class_effectiveness(a).verdict == EFFECTIVE_CANDIDATE
+    assert calls == [a._den.exponents]
 
 
 # -- the two reproductions ------------------------------------------------------

@@ -162,6 +162,8 @@ def test_cyclotomic_polynomials():
     assert (L ** 2 + 1).div_cyclotomic(2) is None
     with pytest.raises(DomainError):
         cyclotomic(0)
+    with pytest.raises(DomainError, match="l_minus_one needs n >= 1"):
+        l_minus_one(0)
 
 
 def test_divide_exact_int():

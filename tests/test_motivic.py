@@ -55,6 +55,12 @@ def test_denom_form_validation():
     assert not DenomForm(1, ()).is_trivial
 
 
+@pytest.mark.parametrize("args", [("L",), (1.0,), (IntLaurent.one(), (0, ())), (IntLaurent.one(), None)])
+def test_class_constructor_needs_a_laurent_and_a_denominator(args):
+    with pytest.raises(DomainError, match="MotivicClass needs an IntLaurent numerator and a DenomForm"):
+        MotivicClass(*args)
+
+
 def test_denominator_shapes_print_as_factors():
     assert str(DenomForm(2, (3, 1))) == "L^2 * (L-1) * (L^3-1)"
     assert str(DenomForm()) == "1"

@@ -12,6 +12,10 @@ from _strategies import multipolys
 
 
 def test_construction_rules():
+    with pytest.raises(DomainError, match="at least one variable"):
+        MultiPoly(0)
+    with pytest.raises(DomainError, match="variable index 2 out of range"):
+        MultiPoly.variable(2, 2)
     with pytest.raises(DomainError):
         MultiPoly(2, {(-1, 0): 1})
     with pytest.raises(DomainError):
@@ -174,6 +178,12 @@ def test_a_constant_hashes_as_its_int():
     assert hash(MultiPoly.zero(2)) == hash(0) and len({MultiPoly.zero(3), 0}) == 1
     assert {3: "three"}[MultiPoly.constant(2, 3)] == "three"
     assert {MultiPoly.one(2): "one"}[1] == "one"
+
+
+def test_a_polynomial_hashes_by_its_terms():
+    u, v = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    assert hash(u * v) == hash(v * u) == hash(MultiPoly(2, {(1, 1): 1}))
+    assert len({u * v, MultiPoly(2, [((1, 1), 2), ((1, 1), -1)])}) == 1
 
 
 @given(multipolys())

@@ -221,6 +221,11 @@ def test_inverse_round_trip(a):
     assert a ** -2 == (a.inverse()) ** 2
 
 
+def test_pow_needs_an_int_exponent():
+    with pytest.raises(DomainError, match="series exponents must be integers"):
+        TruncatedSeries.one(MOT, 2) ** 1.5
+
+
 def test_inverse_needs_constant_term_one():
     s = series_of([MotivicClass.l_power(1), MotivicClass.one()])
     with pytest.raises(DomainError):

@@ -132,6 +132,8 @@ def test_zeta_order_and_cap_guards():
         zeta_series(bgl_class(1), MAX_SERIES_ORDER + 1)
     with pytest.raises(DomainError):
         sym_power(ONE, -1)
+    with pytest.raises(DomainError, match="series order must be nonnegative"):
+        zeta_of_polynomial(IntLaurent.one(), -1)
 
 
 def test_opposite_zeta_of_one():

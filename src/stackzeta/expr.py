@@ -223,7 +223,20 @@ class _Env:
             return _at_token(node.tok, self.pow, self.run(node.base), node.exponent, node.tok)
         if not isinstance(node, BinOp):
             raise ElaborationError(f"cannot elaborate {node!r}")
-        left, right = self.run(node.left), self.run(node.right)
+        # a flat chain a + b - c ... nests to the left, so its left spine is
+        # folded in a loop: its length costs no Python stack
+        spine = []
+        while isinstance(node, BinOp):
+            spine.append(node)
+            node = node.left
+        value = self.run(node)
+        for op in reversed(spine):
+            value = self.binop(op, value)
+        return value
+
+    def binop(self, node: BinOp, left):
+        """left op right, with right elaborated here."""
+        right = self.run(node.right)
         if node.op in _ARITHMETIC:
             return _ARITHMETIC[node.op](left, right)
         return _at_token(node.tok, self.div, left, right, node.tok)
@@ -314,12 +327,14 @@ class _PointEnv(_ClassEnv):
         self.fraction = fractions.Fraction  # of_int runs once per integer leaf, so it imports nothing
 
     def run(self, node):
-        if isinstance(node, BinOp) and node.op == "/":
-            left = self.run(node.left)
-            return left * self._inverse_at(node.right, node.tok)
         if isinstance(node, Pow) and node.exponent < 0:
             return self._inverse_at(node.base, node.tok) ** -node.exponent
         return super().run(node)
+
+    def binop(self, node: BinOp, left):
+        if node.op == "/":
+            return left * self._inverse_at(node.right, node.tok)
+        return super().binop(node, left)
 
     def _inverse_at(self, node, tok: Token) -> Fraction:
         unit = self.classes.run(node)

@@ -355,7 +355,7 @@ def _monic_quotient(terms: dict[int, int], top: int, tail: Sequence[tuple[int, i
     return quot
 
 
-#: Built once per d: one power-axioms pass (seed 1) asks 2,358 times for 6
+#: Built once per d: one power-axioms pass (seed 1) asks 2,125 times for 6
 #: of them, zeta_series(bgl_class(1), 30) 18,311 times for 30, the calls
 #: that build Phi_d from Phi_(d/p) included.  The bound only stops unbounded
 #: growth.

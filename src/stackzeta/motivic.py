@@ -614,7 +614,7 @@ def _product_denominator(a: _CyclotomicDenom, b: _CyclotomicDenom) -> _Cyclotomi
 
 
 #: Bound of the ``_sum_plan`` cache, which keeps one plan per pair of
-#: denominators.  One power-axioms pass (seed 1) asks 733 times for 249
+#: denominators.  One power-axioms pass (seed 1) asks 632 times for 245
 #: pairs, and the bound only stops unbounded growth.
 SUM_PLAN_CACHE_SIZE = 1024
 

@@ -92,13 +92,19 @@ class _TermPoly(Frozen):
     def __pow__(self, n: int) -> _TermPoly:
         if not isinstance(n, int) or n < 0:
             raise DomainError(f"{type(self).__name__} exponents must be nonnegative integers")
-        out = self._coerce(1)
+        if n == 0:
+            return self._coerce(1)
+        # bit_length + bit_count - 2 products: start at the lowest set bit,
+        # and square no further than the top one, the largest square
         base = self
-        while n:
-            if n & 1:
-                out = out * base
+        while not n & 1:
             base = base * base
             n >>= 1
+        out = base
+        while n := n >> 1:
+            base = base * base
+            if n & 1:
+                out = out * base
         return out
 
     def _scale(self, k: int) -> _TermPoly:

@@ -27,7 +27,9 @@ applied to the product m * b_k.  They are additive, though, for every
 provider, so an integer exponent c needs no factorization: the ghosts of A^c
 are sum_{k r = n} k psi^r(c * b_k) = c g_n, and A^c is the ordinary c-th
 power of A.  ``power`` finds such an exponent with the coefficient's
-``as_int()`` and scales the ghosts.
+``as_int()``.  For -2 <= c <= 4 it takes the ordinary power, at most two
+series products; for any other c it scales the ghosts, two triangular folds
+whatever c is.
 
 The ghost transforms are ``TruncatedSeries.ghosts`` and ``from_ghosts``; this
 module keeps the solve for the b_k and the ghost assembly of A^m.  It is
@@ -109,7 +111,8 @@ def power(series: TruncatedSeries, exponent: Any, provider: LambdaProvider) -> T
 
     The exponent must lie in the provider's coefficient ring; cross-ring
     exponentiation is rejected.  An exponent equal to an integer c gives the
-    ordinary c-th power, by scaling the ghost components.
+    ordinary c-th power: by series products for -2 <= c <= 4, and by scaling
+    the ghost components otherwise.
     """
     check_order(series.order)
     ring = provider.ring
@@ -118,6 +121,12 @@ def power(series: TruncatedSeries, exponent: Any, provider: LambdaProvider) -> T
     c = exponent.as_int()
     if c is not None:
         _check_ring(series, provider)
+        if not series.coefficient(0) == ring.one:
+            raise DomainError("ghost components need constant term 1")
+        # (c < 0) + |c|.bit_length() + |c|.bit_count() - 2 <= 2 series products;
+        # the ghost route costs two triangular folds whatever c is
+        if -2 <= c <= 4:
+            return series ** c
         return TruncatedSeries.from_ghosts(ring, [c * g for g in series.ghosts()])
     order = series.order
     ghosts = [ring.zero] * (order + 1)

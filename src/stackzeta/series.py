@@ -146,13 +146,19 @@ class TruncatedSeries(Frozen):
             raise DomainError("series exponents must be integers")
         if n < 0:
             return self.inverse() ** (-n)
-        out = TruncatedSeries.one(self._ring, self.order)
+        if n == 0:
+            return TruncatedSeries.one(self._ring, self.order)
+        # bit_length + bit_count - 2 products: start at the lowest set bit,
+        # and square no further than the top one
         base = self
-        while n:
-            if n & 1:
-                out = out * base
+        while not n & 1:
             base = base * base
             n >>= 1
+        out = base
+        while n := n >> 1:
+            base = base * base
+            if n & 1:
+                out = out * base
         return out
 
     def inverse(self) -> TruncatedSeries:

@@ -129,11 +129,12 @@ def test_literals_above_the_digit_limit_are_resource_errors(prefix):
     )
 
 
-#: Texts whose trees are deeper than any Python stack allows.
+#: Texts whose trees are deeper than any Python stack allows.  The sum has
+#: 5,000 terms with every partial sum in parentheses, which nest.
 TOO_DEEP = {
     "parentheses": "(" * 5000 + "1" + ")" * 5000,
     "minuses": "-" * 5000 + "1",
-    "sum": " + ".join(["1"] * 5000),
+    "sum": "(" * 4999 + "1" + " + 1)" * 4999,
 }
 ENTRY_POINTS = {
     "class": parse_class,
@@ -152,6 +153,17 @@ def test_too_deep_expressions_are_resource_errors(text, entry):
     with pytest.raises(ResourceLimitError) as exc:
         entry(text)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS)
+def test_a_long_flat_chain_elaborates(entry):
+    # the left spine of a chain is folded in a loop, not recursed into
+    assert entry(" + ".join(["1"] * 5000)) == entry("5000")
+
+
+def test_a_long_rendering_parses_back():
+    a = parse_class("(L+1)^1000")
+    assert parse_class(str(a)) == a
 
 
 def test_moderately_nested_expressions_still_elaborate():

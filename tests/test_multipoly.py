@@ -93,12 +93,25 @@ def test_ring_laws(a, b, c):
     assert a - a == zero
 
 
-@given(multipolys(), st.integers(min_value=0, max_value=3))
+@given(multipolys(), st.integers(min_value=0, max_value=6))
 def test_pow_matches_repeated_product(a, n):
     expected = MultiPoly.one(2)
     for _ in range(n):
         expected = expected * a
     assert a ** n == expected
+
+
+@pytest.mark.parametrize("cls", (MultiPoly, IntLaurent))
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 6, 7, 8, 13, 40))
+def test_pow_makes_only_the_products_it_needs(monkeypatch, cls, n):
+    # square and multiply from the lowest set bit, with no square past the top
+    # one, which would square the largest power
+    products = []
+    mul = cls.__mul__
+    monkeypatch.setattr(cls, "__mul__", lambda x, y: products.append(1) or mul(x, y))
+    p = MultiPoly(2, {(1, 0): 1, (0, 1): 1, (0, 0): 1}) if cls is MultiPoly else IntLaurent({1: 1, 0: 1})
+    p ** n
+    assert len(products) == n.bit_length() + n.bit_count() - 2
 
 
 @given(multipolys(), multipolys(), st.integers(1, 4), st.integers(1, 4))

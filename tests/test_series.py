@@ -213,6 +213,19 @@ def test_pow_matches_repeated_product(a):
     assert a ** 0 == TruncatedSeries.one(MOT, a.order)
     assert a ** 1 == a
     assert a ** 3 == a * a * a
+    assert a ** 6 == a * a * a * a * a * a
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 6, 7, 8, 13))
+def test_pow_makes_only_the_products_it_needs(monkeypatch, n):
+    # square and multiply from the lowest set bit, with no square past the top
+    # one: a ** 1 makes no product and a ** 4 two
+    products = []
+    mul = TruncatedSeries.__mul__
+    monkeypatch.setattr(TruncatedSeries, "__mul__", lambda x, y: products.append(1) or mul(x, y))
+    a = series_of([MotivicClass.one(), MotivicClass.l_power(1), MotivicClass(2)])
+    a ** n
+    assert len(products) == n.bit_length() + n.bit_count() - 2
 
 
 @given(unit_series())

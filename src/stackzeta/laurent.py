@@ -6,17 +6,20 @@ arithmetic is exact at every step.  The key-blind part of the arithmetic
 powers, exact division by an int, rendering) is the term-map kernel ``multipoly._TermPoly``, shared
 with ``MultiPoly`` and the only part of ``multipoly`` used here; this module
 adds what reads the degrees: products, the cyclotomic polynomials Phi_d that
-denominators are made of and the exact division by them, Adams operations,
-shifts and evaluation at a rational point.  Negative degrees are allowed;
-the class layer on top of this module is responsible for clearing them
-where its invariants demand nonnegative numerators, and maps L to uv
-(``MotivicClass.hd_realization``).
+denominators are made of and the exact division by them, the quotients of
+products of binomials L^n - 1 that the standard classes are, Adams
+operations, shifts and evaluation at a rational point.  Negative degrees
+are allowed; the class layer on top of this module is responsible for
+clearing them where its invariants demand nonnegative numerators, and maps
+L to uv (``MotivicClass.hd_realization``).
 """
 
 from __future__ import annotations
 
 import struct
 from functools import lru_cache
+from itertools import accumulate
+from operator import neg, sub
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from .errors import DomainError, InternalConsistencyError
@@ -165,8 +168,9 @@ class IntLaurent(_TermPoly):
 
     def div_cyclotomic(self, d: int) -> IntLaurent | None:
         """Exact quotient self / Phi_d by the d-th cyclotomic polynomial, or None
-        when Phi_d does not divide self.  This is the library's one polynomial
-        division.
+        when Phi_d does not divide self.  This is the library's one division
+        of a polynomial it did not build itself (``binomial_quotient`` divides
+        only products of binomials that it multiplied out).
 
         Phi_d divides L^d - 1, so it divides self exactly when it divides the
         remainder of self mod L^d - 1: d residue sums, reduced mod Phi_d.  Only
@@ -270,11 +274,30 @@ def _from_bytes(raw: bytes, width: int) -> Sequence[int]:
 L = IntLaurent.term(1)
 
 
-def l_minus_one(n: int) -> IntLaurent:
-    """The polynomial L^n - 1."""
-    if n < 1:
-        raise DomainError("l_minus_one needs n >= 1")
-    return IntLaurent({n: 1, 0: -1})
+def binomial_quotient(tops: Sequence[int], bottoms: Sequence[int]) -> IntLaurent:
+    """prod(L^a - 1 for a in tops) / prod(L^b - 1 for b in bottoms), for
+    exponents >= 1, which the caller knows to be a polynomial.
+
+    One dense coefficient list carries the work, as C-level list operations:
+    times 1 - L^a, the list minus itself shifted up by a; over 1 - L^b, a
+    running sum along each residue class mod b, whose top b sums are zero
+    exactly when the division is exact (else InternalConsistencyError).  The
+    products come first, so each division is exact when the whole quotient
+    is; the sign of prod(1 - L^a) / prod(1 - L^b) is put right at the end.
+    """
+    coeffs = [1]
+    for a in tops:
+        coeffs += [0] * a
+        coeffs[a:] = map(sub, coeffs[a:], coeffs[:-a])
+    for b in bottoms:
+        for r in range(b):
+            coeffs[r::b] = accumulate(coeffs[r::b])
+        if any(coeffs[-b:]):
+            raise InternalConsistencyError("a binomial quotient was not exact")
+        del coeffs[-b:]
+    if (len(tops) + len(bottoms)) % 2:
+        coeffs = map(neg, coeffs)
+    return IntLaurent._raw({d: c for d, c in enumerate(coeffs) if c})
 
 
 def prime_factors(n: int) -> tuple[int, ...]:

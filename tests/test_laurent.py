@@ -10,10 +10,14 @@ from hypothesis import strategies as st
 
 from stackzeta import DomainError, IntLaurent, InternalConsistencyError, L, MultiPoly
 from stackzeta import laurent
-from stackzeta.laurent import cyclotomic, divisors, l_minus_one
+from stackzeta.laurent import cyclotomic, divisors
 
-from _reference import dense, long_divide, phi
+from _reference import denominator_product, dense, long_divide, phi
 from _strategies import EVAL_POINTS, laurents
+
+
+def l_minus_one(n):
+    return IntLaurent({n: 1, 0: -1})
 
 
 @given(laurents(), laurents(), laurents())
@@ -129,6 +133,31 @@ def test_cyclotomic_products_are_the_binomials():
         assert product == l_minus_one(n), n
 
 
+def _coefficients(coeffs):
+    return IntLaurent({d: c for d, c in enumerate(coeffs)})
+
+
+def test_binomial_quotients_match_the_reference_products():
+    # GL(n)'s numerator, and Gr(k, n) as the long quotient of its two expanded products
+    for n in range(41):
+        factors = range(1, n + 1)
+        assert laurent.binomial_quotient(factors, ()) == _coefficients(denominator_product(0, factors))
+    for n in range(31):
+        for k in (0, 1, 2, n // 3, n // 2, n - 1, n):
+            top, bottom = range(n - k + 1, n + 1), range(1, k + 1)
+            quot, rem = long_divide(denominator_product(0, top), denominator_product(0, bottom))
+            assert not any(rem)
+            assert laurent.binomial_quotient(top, bottom) == _coefficients(quot), (k, n)
+
+
+def test_inexact_binomial_quotients_raise():
+    with pytest.raises(InternalConsistencyError, match="binomial quotient was not exact"):
+        laurent.binomial_quotient([3], [2])
+    with pytest.raises(InternalConsistencyError):
+        laurent.binomial_quotient((), [1])
+    assert laurent.binomial_quotient([6, 2], [3, 1]) == (L ** 3 + 1) * (L + 1)
+
+
 def test_sparse_quotients_do_not_walk_the_degree_span():
     # the quotient visits only the nonzero terms, not the 10^6 degrees of the span
     target = L ** 10 ** 6 + 1
@@ -162,8 +191,6 @@ def test_cyclotomic_polynomials():
     assert (L ** 2 + 1).div_cyclotomic(2) is None
     with pytest.raises(DomainError):
         cyclotomic(0)
-    with pytest.raises(DomainError, match="l_minus_one needs n >= 1"):
-        l_minus_one(0)
 
 
 def test_divide_exact_int():

@@ -14,7 +14,9 @@ engine never leans on the routes it is checked against.
 Outside ``laurent.py`` the library divides polynomials only through
 ``IntLaurent.div_cyclotomic``, by a cyclotomic polynomial Phi_d, whose one
 kernel inside ``laurent.py`` is a synthetic division by the monic Phi_d
-that visits only nonzero terms: no library module reaches a private
+that visits only nonzero terms, and through ``laurent.binomial_quotient``,
+which divides only the products of binomials L^n - 1 it multiplies out
+itself: no library module reaches a private
 division helper such as ``_div_binomial``, and ``DenomForm`` keeps no
 ``lcm`` or ``complement_in`` merge of denominator shapes, since sums are
 taken over cyclotomic exponents.

@@ -19,9 +19,9 @@ from stackzeta import (
     gl_class,
     grassmannian_class,
 )
-from stackzeta import laurent
+from stackzeta import motivic
 from stackzeta.expr import parse_class
-from stackzeta.laurent import cyclotomic, divisors, l_minus_one
+from stackzeta.laurent import cyclotomic, divisors
 from stackzeta.motivic import unit_part
 
 from _reference import denominator_product, long_divide, phi
@@ -33,6 +33,10 @@ from _strategies import (
     unit_classes,
     wide_denom_forms,
 )
+
+
+def l_minus_one(n):
+    return IntLaurent({n: 1, 0: -1})
 
 
 def _value(a, t):
@@ -456,16 +460,18 @@ def test_denom_form_rejects_non_int_fields(args):
 # -- named classes -----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 16, 24, 40])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 16, 17, 24, 40])
 def test_gl_class_matches_the_naive_product(n, monkeypatch):
-    packed = []
-    kronecker_mul = laurent._kronecker_mul
+    products = []
+    mul = IntLaurent.__mul__
 
-    def counting(*args):
-        packed.append(args)
-        return kronecker_mul(*args)
+    def counting(self, other):
+        products.append(other)
+        return mul(self, other)
 
-    monkeypatch.setattr(laurent, "_kronecker_mul", counting)
+    monkeypatch.setattr(motivic, "_STANDARD_CLASSES", {})  # so that this call builds the class
+    monkeypatch.setattr(IntLaurent, "__mul__", counting)
+    monkeypatch.setattr(IntLaurent, "__rmul__", counting)
     g = gl_class(n)
     monkeypatch.undo()
     naive = IntLaurent.one()
@@ -474,8 +480,32 @@ def test_gl_class_matches_the_naive_product(n, monkeypatch):
     assert g.den.is_trivial
     assert g.num == naive
     assert g * bgl_class(n) == 1
-    # from 16 factors on, the balanced halves are long and dense enough to pack
-    assert bool(packed) == (n >= 16)
+    # the numerator is built on a dense coefficient list, by no polynomial product
+    assert products == []
+
+
+def _largest_index(shapes):
+    top, bottom = shapes
+    return max((*top.factors, *bottom.factors), default=0)
+
+
+def test_standard_classes_are_kept_only_up_to_the_memo_bound(monkeypatch):
+    monkeypatch.setattr(motivic, "_STANDARD_CLASSES", {})
+    bound = motivic.STANDARD_MEMO_MAX_N
+    assert bound == 16
+    for n in range(61):
+        gl_class(n), bgl_class(n)
+        for k in range(n + 1):
+            grassmannian_class(k, n)
+        if n <= bound:
+            assert gl_class(n) is gl_class(n) and bgl_class(n) is bgl_class(n)
+            for k in range(n + 1):
+                assert grassmannian_class(k, n) is grassmannian_class(n - k, n)
+    memo = motivic._STANDARD_CLASSES
+    assert max(map(_largest_index, memo)) == bound
+    # at most 17 GL, 17 BGL and 81 Gr(k, n) with k <= n/2: the arguments bound the memo
+    assert len(memo) <= 17 + 17 + 81
+    assert gl_class(bound + 1) is not gl_class(bound + 1)
 
 
 def test_gl_classes():
@@ -519,7 +549,7 @@ def test_grassmannian_recurrence():
 def test_grassmannian_keeps_the_shape_of_the_long_division_route():
     # the shape is the exact polynomial quotient of the two expanded products,
     # which is unique, so it is pinned by a trivial denominator and multiplying back
-    for n in range(25):
+    for n in range(31):
         for k in range(n + 1):
             top = _expanded(0, range(n - k + 1, n + 1))
             bottom = _expanded(0, range(1, k + 1))

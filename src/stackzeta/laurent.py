@@ -1,17 +1,16 @@
 """Exact integer Laurent polynomials in the Lefschetz symbol L.
 
 Polynomials are sparse maps from degree to nonzero integer coefficient, so
-arithmetic is exact at every step.  The key-blind part of the arithmetic
-(accumulating terms, addition, negation, subtraction, scaling by an int,
-powers, exact division by an int, rendering) is the term-map kernel ``multipoly._TermPoly``, shared
-with ``MultiPoly`` and the only part of ``multipoly`` used here; this module
-adds what reads the degrees: products, the cyclotomic polynomials Phi_d that
-denominators are made of and the exact division by them, the quotients of
-products of binomials L^n - 1 that the standard classes are, Adams
-operations, shifts and evaluation at a rational point.  Negative degrees
-are allowed; the class layer on top of this module is responsible for
-clearing them where its invariants demand nonnegative numerators, and maps
-L to uv (``MotivicClass.hd_realization``).
+arithmetic is exact.  The key-blind part (accumulating terms, addition,
+negation, subtraction, scaling by an int, powers, exact division by an int,
+rendering) is ``multipoly._TermPoly``, the term-map kernel shared with
+``MultiPoly`` and all this module takes from it.  This module adds products,
+Adams operations, shifts, evaluation at a rational point, the exact division
+by a cyclotomic polynomial Phi_d, and the dense binomial kernel: every
+product of Phi_d is one quotient of products of binomials L^n - 1
+(``binomial_quotient``), and ``unit_part`` runs its list steps back.  Negative
+degrees are allowed; the class layer clears them where it needs nonnegative
+numerators, and maps L to uv (``MotivicClass.hd_realization``).
 """
 
 from __future__ import annotations
@@ -19,6 +18,7 @@ from __future__ import annotations
 import struct
 from functools import lru_cache
 from itertools import accumulate
+from math import prod
 from operator import neg, sub
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
@@ -180,7 +180,8 @@ class IntLaurent(_TermPoly):
         """
         if not self._terms:
             return self
-        top, tail = _head_and_tail(cyclotomic(d)._terms)
+        top = totient(d)  # the degree of the monic Phi_d
+        tail = [(e, c) for e, c in cyclotomic(d)._terms.items() if e < top]
         rem = [0] * d
         for e, c in self._terms.items():
             rem[e % d] += c
@@ -288,16 +289,45 @@ def binomial_quotient(tops: Sequence[int], bottoms: Sequence[int]) -> IntLaurent
     coeffs = [1]
     for a in tops:
         coeffs += [0] * a
-        coeffs[a:] = map(sub, coeffs[a:], coeffs[:-a])
+        _times_one_minus(coeffs, a)
     for b in bottoms:
-        for r in range(b):
-            coeffs[r::b] = accumulate(coeffs[r::b])
+        _over_one_minus(coeffs, b)
         if any(coeffs[-b:]):
             raise InternalConsistencyError("a binomial quotient was not exact")
         del coeffs[-b:]
     if (len(tops) + len(bottoms)) % 2:
         coeffs = map(neg, coeffs)
     return IntLaurent._raw({d: c for d, c in enumerate(coeffs) if c})
+
+
+def _times_one_minus(coeffs: list[int], n: int) -> None:
+    """coeffs times 1 - L^n in place, cut to the list's length."""
+    coeffs[n:] = map(sub, coeffs[n:], coeffs[:-n])
+
+
+def _over_one_minus(coeffs: list[int], n: int) -> None:
+    """coeffs over 1 - L^n in place, as a power series cut to the list's length."""
+    for r in range(min(n, len(coeffs) - n)):
+        coeffs[r::n] = accumulate(coeffs[r::n])
+
+
+def cyclotomic_product(exponents: Iterable[tuple[int, int]]) -> IntLaurent:
+    """prod(Phi_d^e for (d, e) in exponents), as one ``binomial_quotient``.
+
+    Phi_d = prod(L^k - 1)^mu(d/k) over the divisors k of d, where mu(d/k) is
+    (-1)^|S| for k = d/prod(S), S a set of distinct primes of d, and else 0.
+    Each binomial's multiplicity is summed over the pairs first, so a
+    binomial on both sides cancels before any list work.
+    """
+    mult: dict[int, int] = {}
+    for d, e in exponents:
+        terms = [(d, e)]
+        for p in set(prime_factors(d)):
+            terms += [(k // p, -m) for k, m in terms]
+        for k, m in terms:
+            mult[k] = mult.get(k, 0) + m
+    tops = [k for k, m in mult.items() for _ in range(m)]
+    return binomial_quotient(tops, [k for k, m in mult.items() for _ in range(-m)])
 
 
 def prime_factors(n: int) -> tuple[int, ...]:
@@ -328,12 +358,6 @@ def totient(n: int) -> int:
     for p in set(prime_factors(n)):
         n = n // p * (p - 1)
     return n
-
-
-def _head_and_tail(poly: dict[int, int]) -> tuple[int, list[tuple[int, int]]]:
-    """The degree of a polynomial and its terms below that degree."""
-    top = max(poly)
-    return top, [(e, c) for e, c in poly.items() if e < top]
 
 
 def _monic_quotient(terms: dict[int, int], top: int, tail: Sequence[tuple[int, int]]) -> dict[int, int]:
@@ -378,30 +402,92 @@ def _monic_quotient(terms: dict[int, int], top: int, tail: Sequence[tuple[int, i
     return quot
 
 
-#: Built once per d: one power-axioms pass (seed 1) asks 2,125 times for 6
-#: of them, zeta_series(bgl_class(1), 30) 18,311 times for 30, the calls
-#: that build Phi_d from Phi_(d/p) included.  The bound only stops unbounded
-#: growth.
+#: Built once per d: one power-axioms pass (seed 1) asks 1,365 times for 6
+#: of them, zeta_series(bgl_class(1), 30) 1,784 times for 30.  The bound only
+#: stops unbounded growth.
 @lru_cache(maxsize=4096)
 def cyclotomic(d: int) -> IntLaurent:
-    """The d-th cyclotomic polynomial Phi_d, built on first use.
-
-    For d = p*m with p prime, Phi_d(L) is Phi_m(L^p) when p divides m, and
-    Phi_m(L^p) / Phi_m(L) otherwise: one synthetic division, whose quotient
-    is Phi_d itself.  So p is a prime whose square divides d when there is
-    one, and only a squarefree d is divided, by the largest prime, which
-    keeps Phi_m short.  Dividing L^d - 1 by the Phi_k of every proper
-    divisor k instead passes through quotients of up to d terms: 85 s
-    against 0.4 s for d = 30030 (CPython 3.11, x86-64).
-    """
+    """The d-th cyclotomic polynomial Phi_d, built on first use: Phi_r(L^(d/r))
+    for the product r of the distinct primes of d, and Phi_r is one
+    ``cyclotomic_product`` (0.1 s for r = 30030, CPython 3.11, x86-64)."""
     if type(d) is not int or d < 1:
         raise DomainError("cyclotomic polynomials are indexed by d >= 1")
-    if d == 1:
-        return IntLaurent._raw({1: 1, 0: -1})
-    primes = prime_factors(d)
-    p = next((p for p, q in zip(primes, primes[1:]) if p == q), primes[-1])
-    base = cyclotomic(d // p)
-    stretched = base.adams(p)
-    if d // p % p == 0:
-        return stretched
-    return IntLaurent._raw(_monic_quotient(stretched._terms, *_head_and_tail(base._terms)))
+    r = prod(set(prime_factors(d)))
+    return cyclotomic(r).adams(d // r) if r < d else cyclotomic_product(((d, 1),))
+
+
+def _index_bound(deg: int) -> int:
+    """An upper bound on every d with phi(d) <= deg.
+
+    If d has w distinct primes, phi(d) >= prod(p - 1) over them is at least
+    the product over the first w primes, which caps w at the largest k whose
+    first-k product of (p - 1) is at most deg; and d / phi(d) = prod p/(p - 1)
+    over the primes of d is at most that product over the first k primes.
+    """
+    num, den, p = 1, 1, 2
+    while den * (p - 1) <= deg:
+        num, den = num * p, den * (p - 1)
+        p += 1
+        while len(prime_factors(p)) > 1:
+            p += 1
+    return deg * num // den
+
+
+def _peel(body: IntLaurent, bound: int) -> tuple[tuple[int, int], ...] | None:
+    """The exponents e_d with body = +-prod Phi_d^e, d <= bound, or None.
+
+    body has constant term c0 = +-1.  As a power series, body/c0 is
+    prod_n (1 - L^n)^{c_n} with integer c_n: the lowest term left after the
+    factors below n are removed is -c_n L^n.  They are removed in turn to
+    order bound, by the list steps of ``binomial_quotient``, and e_d = sum of
+    c_n over the multiples n of d.  Two polynomials of degree at most bound
+    that agree to that order are equal, so the result is exact when every
+    e_d >= 0 and sum e_d phi(d) = deg(body).  A unit has |c_n| phi(n) <=
+    deg(body), as every d that n divides has phi(d) >= phi(n), and
+    sum |c_n| <= sum e_d 2^w(d) <= 2 deg(body); these stop a non-unit early.
+    """
+    deg, c0 = body.max_deg, body.coefficient(0)
+    s = [0] * (bound + 1)
+    for d, c in body._terms.items():
+        s[d] = c * c0
+    budget = 2 * deg
+    exps: dict[int, int] = {}
+    for n in range(1, bound + 1):
+        c = -s[n]
+        if not c:
+            continue
+        budget -= abs(c)
+        if budget < 0 or abs(c) * totient(n) > deg:
+            return None
+        step = _times_one_minus if c < 0 else _over_one_minus
+        for _ in range(abs(c)):
+            step(s, n)
+        for d in divisors(n):
+            exps[d] = exps.get(d, 0) + c
+    if any(e < 0 for e in exps.values()) or sum(e * totient(d) for d, e in exps.items()) != deg:
+        return None
+    return tuple(sorted((d, e) for d, e in exps.items() if e))
+
+
+def unit_part(p: IntLaurent) -> tuple[int, int, tuple[tuple[int, int], ...]] | None:
+    """Factor p as sign * L^a * prod Phi_d^e, returned as (sign, a, exponents),
+    or None if p is not of that shape, that is not a unit of the ring.
+
+    The peel runs to the degree of p first, which finds every unit whose
+    cyclotomic indices stay within it (all products of L^n - 1 among them),
+    and then to the bound on every index that a factor of that degree can
+    have, so every unit is found.
+    """
+    if p.is_zero:
+        return None
+    a = p.min_deg
+    body = p.shift(-a)
+    deg, c0 = body.max_deg, body.coefficient(0)
+    if c0 not in (1, -1) or body.coefficient(deg) not in (1, -1):
+        return None
+    for bound in (deg, _index_bound(deg)):
+        cyc = _peel(body, bound)
+        if cyc is not None:
+            # prod (1 - L^n)^{c_n} = (-1)^{sum c_n} prod Phi_d^e, and sum c_n = e_1
+            return (-c0 if dict(cyc).get(1, 0) % 2 else c0), a, cyc
+    return None

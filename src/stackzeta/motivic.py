@@ -31,13 +31,11 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from itertools import accumulate
-from operator import sub
 from typing import TYPE_CHECKING, Sequence
 
 from ._frozen import Frozen
 from .errors import DomainError, NonInvertibleError
-from .laurent import IntLaurent, binomial_quotient, cyclotomic, divisors, prime_factors, totient
+from .laurent import IntLaurent, binomial_quotient, cyclotomic, cyclotomic_product, divisors, prime_factors, unit_part
 from .multipoly import MultiPoly
 
 if TYPE_CHECKING:
@@ -140,18 +138,13 @@ def _render_fraction(num: str, l_exp: int, factors: tuple[int, ...], base: str) 
     return f"{num} / ({den})" if len(parts) > 1 else f"{num} / {den}"
 
 
-def _balanced_product(polys: Sequence[IntLaurent]) -> IntLaurent:
-    """The product of polys, multiplied in balanced halves, so the products of
-    many factors reach the packed multiply of IntLaurent."""
-    if len(polys) > 1:
-        mid = len(polys) // 2
-        return _balanced_product(polys[:mid]) * _balanced_product(polys[mid:])
-    return polys[0] if polys else _ONE_NUM
-
-
 def _cyclotomic_product(l_exp: int, cyc: Exponents) -> IntLaurent:
-    """L^l_exp * prod(Phi_d^e for (d, e) in cyc)."""
-    return _balanced_product([cyclotomic(d) for d, e in cyc for _ in range(e)]).shift(l_exp)
+    """L^l_exp * prod(Phi_d^e for (d, e) in cyc): the cached Phi_d (or
+    _ONE_NUM itself) for at most one factor, else one ``cyclotomic_product``."""
+    if not cyc:
+        return _ONE_NUM.shift(l_exp)
+    single = len(cyc) == 1 and cyc[0][1] == 1
+    return (cyclotomic(cyc[0][0]) if single else cyclotomic_product(cyc)).shift(l_exp)
 
 
 def _binomial_exponents(factors: tuple[int, ...]) -> Exponents:
@@ -223,87 +216,6 @@ def _cancel(num: IntLaurent, den: _CyclotomicDenom, tested=None) -> tuple[IntLau
     if not g and left == exps:
         return num, den
     return num.shift(-g), _denominator(l_exp - g, left)
-
-
-def _index_bound(deg: int) -> int:
-    """An upper bound on every d with phi(d) <= deg.
-
-    If d has w distinct primes, phi(d) >= prod(p - 1) over them is at least
-    the product over the first w primes, which caps w at the largest k whose
-    first-k product of (p - 1) is at most deg; and d / phi(d) = prod p/(p - 1)
-    over the primes of d is at most that product over the first k primes.
-    """
-    num = den = 1
-    p = 2
-    while den * (p - 1) <= deg:
-        num, den = num * p, den * (p - 1)
-        p += 1
-        while len(prime_factors(p)) > 1:
-            p += 1
-    return deg * num // den
-
-
-def _peel(body: IntLaurent, bound: int) -> Exponents | None:
-    """The exponents e_d with body = +-prod Phi_d^e, d <= bound, or None.
-
-    body has constant term c0 = +-1.  As a power series, body/c0 is
-    prod_n (1 - L^n)^{c_n} with integer c_n: the lowest term left after the
-    factors below n are removed is -c_n L^n.  They are removed in turn to
-    order bound, and e_d = sum of c_n over the multiples n of d.  Two
-    polynomials of degree at most bound that agree to that order are equal,
-    so the result is exact when every e_d >= 0 and sum e_d phi(d) = deg(body).
-    A unit has |c_n| phi(n) <= deg(body), as every d that n divides has
-    phi(d) >= phi(n), and sum |c_n| <= sum e_d 2^w(d) <= 2 deg(body); these
-    stop a non-unit early.
-    """
-    deg, c0 = body.max_deg, body.coefficient(0)
-    s = [0] * (bound + 1)
-    for d, c in body.items():
-        s[d] = c * c0
-    budget = 2 * deg
-    exps: dict[int, int] = {}
-    for n in range(1, bound + 1):
-        c = -s[n]
-        if not c:
-            continue
-        budget -= abs(c)
-        if budget < 0 or abs(c) * totient(n) > deg:
-            return None
-        for _ in range(abs(c)):
-            if c < 0:  # multiply by 1 - L^n
-                s[n:] = map(sub, s[n:], s[:-n])
-            else:  # divide by 1 - L^n: running sums per residue class of length >= 2
-                for r in range(min(n, bound + 1 - n)):
-                    s[r::n] = accumulate(s[r::n])
-        for d in divisors(n):
-            exps[d] = exps.get(d, 0) + c
-    if any(e < 0 for e in exps.values()) or sum(e * totient(d) for d, e in exps.items()) != deg:
-        return None
-    return _sorted_exponents(exps)
-
-
-def unit_part(p: IntLaurent) -> tuple[int, int, Exponents] | None:
-    """Factor p as sign * L^a * prod Phi_d^e, returned as (sign, a, exponents),
-    or None if p is not of that shape, that is not a unit of the ring.
-
-    The peel runs to the degree of p first, which finds every unit whose
-    cyclotomic indices stay within it (all products of L^n - 1 among them),
-    and then to the bound on every index that a factor of that degree can
-    have, so every unit is found.
-    """
-    if p.is_zero:
-        return None
-    a = p.min_deg
-    body = p.shift(-a)
-    deg, c0 = body.max_deg, body.coefficient(0)
-    if c0 not in (1, -1) or body.coefficient(deg) not in (1, -1):
-        return None
-    for bound in (deg, _index_bound(deg)):
-        cyc = _peel(body, bound)
-        if cyc is not None:
-            # prod (1 - L^n)^{c_n} = (-1)^{sum c_n} prod Phi_d^e, and sum c_n = e_1
-            return (-c0 if dict(cyc).get(1, 0) % 2 else c0), a, cyc
-    return None
 
 
 class MotivicClass(Frozen):

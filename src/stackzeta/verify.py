@@ -258,8 +258,9 @@ def _hd_pool() -> tuple[MultiPoly, ...]:
     )
 
 
-def _sample_axioms(ring_name: str, rng: random.Random, count: int, order: int) -> list[AxiomSample]:
+def _sample_axioms(ring_name: str, rng: random.Random, count: int, order: int, perturbed: bool) -> list[AxiomSample]:
     pool = _MOTIVIC_POOL if ring_name == "motivic" else _hd_pool()
+    exponents = [x for x in pool if x.as_int() is None] if perturbed else pool
     ring = motivic_provider().ring if ring_name == "motivic" else hd_provider().ring
     samples = []
     for _ in range(count):
@@ -269,7 +270,7 @@ def _sample_axioms(ring_name: str, rng: random.Random, count: int, order: int) -
             AxiomSample(
                 a=TruncatedSeries(ring, tuple(coeffs_a)),
                 b=TruncatedSeries(ring, tuple(coeffs_b)),
-                m=rng.choice(pool),
+                m=rng.choice(exponents),
                 n=rng.choice(pool),
                 k=rng.choice((2, 3)),
             )
@@ -298,7 +299,8 @@ def verify_axioms(
     """Power-structure axioms 1-7 on seeded random samples.
 
     ``perturbed`` swaps in a provider whose Adams operations are wrong in
-    even degrees; the suite must then fail (negative control).
+    even degrees, and draws each exponent m from the pool's non-integer
+    classes, which reach them; the suite must then fail (negative control).
     """
     if ring_name not in ("motivic", "hd"):
         raise DomainError(f"unknown ring {ring_name!r}; pick motivic or hd")
@@ -314,7 +316,7 @@ def verify_axioms(
         if perturbed:
             provider = _tampered(provider)
         rng = random.Random(seed)
-        sample_list = _sample_axioms(ring_name, rng, samples, order)
+        sample_list = _sample_axioms(ring_name, rng, samples, order, perturbed)
         report = axiom_suite(provider, sample_list, order)
         if report.passed:
             return True, None

@@ -189,6 +189,25 @@ def test_cyclotomic_polynomials():
         cyclotomic(0)
 
 
+def test_large_cyclotomic_polynomials_match_closed_forms():
+    # forms that owe nothing to the Moebius quotient that builds Phi_d
+    p = 65537
+    assert cyclotomic(p) == IntLaurent({i: 1 for i in range(p)})
+    for k in range(1, 21):
+        assert cyclotomic(2 ** k) == L ** 2 ** (k - 1) + 1
+    for p in (3, 5, 7, 101, 65537):
+        # Phi_2p(L) = Phi_p(-L) for odd p
+        assert cyclotomic(2 * p) == IntLaurent({d: c * (-1) ** d for d, c in cyclotomic(p).items()})
+    product = IntLaurent.one()
+    for d in divisors(2310):
+        product = product * cyclotomic(d)
+    assert product == l_minus_one(2310)
+    # 720720 = 2^4 3^2 5 7 11 13, whose distinct primes multiply to 30030
+    phi_30030 = cyclotomic(30030)
+    assert cyclotomic(720720) == IntLaurent({24 * d: c for d, c in phi_30030.items()})
+    assert (phi_30030.max_deg, len(cyclotomic(720720))) == (5760, len(phi_30030))
+
+
 def test_divide_exact_int():
     p = IntLaurent({3: 4, 0: -6, -1: 2})
     assert p.divide_exact_int(2) == IntLaurent({3: 2, 0: -3, -1: 1})

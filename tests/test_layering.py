@@ -15,6 +15,7 @@ Outside ``laurent.py`` the library divides polynomials only through
 ``IntLaurent.div_cyclotomic``, by a cyclotomic polynomial Phi_d, whose one
 kernel inside ``laurent.py`` is a synthetic division by the monic Phi_d
 that visits only nonzero terms, and through ``laurent.binomial_quotient``,
+the dense binomial kernel that builds Phi_d and every product of Phi_d,
 which divides only the products of binomials L^n - 1 it multiplies out
 itself: no library module reaches a private
 division helper such as ``_div_binomial``, and ``DenomForm`` keeps no

@@ -21,8 +21,7 @@ from stackzeta import (
 )
 from stackzeta import motivic
 from stackzeta.expr import parse_class
-from stackzeta.laurent import cyclotomic, divisors
-from stackzeta.motivic import unit_part
+from stackzeta.laurent import cyclotomic, divisors, unit_part
 
 from _reference import denominator_product, long_divide, phi
 from _strategies import (
@@ -360,6 +359,41 @@ def test_inverse_of_gl_is_bgl():
     for n in range(4):
         assert gl_class(n).inverse() == bgl_class(n)
         assert bgl_class(n).inverse() == gl_class(n)
+
+
+def _denominator_value(den, t):
+    """L^a * prod Phi_d^e at L = t, with Phi_d from the long-division reference."""
+    value = t ** den.l_exp
+    for d, e in den.exponents:
+        value *= sum(c * t ** i for i, c in enumerate(phi(d))) ** e
+    return value
+
+
+def test_inverses_and_sum_plans_take_no_polynomial_product(monkeypatch):
+    products = []
+    mul = IntLaurent.__mul__
+
+    def counting(self, other):
+        products.append(other)
+        return mul(self, other)
+
+    # empty caches, so that every Phi_d, standard class and plan is built here
+    monkeypatch.setattr(motivic, "_STANDARD_CLASSES", {})
+    cyclotomic.cache_clear()
+    motivic._sum_plan.cache_clear()
+    monkeypatch.setattr(IntLaurent, "__mul__", counting)
+    monkeypatch.setattr(IntLaurent, "__rmul__", counting)
+    inverses = [bgl_class(n).inverse() for n in range(17)]
+    a, b = bgl_class(5)._den, bgl_class(5).adams(2)._den
+    top, to_a, to_b, shared = motivic._sum_plan(a, b)
+    monkeypatch.undo()
+    # products of Phi_d come from the dense binomial kernel, not from products
+    assert products == []
+    assert inverses == [gl_class(n) for n in range(17)]
+    for t in (2, 3):
+        assert to_a.eval_rational(t) == Fraction(_denominator_value(top, t), _denominator_value(a, t))
+        assert to_b.eval_rational(t) == Fraction(_denominator_value(top, t), _denominator_value(b, t))
+    assert shared == {1, 3, 5}  # the d with equal exponents on both sides
 
 
 # -- maps out of the ring ----------------------------------------------------------

@@ -132,6 +132,20 @@ def test_axiom_negative_control(ring):
     assert report.witness.startswith("axiom 3 ((A*B)^m = A^m * B^m): sample 0: ")
 
 
+def test_every_perturbed_axiom_run_fails():
+    # an integer exponent m takes the ordinary power, which never calls the
+    # tampered psi, so a perturbed run draws every m from the non-integer classes
+    passed = [
+        (ring, order, samples, seed)
+        for ring in ("motivic", "hd")
+        for order in (2, 3, 4, 5)
+        for samples in (1, 2, 3, 5, 20)
+        for seed in range(8)
+        if verify_axioms(ring, order, samples, seed, perturbed=True).passed
+    ]
+    assert passed == []
+
+
 def test_axiom_guards():
     with pytest.raises(DomainError):
         verify_axioms("other", 2, 4, 0)

@@ -13,10 +13,16 @@ themselves as ``stackzeta.oracles`` and ``stackzeta.verify``: the engine
 never needs them, and every CLI call is a fresh process that would
 otherwise pay for them at import.
 
+``__all__`` is derived: every public name bound at import except the
+submodules, plus the lazy exports.  So a helper imported here takes a
+private alias.
+
 The package attribute ``power`` is the function ``power``, which shadows
 the submodule ``stackzeta.power``; the module's other names, such as
 ``MAX_SERIES_ORDER``, are reached with ``from stackzeta.power import ...``.
 """
+
+from types import ModuleType as _ModuleType
 
 from .errors import (
     DomainError,
@@ -88,6 +94,12 @@ _LAZY_EXPORTS = {
 }
 _LAZY_OWNER = {name: module for module, names in _LAZY_EXPORTS.items() for name in names}
 
+#: The public names bound above, without the submodules, and the lazy exports.
+__all__ = sorted(
+    [name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType)]
+    + list(_LAZY_OWNER)
+)
+
 
 def __getattr__(name: str):
     """Import ``oracles`` or ``verify`` when one of its exports, or the module
@@ -105,71 +117,3 @@ def __getattr__(name: str):
 
 def __dir__() -> list[str]:
     return sorted(globals().keys() | _LAZY_EXPORTS.keys() | _LAZY_OWNER.keys())
-
-__all__ = [
-    "AxiomReport",
-    "AxiomSample",
-    "CounterexampleReport",
-    "DenomForm",
-    "DomainError",
-    "EFFECTIVE_CANDIDATE",
-    "EffectivenessResult",
-    "ElaborationError",
-    "FuncEqReport",
-    "HDRealization",
-    "IntLaurent",
-    "InternalConsistencyError",
-    "L",
-    "LambdaProvider",
-    "MotivicClass",
-    "MultiPoly",
-    "NOT_EFFECTIVE",
-    "NonInvertibleError",
-    "ParseError",
-    "Partition",
-    "PrefixReport",
-    "ResourceLimitError",
-    "Ring",
-    "StackZetaError",
-    "TruncatedSeries",
-    "VerificationReport",
-    "axiom_suite",
-    "bgl_class",
-    "binomial_series",
-    "block_distinct_oracle",
-    "block_distinct_sum",
-    "check_class_effectiveness",
-    "check_functional_equation",
-    "check_polynomial_effectiveness",
-    "curve_opposite_counterexample",
-    "distinct_exponent_oracle",
-    "distinct_exponent_sum",
-    "distinct_exponent_sum_taylor",
-    "gl_class",
-    "grassmannian_class",
-    "hd_opposite_provider",
-    "hd_provider",
-    "hd_ring",
-    "hd_zeta",
-    "infinite_product_prefix",
-    "lambda_factorize",
-    "motivic_provider",
-    "motivic_ring",
-    "opposite_provider",
-    "opposite_series",
-    "opposite_zeta",
-    "parse_class",
-    "parse_poly",
-    "parse_series",
-    "partitions_of",
-    "power",
-    "stack_power_counterexample",
-    "sym_power",
-    "verify_axioms",
-    "verify_distinct_sum",
-    "verify_grassmannian",
-    "verify_zeta_closed_form",
-    "zeta_from_sigma",
-    "zeta_of_polynomial",
-    "zeta_series",
-]

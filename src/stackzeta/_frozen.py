@@ -1,4 +1,5 @@
-"""The base of the package's immutable ``__slots__`` value types.
+"""The base of the package's immutable ``__slots__`` value types, and the
+square-and-multiply loop that their ``**`` shares.
 
 Rings, providers and cached denominators are shared by the whole process,
 so no field of a value can be set or deleted after construction.  A
@@ -27,3 +28,17 @@ class Frozen:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__name__}({fields})"
+
+
+def power_by_squaring(base, n: int):
+    """base ** n for an int n >= 1, in bit_length + bit_count - 2 products:
+    start at the lowest set bit, and square no further than the top one."""
+    while not n & 1:
+        base = base * base
+        n >>= 1
+    out = base
+    while n := n >> 1:
+        base = base * base
+        if n & 1:
+            out = out * base
+    return out

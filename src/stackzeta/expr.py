@@ -315,8 +315,8 @@ class _PointEnv(_ClassEnv):
     For t outside {0, 1, -1} no denominator L^a * prod(L^n - 1) vanishes, so
     evaluation at t is a ring homomorphism to Q and each node's value is the
     image of the class it would elaborate to.  A divisor or negative-power
-    base is still elaborated as a class, so it passes the same unit check and
-    fails with the same message and position.
+    base is also elaborated as a class, only for the unit check, so it fails
+    with the same message and position; its value is taken here.
     """
 
     def __init__(self, t: Fraction):
@@ -337,8 +337,8 @@ class _PointEnv(_ClassEnv):
         return super().binop(node, left)
 
     def _inverse_at(self, node, tok: Token) -> Fraction:
-        unit = self.classes.run(node)
-        return _at_token(tok, unit.inverse).eval_rational(self.t)
+        _at_token(tok, self.classes.run(node).inverse)
+        return 1 / self.run(node)
 
     def of_int(self, n: int):
         return self.fraction(n)

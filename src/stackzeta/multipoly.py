@@ -15,7 +15,7 @@ from itertools import chain
 from operator import add, itemgetter
 from typing import Iterable, Iterator, Mapping
 
-from ._frozen import Frozen
+from ._frozen import Frozen, power_by_squaring
 from .errors import DomainError, InternalConsistencyError
 
 Exponents = tuple[int, ...]
@@ -94,18 +94,7 @@ class _TermPoly(Frozen):
             raise DomainError(f"{type(self).__name__} exponents must be nonnegative integers")
         if n == 0:
             return self._coerce(1)
-        # bit_length + bit_count - 2 products: start at the lowest set bit,
-        # and square no further than the top one, the largest square
-        base = self
-        while not n & 1:
-            base = base * base
-            n >>= 1
-        out = base
-        while n := n >> 1:
-            base = base * base
-            if n & 1:
-                out = out * base
-        return out
+        return power_by_squaring(self, n)
 
     def _scale(self, k: int) -> _TermPoly:
         """self * k for an int k, without building k as a polynomial."""

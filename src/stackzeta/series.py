@@ -15,7 +15,7 @@ from __future__ import annotations
 import operator
 from typing import Any, Callable, Iterable, Sequence
 
-from ._frozen import Frozen
+from ._frozen import Frozen, power_by_squaring
 from .errors import DomainError
 
 
@@ -148,18 +148,7 @@ class TruncatedSeries(Frozen):
             return self.inverse() ** (-n)
         if n == 0:
             return TruncatedSeries.one(self._ring, self.order)
-        # bit_length + bit_count - 2 products: start at the lowest set bit,
-        # and square no further than the top one
-        base = self
-        while not n & 1:
-            base = base * base
-            n >>= 1
-        out = base
-        while n := n >> 1:
-            base = base * base
-            if n & 1:
-                out = out * base
-        return out
+        return power_by_squaring(self, n)
 
     def inverse(self) -> TruncatedSeries:
         """Multiplicative inverse; requires constant term exactly one."""

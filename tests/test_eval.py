@@ -8,12 +8,14 @@ points.  Both routes must agree byte for byte, errors included.
 
 import contextlib
 import io
+from fractions import Fraction
 from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stackzeta import MotivicClass, cli, parse_class
+from stackzeta import IntLaurent, MotivicClass, cli, parse_class
+from stackzeta.expr import evaluate_class
 
 VALID = ["L", "q", "0", "1", "2", "3", "L-1", "L^2-1", "L+1", "1-q",
          "GL(2)", "GL(0)", "BGL(1)", "BGL(2)", "Gr(1,3)", "Gr(2,4)"]
@@ -71,3 +73,29 @@ def test_eval_off_the_poles_builds_no_class(monkeypatch):
     monkeypatch.setattr(MotivicClass, "__init__", built)
     monkeypatch.setattr(MotivicClass, "_raw", classmethod(built))
     assert run("eval", text, "--at", "2") == (0, f"{want}\n", "")
+
+
+#: Divisions and negative powers by units, nested and with large binomials.
+UNIT_DIVISORS = [
+    "1/(L^2-1) + GL(3)/BGL(2)",
+    "L/(L^6-1)^2",
+    "(L+1)/(L^2+1)",
+    "(L^2+L+1)^-3 * q",
+    "BGL(4)/(L^5-1)",
+    "1/(1/(L-1))",
+    "(L^3+L+1)/((L^30-1)*(L^2-1))",
+]
+
+
+def test_eval_takes_the_value_of_a_divisor_on_fractions(monkeypatch):
+    # the divisor's class serves the unit check only: its inverse is never
+    # evaluated term by term at the point
+    t = Fraction(5, 2)
+    want = [class_route(text, t) for text in UNIT_DIVISORS]
+
+    def evaluated(*args):
+        raise AssertionError("a class was evaluated at the point")
+
+    monkeypatch.setattr(MotivicClass, "eval_rational", evaluated)
+    monkeypatch.setattr(IntLaurent, "eval_rational", evaluated)
+    assert [evaluate_class(text, t) for text in UNIT_DIVISORS] == want

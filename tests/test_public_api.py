@@ -1,6 +1,8 @@
 """The public namespace: every name in ``__all__`` must resolve, and the
 polynomial types keep every public method and operator they define."""
 
+import inspect
+
 import pytest
 
 import stackzeta
@@ -15,6 +17,18 @@ def test_star_import_succeeds():
 def test_every_exported_name_resolves():
     missing = [name for name in stackzeta.__all__ if not hasattr(stackzeta, name)]
     assert missing == []
+
+
+def test_exported_classes_and_functions_are_defined_in_the_package():
+    # __all__ is derived from the package namespace, so a helper imported
+    # there without a private alias would be exported
+    foreign = [
+        name
+        for name in stackzeta.__all__
+        if (inspect.isclass(value := getattr(stackzeta, name)) or inspect.isfunction(value))
+        and not value.__module__.startswith("stackzeta.")
+    ]
+    assert foreign == []
 
 
 def test_deferred_exports_resolve_once_into_the_namespace():

@@ -316,7 +316,10 @@ class _PointEnv(_ClassEnv):
     evaluation at t is a ring homomorphism to Q and each node's value is the
     image of the class it would elaborate to.  A divisor or negative-power
     base is also elaborated as a class, only for the unit check, so it fails
-    with the same message and position; its value is taken here.
+    with the same message and position; its value is taken here.  Building
+    that class checks every divisor inside it too, so its subtree is walked
+    with the checks off (``checked``), and each node is built as a class at
+    most once.
     """
 
     def __init__(self, t: Fraction):
@@ -324,6 +327,7 @@ class _PointEnv(_ClassEnv):
 
         self.t = t
         self.classes = _ClassEnv()
+        self.checked = False
         self.fraction = fractions.Fraction  # of_int runs once per integer leaf, so it imports nothing
 
     def run(self, node):
@@ -337,8 +341,14 @@ class _PointEnv(_ClassEnv):
         return super().binop(node, left)
 
     def _inverse_at(self, node, tok: Token) -> Fraction:
+        if self.checked:
+            return 1 / self.run(node)
         _at_token(tok, self.classes.run(node).inverse)
-        return 1 / self.run(node)
+        self.checked = True
+        try:
+            return 1 / self.run(node)
+        finally:
+            self.checked = False
 
     def of_int(self, n: int):
         return self.fraction(n)

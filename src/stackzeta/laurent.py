@@ -172,26 +172,36 @@ class IntLaurent(_TermPoly):
         of a polynomial it did not build itself (``binomial_quotient`` divides
         only products of binomials that it multiplied out).
 
-        Phi_d divides L^d - 1, so it divides self exactly when it divides the
-        remainder of self mod L^d - 1: d residue sums, reduced mod Phi_d.  Only
-        when that short test passes is the quotient built, by one synthetic
-        division by the monic Phi_d that visits only nonzero terms
-        (``_monic_quotient``).
+        Phi_d divides self exactly when self vanishes at a primitive d-th root
+        of unity.  For Phi_1 = L - 1 and Phi_2 = L + 1 that root is 1 or -1,
+        so the test is one sum of the coefficients, with the sign of each
+        odd degree flipped for -1.  For d >= 3, Phi_d divides L^d - 1, so it
+        divides self exactly when it divides the remainder of self mod
+        L^d - 1: d residue sums, reduced mod Phi_d.  Only when the test passes
+        is the quotient built, by one synthetic division by the monic Phi_d
+        that visits only nonzero terms (``_monic_quotient``).  The degree and
+        the lower terms of Phi_d come from ``_divisor``, built once per d.
         """
         if not self._terms:
             return self
-        top = totient(d)  # the degree of the monic Phi_d
-        tail = [(e, c) for e, c in cyclotomic(d)._terms.items() if e < top]
-        rem = [0] * d
-        for e, c in self._terms.items():
-            rem[e % d] += c
-        for i in range(d - 1, top - 1, -1):
-            q = rem[i]
-            if q:
-                for e, c in tail:
-                    rem[i - top + e] -= q * c
-        if any(rem[:top]):
-            return None
+        top, tail = _divisor(d)
+        if d == 1:
+            if sum(self._terms.values()):
+                return None
+        elif d == 2:
+            if sum(-c if e & 1 else c for e, c in self._terms.items()):
+                return None
+        else:
+            rem = [0] * d
+            for e, c in self._terms.items():
+                rem[e % d] += c
+            for i in range(d - 1, top - 1, -1):
+                q = rem[i]
+                if q:
+                    for e, c in tail:
+                        rem[i - top + e] -= q * c
+            if any(rem[:top]):
+                return None
         return IntLaurent._raw(_monic_quotient(self._terms, top, tail))
 
     # -- evaluation ------------------------------------------------------------
@@ -402,9 +412,10 @@ def _monic_quotient(terms: dict[int, int], top: int, tail: Sequence[tuple[int, i
     return quot
 
 
-#: Built once per d: one power-axioms pass (seed 1) asks 1,365 times for 6
-#: of them, zeta_series(bgl_class(1), 30) 1,784 times for 30.  The bound only
-#: stops unbounded growth.
+#: Built once per d, and asked for mostly by the caches of ``_divisor`` and
+#: ``motivic._cyclotomic_product``: one power-axioms pass (seed 1) asks 13
+#: times for 6 of them, zeta_series(bgl_class(1), 30) 69 times for 30.  The
+#: bound only stops unbounded growth.
 @lru_cache(maxsize=4096)
 def cyclotomic(d: int) -> IntLaurent:
     """The d-th cyclotomic polynomial Phi_d, built on first use: Phi_r(L^(d/r))
@@ -414,6 +425,17 @@ def cyclotomic(d: int) -> IntLaurent:
         raise DomainError("cyclotomic polynomials are indexed by d >= 1")
     r = prod(set(prime_factors(d)))
     return cyclotomic(r).adams(d // r) if r < d else cyclotomic_product(((d, 1),))
+
+
+#: One power-axioms pass (seed 1) asks 1,246 times for 6 d, and
+#: zeta_series(bgl_class(1), 30) 1,690 times for 28; the bound is
+#: ``cyclotomic``'s.
+@lru_cache(maxsize=4096)
+def _divisor(d: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """What ``IntLaurent.div_cyclotomic`` divides by, built once per d: the
+    degree phi(d) of the monic Phi_d and its terms below that degree."""
+    top = totient(d)
+    return top, tuple((e, c) for e, c in cyclotomic(d)._terms.items() if e < top)
 
 
 def _index_bound(deg: int) -> int:

@@ -99,3 +99,23 @@ def test_eval_takes_the_value_of_a_divisor_on_fractions(monkeypatch):
     monkeypatch.setattr(MotivicClass, "eval_rational", evaluated)
     monkeypatch.setattr(IntLaurent, "eval_rational", evaluated)
     assert [evaluate_class(text, t) for text in UNIT_DIVISORS] == want
+
+
+def test_nested_divisors_are_built_as_classes_once(monkeypatch):
+    # the outer divisor's class checks every divisor inside it, so the inner
+    # ones are not built again: one inverse per division, not one per pair
+    calls = []
+    inverse = MotivicClass.inverse
+
+    def counting(self):
+        calls.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(MotivicClass, "inverse", counting)
+    for depth in (1, 10, 40):
+        calls.clear()
+        assert evaluate_class("1/(" * depth + "L-1" + ")" * depth, Fraction(5, 2)) == Fraction(3, 2) ** (-1) ** depth
+        assert len(calls) == depth
+        calls.clear()
+        assert evaluate_class("(" * depth + "L+1" + ")^-1" * depth, Fraction(5, 2)) == Fraction(7, 2) ** (-1) ** depth
+        assert len(calls) == depth

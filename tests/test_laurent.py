@@ -102,10 +102,19 @@ def test_div_cyclotomic_inverts_cyclotomic_multiples(p, d):
 @example(2, L ** 10000 + L ** 9999 + L + 1, "as drawn")
 @example(3, L ** 5000 - IntLaurent.term(-7), "multiple")
 @example(12, L ** 3001 + IntLaurent.term(-40, 2), "shifted multiple")
+@example(2, 1 + IntLaurent.term(-3), "as drawn")
+@example(2, 1 - IntLaurent.term(-3), "as drawn")
+@example(2, IntLaurent.term(-5, 3) + IntLaurent.term(-2, 3) - IntLaurent.term(-1) + L ** 7, "as drawn")
+@example(2, IntLaurent.term(-7) + L ** 4, "shifted multiple")
+@example(1, IntLaurent.term(-3) - IntLaurent.term(-1), "as drawn")
+@example(1, IntLaurent.term(-3, 2) - L ** 5, "as drawn")
+@example(1, IntLaurent.term(-9) + L ** 2, "shifted multiple")
 def test_div_cyclotomic_agrees_with_long_division(d, p, kind):
     """Wide sparse numerators with negative degrees: exact multiples of
     Phi_d, multiples moved by one term (rarely divisible), and the numerators
-    as drawn, all against long division on coefficient lists."""
+    as drawn, all against long division on coefficient lists.  The examples
+    at d = 1 and 2, the tests by the value at 1 and -1, put odd degrees
+    below 0, where the sign of (-1)^e rests on the parity of e."""
     phi_d = IntLaurent(dict(enumerate(phi(d))))
     if kind != "as drawn":
         p = p * phi_d
@@ -164,6 +173,25 @@ def test_sparse_quotients_do_not_walk_the_degree_span():
         elapsed = time.perf_counter() - start
         assert got == target
         assert elapsed < 0.05, f"dividing by Phi_{d} took {elapsed:.3f}s, budget 0.05s"
+
+
+def test_a_second_division_by_phi_d_factors_nothing(monkeypatch):
+    # phi(d) and the lower terms of Phi_d are built once per d, not per call
+    factored = []
+    prime_factors = laurent.prime_factors
+
+    def counting(n):
+        factored.append(n)
+        return prime_factors(n)
+
+    monkeypatch.setattr(laurent, "prime_factors", counting)
+    for d in (1, 2, 3, 12, 30, 97):
+        p = (L ** 40 + 3) * cyclotomic(d)
+        assert p.div_cyclotomic(d) == L ** 40 + 3
+        factored.clear()
+        assert p.div_cyclotomic(d) == L ** 40 + 3
+        assert (p + 1).div_cyclotomic(d) is None
+        assert factored == [], d
 
 
 def test_the_quotient_walk_stops_below_the_dividend():

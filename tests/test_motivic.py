@@ -19,7 +19,7 @@ from stackzeta import (
     gl_class,
     grassmannian_class,
 )
-from stackzeta import motivic
+from stackzeta import laurent, motivic
 from stackzeta.expr import parse_class
 from stackzeta.laurent import cyclotomic, divisors, unit_part
 
@@ -380,6 +380,7 @@ def test_inverses_and_sum_plans_take_no_polynomial_product(monkeypatch):
     # empty caches, so that every Phi_d, standard class and plan is built here
     monkeypatch.setattr(motivic, "_STANDARD_CLASSES", {})
     cyclotomic.cache_clear()
+    motivic._cyclotomic_product.cache_clear()
     motivic._sum_plan.cache_clear()
     monkeypatch.setattr(IntLaurent, "__mul__", counting)
     monkeypatch.setattr(IntLaurent, "__rmul__", counting)
@@ -394,6 +395,24 @@ def test_inverses_and_sum_plans_take_no_polynomial_product(monkeypatch):
         assert to_a.eval_rational(t) == Fraction(_denominator_value(top, t), _denominator_value(a, t))
         assert to_b.eval_rational(t) == Fraction(_denominator_value(top, t), _denominator_value(b, t))
     assert shared == {1, 3, 5}  # the d with equal exponents on both sides
+
+
+def test_each_product_of_phi_d_is_built_once(monkeypatch):
+    built = []
+    binomial_quotient = laurent.binomial_quotient
+
+    def counting(tops, bottoms):
+        built.append((tops, bottoms))
+        return binomial_quotient(tops, bottoms)
+
+    monkeypatch.setattr(laurent, "binomial_quotient", counting)
+    a, b = bgl_class(6), bgl_class(6).adams(2)
+    first = [a.inverse(), b.inverse(), a + b, (a + b).num_den()]
+    built.clear()
+    # the same inverse numerators, sum-plan complements and cover extras
+    motivic._sum_plan.cache_clear()
+    assert [a.inverse(), b.inverse(), a + b, (a + b).num_den()] == first
+    assert built == []
 
 
 # -- maps out of the ring ----------------------------------------------------------

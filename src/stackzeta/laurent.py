@@ -7,10 +7,10 @@ rendering) is ``multipoly._TermPoly``, the term-map kernel shared with
 ``MultiPoly`` and all this module takes from it.  This module adds products,
 Adams operations, shifts, evaluation at a rational point, the exact division
 by a cyclotomic polynomial Phi_d, and the dense binomial kernel: every
-product of Phi_d is one quotient of products of binomials L^n - 1
-(``binomial_quotient``), and ``unit_part`` runs its list steps back.  Negative
-degrees are allowed; the class layer clears them where it needs nonnegative
-numerators, and maps L to uv (``MotivicClass.hd_realization``).
+product of Phi_d is one quotient of products of binomials L^n - 1, kept once
+per exponent tuple (``cyclotomic_product``), and ``unit_part`` runs its list
+steps back.  Negative degrees are allowed; the class layer clears them where
+it needs nonnegative numerators, and maps L to uv (``MotivicClass.hd_realization``).
 """
 
 from __future__ import annotations
@@ -321,14 +321,28 @@ def _over_one_minus(coeffs: list[int], n: int) -> None:
         coeffs[r::n] = accumulate(coeffs[r::n])
 
 
-def cyclotomic_product(exponents: Iterable[tuple[int, int]]) -> IntLaurent:
-    """prod(Phi_d^e for (d, e) in exponents), as one ``binomial_quotient``.
+#: The bound of every cache of the cyclotomic layer, in entries; it only stops
+#: unbounded growth (zeta_series(bgl_class(1), 40) keeps 809 products).
+CACHE_SIZE = 1024
+_ONE = IntLaurent.one()  # the empty product, one object, which the class layer tests by identity
 
-    Phi_d = prod(L^k - 1)^mu(d/k) over the divisors k of d, where mu(d/k) is
-    (-1)^|S| for k = d/prod(S), S a set of distinct primes of d, and else 0.
-    Each binomial's multiplicity is summed over the pairs first, so a
-    binomial on both sides cancels before any list work.
+
+@lru_cache(maxsize=CACHE_SIZE)
+def cyclotomic_product(exponents: tuple[tuple[int, int], ...]) -> IntLaurent:
+    """prod(Phi_d^e for (d, e) in exponents), built once per exponent tuple.
+
+    A lone Phi_d is Phi_r(L^(d/r)) for the product r of the distinct primes
+    of d; any other product is one ``binomial_quotient``, as Phi_d =
+    prod(L^k - 1)^mu(d/k) over the divisors k of d, where mu(d/k) is (-1)^|S|
+    for k = d/prod(S), S a set of distinct primes of d, and else 0.  Each
+    binomial's multiplicity is summed over the pairs first, so a binomial on
+    both sides cancels before any list work.
     """
+    if not exponents:
+        return _ONE
+    d, e = exponents[0]
+    if len(exponents) == 1 and e == 1 and (r := prod(set(prime_factors(d)))) < d:
+        return cyclotomic_product(((r, 1),)).adams(d // r)
     mult: dict[int, int] = {}
     for d, e in exponents:
         terms = [(d, e)]
@@ -412,25 +426,17 @@ def _monic_quotient(terms: dict[int, int], top: int, tail: Sequence[tuple[int, i
     return quot
 
 
-#: Built once per d, and asked for mostly by the caches of ``_divisor`` and
-#: ``motivic._cyclotomic_product``: one power-axioms pass (seed 1) asks 13
-#: times for 6 of them, zeta_series(bgl_class(1), 30) 69 times for 30.  The
-#: bound only stops unbounded growth.
-@lru_cache(maxsize=4096)
 def cyclotomic(d: int) -> IntLaurent:
-    """The d-th cyclotomic polynomial Phi_d, built on first use: Phi_r(L^(d/r))
-    for the product r of the distinct primes of d, and Phi_r is one
-    ``cyclotomic_product`` (0.1 s for r = 30030, CPython 3.11, x86-64)."""
+    """The d-th cyclotomic polynomial Phi_d, kept by ``cyclotomic_product``
+    (0.1 s on first use for d = 30030, CPython 3.11, x86-64)."""
     if type(d) is not int or d < 1:
         raise DomainError("cyclotomic polynomials are indexed by d >= 1")
-    r = prod(set(prime_factors(d)))
-    return cyclotomic(r).adams(d // r) if r < d else cyclotomic_product(((d, 1),))
+    return cyclotomic_product(((d, 1),))
 
 
 #: One power-axioms pass (seed 1) asks 1,246 times for 6 d, and
-#: zeta_series(bgl_class(1), 30) 1,690 times for 28; the bound is
-#: ``cyclotomic``'s.
-@lru_cache(maxsize=4096)
+#: zeta_series(bgl_class(1), 30) 1,690 times for 28.
+@lru_cache(maxsize=CACHE_SIZE)
 def _divisor(d: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     """What ``IntLaurent.div_cyclotomic`` divides by, built once per d: the
     degree phi(d) of the monic Phi_d and its terms below that degree."""

@@ -35,8 +35,9 @@ from typing import TYPE_CHECKING, Sequence
 
 from ._frozen import Frozen
 from .errors import DomainError, NonInvertibleError
-from .laurent import IntLaurent, binomial_quotient, cyclotomic, cyclotomic_product, divisors, prime_factors, unit_part
-from .multipoly import MultiPoly
+from .laurent import CACHE_SIZE, IntLaurent, binomial_quotient, cyclotomic, cyclotomic_product, divisors
+from .laurent import prime_factors, unit_part
+from .multipoly import MultiPoly, _json_field
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -115,7 +116,7 @@ class _CyclotomicDenom(namedtuple("_CyclotomicDenom", "l_exp exponents")):
 
 _TRIVIAL_DEN = DenomForm()
 _NO_DEN = _CyclotomicDenom(0, ())
-_ONE_NUM = IntLaurent.one()
+_ONE_NUM = cyclotomic_product(())  # the shared 1, which the fast paths test by identity
 _ZERO_NUM = IntLaurent.zero()
 
 
@@ -136,23 +137,6 @@ def _render_fraction(num: str, l_exp: int, factors: tuple[int, ...], base: str) 
         num = f"({num})"
     den = " * ".join(parts)
     return f"{num} / ({den})" if len(parts) > 1 else f"{num} / {den}"
-
-
-#: Bound of the ``_cyclotomic_product`` cache, which keeps one product per
-#: exponent set.  One power-axioms pass (seed 1) asks 490 times for 81 sets,
-#: and the bound only stops unbounded growth.
-PRODUCT_CACHE_SIZE = 1024
-
-
-@lru_cache(maxsize=PRODUCT_CACHE_SIZE)
-def _cyclotomic_product(cyc: Exponents) -> IntLaurent:
-    """prod(Phi_d^e for (d, e) in cyc), built once per exponent set: the
-    cached Phi_d (or _ONE_NUM itself) for at most one factor, else one
-    ``cyclotomic_product``."""
-    if not cyc:
-        return _ONE_NUM
-    single = len(cyc) == 1 and cyc[0][1] == 1
-    return cyclotomic(cyc[0][0]) if single else cyclotomic_product(cyc)
 
 
 def _binomial_exponents(factors: tuple[int, ...]) -> Exponents:
@@ -181,7 +165,7 @@ def _cover(cyc: Exponents) -> tuple[tuple[int, ...], IntLaurent]:
                     del left[k]
             else:
                 extra[k] = extra.get(k, 0) + 1
-    return tuple(reversed(factors)), _cyclotomic_product(tuple(sorted(extra.items())))
+    return tuple(reversed(factors)), cyclotomic_product(tuple(sorted(extra.items())))
 
 
 def _adams_exponents(cyc: Exponents, r: int) -> Exponents:
@@ -430,7 +414,7 @@ class MotivicClass(Frozen):
         if uf is None:
             raise NonInvertibleError(f"class is not a unit of the ring: {self}")
         sign, l_exp, cyc = uf
-        num = _cyclotomic_product(self._den.exponents).shift(self._den.l_exp)
+        num = cyclotomic_product(self._den.exponents).shift(self._den.l_exp)
         # the two denominators share no factor, as self is reduced
         return MotivicClass._raw(-num if sign < 0 else num, _denominator(l_exp, cyc))
 
@@ -501,11 +485,11 @@ class MotivicClass(Frozen):
 
     @classmethod
     def from_json(cls, data: dict) -> MotivicClass:
-        lo, coeffs = data["num"]["min_deg"], data["num"]["coeffs"]
+        lo, coeffs = _json_field(data, "num.min_deg"), _json_field(data, "num.coeffs", (list, tuple))
         if any(type(x) is not int for x in (lo, *coeffs)):
             raise DomainError("class JSON degrees and coefficients must be ints")
         num = IntLaurent({lo + i: c for i, c in enumerate(coeffs)})
-        den = DenomForm(data["den"]["l_exp"], tuple(data["den"]["factors"]))
+        den = DenomForm(_json_field(data, "den.l_exp"), tuple(_json_field(data, "den.factors", (list, tuple))))
         return cls(num, den)
 
 
@@ -528,13 +512,7 @@ def _product_denominator(a: _CyclotomicDenom, b: _CyclotomicDenom) -> _Cyclotomi
     return _denominator(a.l_exp + b.l_exp, _sorted_exponents(exps))
 
 
-#: Bound of the ``_sum_plan`` cache, which keeps one plan per pair of
-#: denominators.  One power-axioms pass (seed 1) asks 632 times for 245
-#: pairs, and the bound only stops unbounded growth.
-SUM_PLAN_CACHE_SIZE = 1024
-
-
-@lru_cache(maxsize=SUM_PLAN_CACHE_SIZE)
+@lru_cache(maxsize=CACHE_SIZE)
 def _sum_plan(a: _CyclotomicDenom, b: _CyclotomicDenom) -> tuple:
     """How a/A + b/B is put over the exponent-wise max M of A and B: M, the
     complements M/A and M/B, and the d whose Phi_d can divide the sum.  Only
@@ -546,7 +524,7 @@ def _sum_plan(a: _CyclotomicDenom, b: _CyclotomicDenom) -> tuple:
 
     def complement(den: _CyclotomicDenom, have: dict[int, int]) -> IntLaurent:
         rest = _sorted_exponents({d: e - have.get(d, 0) for d, e in top.items()})
-        return _cyclotomic_product(rest).shift(l_exp - den.l_exp)
+        return cyclotomic_product(rest).shift(l_exp - den.l_exp)
 
     shared = frozenset(d for d, e in mine.items() if theirs.get(d) == e)
     return _denominator(l_exp, _sorted_exponents(top)), complement(a, mine), complement(b, theirs), shared
@@ -585,6 +563,8 @@ def standard_forms(name: str, args: Sequence[int]) -> tuple[DenomForm, DenomForm
     """The standard class GL(n), BGL(n) or Gr(k, n) as the quotient top/bottom
     of two shapes L^a * prod(L^n - 1); the class constructors and evaluation
     at a point both read it from here, so they share one domain check."""
+    if any(type(x) is not int for x in args):
+        raise DomainError(f"{name} needs int arguments")
     if name == "Gr":
         k, n = args
         if not 0 <= k <= n:

@@ -24,6 +24,15 @@ Exponents = tuple[int, ...]
 _INT = {int}
 
 
+def _json_field(data, path: str, kinds: type | tuple[type, ...] = object):
+    """The field at a dotted path of a JSON document, of one of kinds, else DomainError."""
+    for key in path.split("."):
+        data = data.get(key, ...) if isinstance(data, dict) else ...
+    if data is ... or not isinstance(data, kinds):
+        raise DomainError(f"JSON field {path} is missing or malformed")
+    return data
+
+
 def _names(nvars: int) -> tuple[str, ...]:
     if nvars == 2:
         return ("u", "v")
@@ -52,10 +61,13 @@ class _TermPoly(Frozen):
     def __bool__(self) -> bool:
         return bool(self._terms)
 
-    @staticmethod
-    def _pairs(terms: Mapping | Iterable[tuple]) -> Iterable[tuple]:
+    @classmethod
+    def _pairs(cls, terms: Mapping | Iterable[tuple]) -> list[tuple]:
         # a dict is tested first: the Mapping check alone is an ABC lookup per call
-        return terms.items() if isinstance(terms, dict) or isinstance(terms, Mapping) else terms
+        pairs = list(terms.items() if isinstance(terms, dict) or isinstance(terms, Mapping) else terms)
+        if not set(map(type, map(itemgetter(1), pairs))) <= _INT:
+            raise DomainError(f"{cls.__name__} coefficients must be ints")
+        return pairs
 
     @staticmethod
     def _accumulate(out: dict, pairs: Iterable[tuple]) -> dict:
@@ -282,7 +294,9 @@ class MultiPoly(_TermPoly):
 
     @classmethod
     def from_json(cls, data: dict) -> MultiPoly:
-        nvars, terms = data["nvars"], data["terms"]
+        nvars, terms = _json_field(data, "nvars"), _json_field(data, "terms", (list, tuple))
+        if not all(isinstance(t, (list, tuple)) and len(t) == 2 and isinstance(t[0], (list, tuple)) for t in terms):
+            raise DomainError("polynomial JSON terms must be [exponents, coefficient] pairs")
         if type(nvars) is not int or any(type(x) is not int for e, c in terms for x in (*e, c)):
             raise DomainError("polynomial JSON exponents and coefficients must be ints")
         return cls(nvars, {tuple(e): c for e, c in terms})

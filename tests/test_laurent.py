@@ -1,6 +1,7 @@
 """Sparse integer Laurent polynomials: ring laws, exact division, rendering."""
 
 import time
+from fractions import Fraction
 from collections import Counter
 from types import MappingProxyType
 
@@ -76,6 +77,14 @@ def test_pow_matches_repeated_product(a, n):
 @pytest.mark.parametrize("terms", [{0.5: 1}, {1.0: 1}, {True: 1}, [("1", 1)]])
 def test_degrees_must_be_ints(terms):
     with pytest.raises(DomainError, match="degrees must be ints"):
+        IntLaurent(terms)
+
+
+@pytest.mark.parametrize("terms", [{1: 0.5}, {0: 1.0}, {2: True}, [(0, 1), (1, Fraction(1))], MappingProxyType({0: "1"})])
+def test_coefficients_must_be_ints(terms):
+    # a float coefficient once built the class 0.5*L, whose zeta series then
+    # reported the bad input as an inexact division inside the library
+    with pytest.raises(DomainError, match="IntLaurent coefficients must be ints"):
         IntLaurent(terms)
 
 
@@ -215,6 +224,25 @@ def test_cyclotomic_polynomials():
     assert (L ** 2 + 1).div_cyclotomic(2) is None
     with pytest.raises(DomainError):
         cyclotomic(0)
+
+
+def test_each_phi_d_is_kept_once(monkeypatch):
+    # one cache keeps every product of Phi_d, a lone Phi_d included
+    for d in range(1, 65):
+        assert cyclotomic(d) is laurent.cyclotomic_product(((d, 1),))
+    # a lone Phi_d with d not squarefree is Phi_r stretched, for the product
+    # r of the primes of d, so Phi_720720 costs one quotient at r = 30030
+    built = []
+    binomial_quotient = laurent.binomial_quotient
+
+    def counting(tops, bottoms):
+        built.append(max(tops + bottoms))
+        return binomial_quotient(tops, bottoms)
+
+    monkeypatch.setattr(laurent, "binomial_quotient", counting)
+    laurent.cyclotomic_product.cache_clear()
+    assert [cyclotomic(d).max_deg for d in (720720, 36, 12)] == [138240, 12, 4]
+    assert built == [30030, 6]
 
 
 def test_large_cyclotomic_polynomials_match_closed_forms():

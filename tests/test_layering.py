@@ -44,6 +44,10 @@ reproductions, are defined in ``verify`` alone, so the engine modules
 about 0.6 ms on first use, so the cyclotomic quotient does without it.
 ``argparse``, which loads ``gettext``, is imported only for the CLI's help
 and usage errors: a well-formed argv is read from the command table.
+
+Every cache outside the CLI takes one bound, ``laurent.CACHE_SIZE``, so a
+long-running process keeps at most that many entries per cache, and the
+bound is set in one place.
 """
 
 import ast
@@ -271,6 +275,60 @@ def test_the_scan_sees_general_divisions(tmp_path):
 
 def _base_name(node: ast.expr) -> str | None:
     return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+#: The caching decorators of ``functools``.
+CACHE_DECORATORS = {"lru_cache", "cache"}
+#: The CLI keeps its parser and command table, one entry each, unbounded.
+CACHE_EXEMPT = {"cli.py"}
+
+
+def unbounded_caches(src: Path) -> list[str]:
+    """Uses of ``lru_cache`` or ``cache`` outside cli.py, called or bare, in
+    any spelling, that do not take ``maxsize=CACHE_SIZE``."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name in CACHE_EXEMPT:
+            continue
+        nodes = list(ast.walk(ast.parse(path.read_text(), str(path))))
+        called = {id(node.func) for node in nodes if isinstance(node, ast.Call)}
+        for node in nodes:
+            if isinstance(node, ast.Call) and _base_name(node.func) in CACHE_DECORATORS:
+                bound = [k.value for k in node.keywords if k.arg == "maxsize"]
+                if not bound or _base_name(bound[0]) != "CACHE_SIZE":
+                    found.append(f"{path.name}:{node.lineno}: {_base_name(node.func)}")
+            elif isinstance(node, (ast.Name, ast.Attribute)) and id(node) not in called:
+                if _base_name(node) in CACHE_DECORATORS:
+                    found.append(f"{path.name}:{node.lineno}: {_base_name(node)}")
+    return found
+
+
+def test_every_cache_takes_the_one_bound():
+    assert unbounded_caches(Path(stackzeta.__file__).parent) == []
+
+
+def test_the_scan_sees_unbounded_caches(tmp_path):
+    (tmp_path / "laurent.py").write_text(
+        "import functools\nfrom functools import cache, lru_cache\n\nCACHE_SIZE = 1024\n\n"
+        "@lru_cache(maxsize=CACHE_SIZE)\ndef a(x):\n    pass\n\n"
+        "@lru_cache(maxsize=4096)\ndef b(x):\n    pass\n\n"
+        "@lru_cache\ndef c(x):\n    pass\n\n"
+        "@functools.lru_cache(CACHE_SIZE)\ndef d(x):\n    pass\n\n"
+        "@cache\ndef e(x):\n    pass\n\n"
+        "f = functools.lru_cache(maxsize=None)(len)\n"
+    )
+    (tmp_path / "motivic.py").write_text(
+        "from functools import lru_cache\nfrom . import laurent\n\n"
+        "@lru_cache(maxsize=laurent.CACHE_SIZE)\ndef g(x):\n    pass\n"
+    )
+    (tmp_path / "cli.py").write_text("from functools import lru_cache\n\n@lru_cache(maxsize=None)\ndef h():\n    pass\n")
+    assert unbounded_caches(tmp_path) == [
+        "laurent.py:10: lru_cache",
+        "laurent.py:14: lru_cache",
+        "laurent.py:18: lru_cache",
+        "laurent.py:22: cache",
+        "laurent.py:26: lru_cache",
+    ]
 
 
 def _has_slots(node: ast.ClassDef) -> bool:

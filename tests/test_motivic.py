@@ -379,9 +379,10 @@ def test_inverses_and_sum_plans_take_no_polynomial_product(monkeypatch):
 
     # empty caches, so that every Phi_d, standard class and plan is built here
     monkeypatch.setattr(motivic, "_STANDARD_CLASSES", {})
-    cyclotomic.cache_clear()
-    motivic._cyclotomic_product.cache_clear()
+    laurent.cyclotomic_product.cache_clear()
     motivic._sum_plan.cache_clear()
+    # the empty product is the numerator 1 that the fast paths test by identity
+    assert laurent.cyclotomic_product(()) is motivic._ONE_NUM
     monkeypatch.setattr(IntLaurent, "__mul__", counting)
     monkeypatch.setattr(IntLaurent, "__rmul__", counting)
     inverses = [bgl_class(n).inverse() for n in range(17)]
@@ -504,6 +505,22 @@ def test_from_json_rejects_non_int_fields(fields):
         MotivicClass.from_json(_class_json(**fields))
 
 
+@pytest.mark.parametrize(
+    "data, field",
+    [
+        ({"num": {"min_deg": 0, "coeffs": [1]}, "den": {"l_exp": 0}}, "den.factors"),
+        ({"num": {"min_deg": 0, "coeffs": [1]}}, "den.l_exp"),
+        ({"num": {"coeffs": [1]}, "den": {"l_exp": 0, "factors": []}}, "num.min_deg"),
+        ({"num": {"min_deg": 0, "coeffs": 1}, "den": {"l_exp": 0, "factors": []}}, "num.coeffs"),
+        ({"num": [0, [1]], "den": {"l_exp": 0, "factors": []}}, "num.min_deg"),
+        ([{"min_deg": 0, "coeffs": [1]}, {"l_exp": 0, "factors": []}], "num.min_deg"),
+    ],
+)
+def test_from_json_names_a_malformed_field(data, field):
+    with pytest.raises(DomainError, match=field):
+        MotivicClass.from_json(data)
+
+
 @pytest.mark.parametrize("args", [(0, (2.0,)), (0, [True]), (1.0, ()), (True, (1,)), ("1", ())])
 def test_denom_form_rejects_non_int_fields(args):
     with pytest.raises(DomainError, match="denominator exponents must be ints"):
@@ -559,6 +576,16 @@ def test_standard_classes_are_kept_only_up_to_the_memo_bound(monkeypatch):
     # at most 17 GL, 17 BGL and 81 Gr(k, n) with k <= n/2: the arguments bound the memo
     assert len(memo) <= 17 + 17 + 81
     assert gl_class(bound + 1) is not gl_class(bound + 1)
+
+
+@pytest.mark.parametrize("name, args", [("BGL", (2.0,)), ("GL", (True,)), ("Gr", (1, 3.0)), ("Gr", (False, 2))])
+def test_standard_classes_take_int_arguments(name, args):
+    # the class builders and evaluation at a point share the check in standard_forms
+    build = {"GL": gl_class, "BGL": bgl_class, "Gr": grassmannian_class}[name]
+    with pytest.raises(DomainError, match=f"{name} needs int arguments"):
+        build(*args)
+    with pytest.raises(DomainError, match=f"{name} needs int arguments"):
+        motivic.standard_forms(name, args)
 
 
 def test_gl_classes():

@@ -11,6 +11,27 @@ from stackzeta import DomainError, IntLaurent, InternalConsistencyError, MultiPo
 from _strategies import multipolys
 
 
+@pytest.mark.parametrize("terms", [{(1, 0): 0.5}, {(0, 0): True}, [((0, 1), 1), ((1, 1), 2.0)]])
+def test_coefficients_must_be_ints(terms):
+    with pytest.raises(DomainError, match="MultiPoly coefficients must be ints"):
+        MultiPoly(2, terms)
+
+
+@pytest.mark.parametrize(
+    "data, field",
+    [
+        ({"nvars": 2, "terms": [[[1, 1], 1, 0]]}, "terms"),
+        ({"nvars": 2, "terms": [[1, 1]]}, "terms"),
+        ({"nvars": 2, "terms": 5}, "terms"),
+        ({"terms": []}, "nvars"),
+        ([2, []], "nvars"),
+    ],
+)
+def test_from_json_names_a_malformed_field(data, field):
+    with pytest.raises(DomainError, match=field):
+        MultiPoly.from_json(data)
+
+
 def test_construction_rules():
     with pytest.raises(DomainError, match="at least one variable"):
         MultiPoly(0)

@@ -321,8 +321,7 @@ def _over_one_minus(coeffs: list[int], n: int) -> None:
         coeffs[r::n] = accumulate(coeffs[r::n])
 
 
-#: The bound of every cache of the cyclotomic layer, in entries; it only stops
-#: unbounded growth (zeta_series(bgl_class(1), 40) keeps 809 products).
+#: The bound, in entries, of every cache of the cyclotomic layer; it only stops unbounded growth.
 CACHE_SIZE = 1024
 _ONE = IntLaurent.one()  # the empty product, one object, which the class layer tests by identity
 

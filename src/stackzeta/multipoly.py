@@ -62,10 +62,11 @@ class _TermPoly(Frozen):
         return bool(self._terms)
 
     @classmethod
-    def _pairs(cls, terms: Mapping | Iterable[tuple]) -> list[tuple]:
+    def _pairs(cls, terms: Mapping | Iterable[tuple]) -> Iterable[tuple]:
         # a dict is tested first: the Mapping check alone is an ABC lookup per call
-        pairs = list(terms.items() if isinstance(terms, dict) or isinstance(terms, Mapping) else terms)
-        if not set(map(type, map(itemgetter(1), pairs))) <= _INT:
+        mapped = isinstance(terms, dict) or isinstance(terms, Mapping)
+        pairs = terms.items() if mapped else list(terms)
+        if not set(map(type, terms.values() if mapped else map(itemgetter(1), pairs))) <= _INT:
             raise DomainError(f"{cls.__name__} coefficients must be ints")
         return pairs
 

@@ -1,8 +1,8 @@
 """Sparse integer Laurent polynomials: ring laws, exact division, rendering."""
 
 import time
-from fractions import Fraction
 from collections import Counter
+from fractions import Fraction
 from types import MappingProxyType
 
 import pytest

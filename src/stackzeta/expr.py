@@ -41,11 +41,9 @@ if TYPE_CHECKING:
 _TOKEN = re.compile(r"(?P<INT>\d+)|(?P<NAME>[^\W\d]\w*)|(?P<OP>[-+*/^(),])|(?P<NL>\n)|(?P<ERR>\S)")
 
 
-class Token(namedtuple("Token", "kind text line col")):
-    """A token: its kind (INT, NAME, OP or END), its text, and the 1-based
-    line and column where it starts."""
-
-    __slots__ = ()
+Token = namedtuple("Token", "kind text line col")
+Token.__doc__ = """A token: its kind (INT, NAME, OP or END), its text, and the 1-based
+line and column where it starts."""
 
 
 def tokenize(text: str) -> list[Token]:
@@ -66,40 +64,18 @@ def tokenize(text: str) -> list[Token]:
 # -- syntax tree -------------------------------------------------------------------
 
 
-class Num(namedtuple("Num", "value tok")):
-    """An integer literal."""
-
-    __slots__ = ()
-
-
-class Sym(namedtuple("Sym", "name tok")):
-    """A bare identifier."""
-
-    __slots__ = ()
-
-
-class Call(namedtuple("Call", "name args tok")):
-    """A constructor call: its name and a tuple of argument nodes."""
-
-    __slots__ = ()
-
-
-class Neg(namedtuple("Neg", "operand")):
-    """Unary minus."""
-
-    __slots__ = ()
-
-
-class BinOp(namedtuple("BinOp", "op left right tok")):
-    """A binary operation; op is one of + - * /."""
-
-    __slots__ = ()
-
-
-class Pow(namedtuple("Pow", "base exponent tok")):
-    """A node raised to an int exponent."""
-
-    __slots__ = ()
+Num = namedtuple("Num", "value tok")
+Num.__doc__ = "An integer literal."
+Sym = namedtuple("Sym", "name tok")
+Sym.__doc__ = "A bare identifier."
+Call = namedtuple("Call", "name args tok")
+Call.__doc__ = "A constructor call: its name and a tuple of argument nodes."
+Neg = namedtuple("Neg", "operand")
+Neg.__doc__ = "Unary minus."
+BinOp = namedtuple("BinOp", "op left right tok")
+BinOp.__doc__ = "A binary operation; op is one of + - * /."
+Pow = namedtuple("Pow", "base exponent tok")
+Pow.__doc__ = "A node raised to an int exponent."
 
 
 class _Parser:

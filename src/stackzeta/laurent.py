@@ -1,16 +1,19 @@
 """Exact integer Laurent polynomials in the Lefschetz symbol L.
 
 Polynomials are sparse maps from degree to nonzero integer coefficient, so
-arithmetic is exact.  The key-blind part (accumulating terms, addition,
-negation, subtraction, scaling by an int, powers, exact division by an int,
-rendering) is ``multipoly._TermPoly``, the term-map kernel shared with
-``MultiPoly`` and all this module takes from it.  This module adds products,
-Adams operations, shifts, evaluation at a rational point, the exact division
-by a cyclotomic polynomial Phi_d, and the dense binomial kernel: every
-product of Phi_d is one quotient of products of binomials L^n - 1, kept once
-per exponent tuple (``cyclotomic_product``), and ``unit_part`` runs its list
-steps back.  Negative degrees are allowed; the class layer clears them where
-it needs nonnegative numerators, and maps L to uv (``MotivicClass.hd_realization``).
+arithmetic is exact.  The part without key arithmetic (accumulating terms,
+addition, negation, subtraction, scaling by an int, powers, exact division by
+an int, the Adams operations, ``as_int``, ``==``, the hash, rendering) is
+``multipoly._TermPoly``, the term-map kernel shared with ``MultiPoly`` and all
+this module takes from it; ``IntLaurent`` gives it the hooks ``_coerce``,
+``_new``, ``_monomial``, ``_unit`` (degree 0) and ``_stretch`` (every degree
+times r).  This module adds products, shifts, evaluation at a rational
+point, the exact division by a cyclotomic polynomial Phi_d, and the dense
+binomial kernel: every product of Phi_d is one quotient of products of
+binomials L^n - 1, kept once per exponent tuple (``cyclotomic_product``), and
+``unit_part`` runs its list steps back.  Negative degrees are allowed; the
+class layer clears them where it needs nonnegative numerators, and maps L to
+uv (``MotivicClass.hd_realization``).
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ class IntLaurent(_TermPoly):
     """
 
     __slots__ = ()
+    _unit = 0
 
     def __init__(self, terms: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
         out = self._accumulate({}, self._pairs(terms))
@@ -133,36 +137,16 @@ class IntLaurent(_TermPoly):
 
     __rmul__ = __mul__
 
-    def adams(self, r: int) -> IntLaurent:
-        """The Adams operation psi^r: the polynomial at L^r, for r >= 1."""
-        if r < 1:
-            raise DomainError("Adams operations psi^r need r >= 1")
-        if r == 1:
-            return self
-        return IntLaurent._raw({d * r: c for d, c in self._terms.items()})
+    def _stretch(self, r: int) -> dict[int, int]:
+        return {d * r: c for d, c in self._terms.items()}
 
     def shift(self, k: int) -> IntLaurent:
         """Multiply by L^k."""
+        if type(k) is not int:
+            raise DomainError("shifts take an int power of L")
         if k == 0:
             return self
         return IntLaurent._raw({d + k: c for d, c in self._terms.items()})
-
-    def __eq__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._terms == o._terms
-
-    def as_int(self) -> int | None:
-        """The int this polynomial equals, or None when it is not a constant."""
-        return self._terms.get(0, 0) if self._terms.keys() <= {0} else None
-
-    def __hash__(self) -> int:
-        # a constant equals its int, so it hashes as that int
-        c = self.as_int()
-        if c is not None:
-            return hash(c)
-        return hash(tuple(sorted(self._terms.items())))
 
     # -- division ----------------------------------------------------------
 
@@ -210,7 +194,7 @@ class IntLaurent(_TermPoly):
         """Exact value at L = t."""
         import fractions  # a from-import here would cost about 1 us more per call on CPython 3.11
 
-        t = fractions.Fraction(t)
+        t = _rational(t)
         if t == 0 and not self.is_zero and self.min_deg < 0:
             raise DomainError("evaluation at 0 with negative powers of L")
         total = fractions.Fraction(0)
@@ -226,6 +210,15 @@ class IntLaurent(_TermPoly):
 
     def __repr__(self) -> str:
         return f"IntLaurent({self})"
+
+
+def _rational(t) -> Fraction:
+    """t as a Fraction, for an int (not a bool) or a Fraction, else DomainError."""
+    import fractions
+
+    if type(t) is not int and not isinstance(t, fractions.Fraction):
+        raise DomainError("evaluation points must be ints or Fractions")
+    return fractions.Fraction(t)
 
 
 def _kronecker_mul(a: dict[int, int], b: dict[int, int], lo_a: int, lo_b: int, slots: int) -> IntLaurent:

@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Sequence
 from ._frozen import Frozen
 from .errors import DomainError, NonInvertibleError
 from .laurent import CACHE_SIZE, IntLaurent, binomial_quotient, cyclotomic, cyclotomic_product, divisors
-from .laurent import prime_factors, unit_part
+from .laurent import _rational, prime_factors, unit_part
 from .multipoly import MultiPoly, _json_field
 
 if TYPE_CHECKING:
@@ -90,11 +90,12 @@ class DenomForm(Frozen):
     def is_trivial(self) -> bool:
         return self.l_exp == 0 and not self.factors
 
-    def eval_rational(self, t: Fraction) -> Fraction:
+    def eval_rational(self, t: Fraction | int) -> Fraction:
         """The value at L = t, on integers: for t = p/r in lowest terms,
         p^l_exp * prod(p^n - r^n) / r^(l_exp + sum(n)) is in lowest terms too."""
         import fractions  # a from-import here would cost about 1 us more per call on CPython 3.11
 
+        t = _rational(t)
         p, r = t.numerator, t.denominator
         num = p ** self.l_exp
         for n in self.factors:
@@ -105,13 +106,11 @@ class DenomForm(Frozen):
         return " * ".join(_denominator_parts(self.l_exp, self.factors, "L")) or "1"
 
 
-class _CyclotomicDenom(namedtuple("_CyclotomicDenom", "l_exp exponents")):
-    """The stored denominator L^l_exp * prod(Phi_d^e for (d, e) in exponents),
-    with l_exp >= 0 and ascending (d, e) pairs (``Exponents``), d and e >= 1.
-    Built only inside this module, through ``_denominator``; the trivial one
-    is ``_NO_DEN``."""
-
-    __slots__ = ()
+_CyclotomicDenom = namedtuple("_CyclotomicDenom", "l_exp exponents")
+_CyclotomicDenom.__doc__ = """The stored denominator L^l_exp * prod(Phi_d^e for (d, e) in exponents),
+with l_exp >= 0 and ascending (d, e) pairs (``Exponents``), d and e >= 1.
+Built only inside this module, through ``_denominator``; the trivial one
+is ``_NO_DEN``."""
 
 
 _TRIVIAL_DEN = DenomForm()
@@ -294,6 +293,8 @@ class MotivicClass(Frozen):
     # -- equality ----------------------------------------------------------
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, int):
+            return self.as_int() == other
         o = _coerce(other)
         if o is None:
             return NotImplemented
@@ -425,16 +426,15 @@ class MotivicClass(Frozen):
 
         The result needs no reduction: a root z of a common factor of num(L^r)
         and Phi_d(L^r) would make z^r a common root of num and Phi_d."""
+        num = self._num.adams(r)  # which checks r
         if r == 1:
             return self
         den = self._den
-        return MotivicClass._raw(self._num.adams(r), _denominator(den.l_exp * r, _adams_exponents(den.exponents, r)))
+        return MotivicClass._raw(num, _denominator(den.l_exp * r, _adams_exponents(den.exponents, r)))
 
     def eval_rational(self, t: Fraction | int) -> Fraction:
         """Exact value at L = t; poles of the reduced denominator raise DomainError."""
-        import fractions
-
-        t = fractions.Fraction(t)
+        t = _rational(t)
         den = t ** self._den.l_exp
         for d, e in self._den.exponents:
             den *= cyclotomic(d).eval_rational(t) ** e

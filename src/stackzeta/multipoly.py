@@ -2,10 +2,12 @@
 
 ``_TermPoly`` is the kernel shared with ``laurent.IntLaurent``: a polynomial
 is a sparse dict from a monomial key to a nonzero int coefficient, and every
-operation that never looks inside a key (size, accumulating terms, addition,
+operation that needs no key arithmetic (size, accumulating terms, addition,
 negation, subtraction, scaling by an int, powers, exact division by an int,
-rendering) is written once there.  ``MultiPoly`` keys the map by exponent tuples; it holds
-Hodge-Deligne polynomials in u, v (two variables) and the truncated
+the Adams operations, ``as_int``, ``==``, the hash, rendering) is written once
+there, through five hooks of each type: ``_coerce``, ``_new``, ``_monomial``,
+``_unit`` and ``_stretch``.  ``MultiPoly`` keys the map by exponent tuples; it
+holds Hodge-Deligne polynomials in u, v (two variables) and the truncated
 expansions of the distinct-exponent generating functions in q_1..q_k.
 """
 
@@ -42,10 +44,13 @@ def _names(nvars: int) -> tuple[str, ...]:
 class _TermPoly(Frozen):
     """Sparse map from a monomial key to a nonzero int coefficient.
 
-    The zero polynomial is the empty map.  A subclass supplies three hooks:
+    The zero polynomial is the empty map.  A subclass supplies five hooks:
     ``_coerce`` (an operand in the subclass's ring, or None), ``_new`` (the
-    result built from a zero-free dict, adopted as is) and ``_monomial``
-    (the text of a key, empty for the unit monomial).
+    result built from a zero-free dict, adopted as is), ``_monomial`` (the
+    text of a key, empty for the unit monomial), ``_unit`` (the key of the
+    unit monomial) and ``_stretch(r)`` (the term map with every key times r,
+    which is x -> x^r on every variable).  Products stay in the subclasses,
+    as their loop is the key arithmetic.
     """
 
     __slots__ = ("_terms",)
@@ -126,6 +131,31 @@ class _TermPoly(Frozen):
         if any(c % d for c in self._terms.values()):
             raise InternalConsistencyError(f"inexact integer division of {self} by {d}")
         return self._new({k: c // d for k, c in self._terms.items()})
+
+    def adams(self, r: int) -> _TermPoly:
+        """The Adams operation psi^r: every variable x replaced by x^r, for an int r >= 1."""
+        if type(r) is not int or r < 1:
+            raise DomainError("Adams operations psi^r need an int r >= 1")
+        return self if r == 1 else self._new(self._stretch(r))
+
+    def as_int(self) -> int | None:
+        """The int this polynomial equals, or None when it is not a constant."""
+        terms = self._terms
+        if len(terms) > 1:
+            return None
+        return terms.get(self._unit) if terms else 0
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, int):
+            return self.as_int() == other
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._terms == other._terms and self._unit == other._unit
+
+    def __hash__(self) -> int:
+        # a constant equals its int, so it hashes as that int
+        c = self.as_int()
+        return hash(c) if c is not None else hash(tuple(sorted(self._terms.items())))
 
     def __str__(self) -> str:
         pieces: list[str] = []
@@ -249,34 +279,12 @@ class MultiPoly(_TermPoly):
 
     __rmul__ = __mul__
 
-    def adams(self, r: int) -> MultiPoly:
-        """The Adams operation psi^r: P(x_1^r, ..., x_n^r), for r >= 1."""
-        if r < 1:
-            raise DomainError("Adams operations psi^r need r >= 1")
-        if r == 1:
-            return self
-        return MultiPoly._raw(self._nvars, {tuple(e * r for e in exps): c for exps, c in self._terms.items()})
+    @property
+    def _unit(self) -> Exponents:
+        return (0,) * self._nvars
 
-    def as_int(self) -> int | None:
-        """The int this polynomial equals, or None when it is not a constant."""
-        terms = self._terms
-        if len(terms) > 1:
-            return None
-        return terms.get((0,) * self._nvars) if terms else 0
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            return self.as_int() == other
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return self._nvars == other._nvars and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        # a constant equals its int, so it hashes as that int
-        c = self.as_int()
-        if c is not None:
-            return hash(c)
-        return hash((self._nvars, tuple(sorted(self._terms.items()))))
+    def _stretch(self, r: int) -> dict[Exponents, int]:
+        return {tuple(e * r for e in exps): c for exps, c in self._terms.items()}
 
     # -- rendering -----------------------------------------------------------
 

@@ -52,7 +52,10 @@ MAX_SERIES_ORDER = 40
 
 
 def check_order(order: int) -> None:
-    """Reject a negative order (DomainError) or one above MAX_SERIES_ORDER."""
+    """Reject an order that is not an int or is negative (DomainError), or one
+    above MAX_SERIES_ORDER."""
+    if type(order) is not int:
+        raise DomainError("series order must be an int")
     if order < 0:
         raise DomainError("series order must be nonnegative")
     if order > MAX_SERIES_ORDER:
@@ -139,6 +142,7 @@ def power(series: TruncatedSeries, exponent: Any, provider: LambdaProvider) -> T
 
 def binomial_series(exponent: Any, order: int, provider: LambdaProvider) -> TruncatedSeries:
     """(1 + T)^exponent under the provider's power structure."""
+    check_order(order)
     ring = provider.ring
     coeffs = [ring.one] * min(2, order + 1) + [ring.zero] * max(order - 1, 0)
     one_plus_t = TruncatedSeries(ring, tuple(coeffs))

@@ -149,18 +149,13 @@ def verify_grassmannian(n_max: int, order: int) -> VerificationReport:
 # -- axiom suite ----------------------------------------------------------------
 
 
-class AxiomSample(namedtuple("AxiomSample", "a b m n k", defaults=(2,))):
-    """One randomized test point: two series a and b, two exponents m and n
-    from their coefficient ring, and a substitution index k."""
+AxiomSample = namedtuple("AxiomSample", "a b m n k", defaults=(2,))
+AxiomSample.__doc__ = """One randomized test point: two series a and b, two exponents m and n
+from their coefficient ring, and a substitution index k."""
 
-    __slots__ = ()
-
-
-class AxiomCheck(namedtuple("AxiomCheck", "axiom description passed witness", defaults=(None,))):
-    """One axiom's number and text, whether it held, and the first witness
-    (a string) when it did not."""
-
-    __slots__ = ()
+AxiomCheck = namedtuple("AxiomCheck", "axiom description passed witness", defaults=(None,))
+AxiomCheck.__doc__ = """One axiom's number and text, whether it held, and the first witness
+(a string) when it did not."""
 
 
 class AxiomReport(namedtuple("AxiomReport", "provider order checks")):

@@ -50,7 +50,7 @@ def zeta_series(a: MotivicClass | IntLaurent | int, order: int) -> TruncatedSeri
 
 def sym_power(a: MotivicClass | IntLaurent | int, k: int) -> MotivicClass:
     """sym^k(a): the coefficient of T^k in zeta_a."""
-    if k < 0:
+    if isinstance(k, int) and k < 0:  # zeta_series rejects a k that is not an int
         raise DomainError("sym powers are indexed by k >= 0")
     return zeta_series(a, k).coefficient(k)
 

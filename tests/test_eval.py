@@ -11,10 +11,11 @@ import io
 from fractions import Fraction
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stackzeta import IntLaurent, MotivicClass, cli, parse_class
+from stackzeta import DenomForm, DomainError, IntLaurent, MotivicClass, bgl_class, cli, parse_class
 from stackzeta.expr import evaluate_class
 
 VALID = ["L", "q", "0", "1", "2", "3", "L-1", "L^2-1", "L+1", "1-q",
@@ -119,3 +120,13 @@ def test_nested_divisors_are_built_as_classes_once(monkeypatch):
         calls.clear()
         assert evaluate_class("(" * depth + "L+1" + ")^-1" * depth, Fraction(5, 2)) == Fraction(7, 2) ** (-1) ** depth
         assert len(calls) == depth
+
+
+@pytest.mark.parametrize("t", [0.1, 0.5, "1/3", True, None])
+def test_evaluation_points_are_rationals(t):
+    # a float was evaluated at its binary expansion and a string was parsed
+    values = (IntLaurent({1: 1, 0: 1}), bgl_class(1), DenomForm(1, (2,)))
+    for value in values:
+        with pytest.raises(DomainError, match="evaluation points must be ints or Fractions"):
+            value.eval_rational(t)
+    assert [value.eval_rational(3) for value in values] == [4, Fraction(1, 2), 24]

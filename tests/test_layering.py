@@ -48,12 +48,18 @@ and usage errors: a well-formed argv is read from the command table.
 Every cache outside the CLI takes one bound, ``laurent.CACHE_SIZE``, so a
 long-running process keeps at most that many entries per cache, and the
 bound is set in one place.
+
+What the two polynomial types share is written once, in the term-map
+kernel ``multipoly._TermPoly``: no type redefines a kernel member, and the
+only members both types define are the kernel's hooks and those whose body
+depends on the key, such as the product loop.
 """
 
 import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import Iterable
 
@@ -328,6 +334,75 @@ def test_the_scan_sees_unbounded_caches(tmp_path):
         "laurent.py:18: lru_cache",
         "laurent.py:22: cache",
         "laurent.py:26: lru_cache",
+    ]
+
+
+#: What each polynomial type writes for itself: the kernel's hooks, the slot
+#: declarations, and the members whose body depends on the key or on the
+#: type's constructor.  The product loop is the key arithmetic (ROADMAP item 12).
+PER_TYPE_MEMBERS = {
+    "_coerce", "_new", "_monomial", "_unit", "_stretch", "__slots__", "_fields",
+    "__init__", "_raw", "zero", "one", "coefficient", "items", "__mul__", "__rmul__", "__repr__",
+}
+
+
+def _class_members(node: ast.ClassDef) -> dict[str, int]:
+    """The names a class body binds, by def or by assignment, with their lines."""
+    members = {}
+    for stmt in node.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            members[stmt.name] = stmt.lineno
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            members.update((t.id, stmt.lineno) for t in targets if isinstance(t, ast.Name))
+    return members
+
+
+def kernel_redefinitions(src: Path) -> list[str]:
+    """Members of a class deriving from ``_TermPoly``, in any spelling of the
+    base, that the kernel defines or that another such class defines too,
+    other than PER_TYPE_MEMBERS."""
+    classes = [
+        (path.name, node)
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ClassDef)
+    ]
+    kernel = {name for _, node in classes if node.name == "_TermPoly" for name in _class_members(node)}
+    types = [(module, node, _class_members(node)) for module, node in classes if "_TermPoly" in map(_base_name, node.bases)]
+    defined = Counter(name for _, _, members in types for name in members)
+    return sorted(
+        f"{module}:{line}: {node.name}.{name}"
+        for module, node, members in types
+        for name, line in members.items()
+        if name not in PER_TYPE_MEMBERS and (name in kernel or defined[name] > 1)
+    )
+
+
+def test_the_kernel_is_written_once():
+    assert kernel_redefinitions(Path(stackzeta.__file__).parent) == []
+
+
+def test_the_scan_sees_kernel_redefinitions(tmp_path):
+    (tmp_path / "multipoly.py").write_text(
+        "class _TermPoly:\n    __slots__ = _fields = ('_terms',)\n\n"
+        "    def adams(self, r):\n        pass\n\n    def __add__(self, other):\n        pass\n\n"
+        "    __radd__ = __add__\n\n\n"
+        "class MultiPoly(_TermPoly):\n    __slots__ = ('_nvars',)\n    _fields = ('_nvars', '_terms')\n\n"
+        "    def adams(self, r):\n        pass\n\n    def as_int(self):\n        pass\n\n"
+        "    def __mul__(self, other):\n        pass\n\n    def to_json(self):\n        pass\n"
+    )
+    (tmp_path / "laurent.py").write_text(
+        "from . import multipoly\n\n\nclass IntLaurent(multipoly._TermPoly):\n    __slots__ = ()\n"
+        "    __radd__: object = None\n\n    def as_int(self):\n        pass\n\n"
+        "    def __mul__(self, other):\n        pass\n\n    def shift(self, k):\n        pass\n\n\n"
+        "class Other:\n    def adams(self, r):\n        pass\n\n    def as_int(self):\n        pass\n"
+    )
+    assert kernel_redefinitions(tmp_path) == [
+        "laurent.py:6: IntLaurent.__radd__",
+        "laurent.py:8: IntLaurent.as_int",
+        "multipoly.py:17: MultiPoly.adams",
+        "multipoly.py:20: MultiPoly.as_int",
     ]
 
 

@@ -588,6 +588,16 @@ def test_standard_classes_take_int_arguments(name, args):
         motivic.standard_forms(name, args)
 
 
+@pytest.mark.parametrize("r", [2.0, True, Fraction(2), "2"])
+def test_adams_operations_and_shifts_take_ints(r):
+    # a float index once built the class 1 / (L^2.0-1), and psi^True returned its argument
+    for value in (IntLaurent.term(1), MultiPoly.variable(2, 0), bgl_class(1)):
+        with pytest.raises(DomainError, match=r"psi\^r need an int r >= 1"):
+            value.adams(r)
+    with pytest.raises(DomainError, match="shifts take an int power of L"):
+        IntLaurent.term(1).shift(r)
+
+
 def test_gl_classes():
     assert gl_class(0) == MotivicClass.one()
     assert gl_class(1) == MotivicClass(l_minus_one(1))

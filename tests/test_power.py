@@ -16,12 +16,17 @@ from stackzeta import (
     bgl_class,
     binomial_series,
     hd_provider,
+    hd_zeta,
     lambda_factorize,
     motivic_provider,
     motivic_ring,
     opposite_provider,
     opposite_series,
+    opposite_zeta,
+    parse_series,
     power,
+    sym_power,
+    zeta_series,
 )
 from stackzeta.verify import AxiomSample
 
@@ -267,3 +272,19 @@ def test_integer_exponents_need_constant_term_one(name, c):
     s = TruncatedSeries(ring, (two, ring.one, ring.zero))
     with pytest.raises(DomainError, match="ghost components need constant term 1"):
         power(s, c * ring.one, provider)
+
+
+@pytest.mark.parametrize("order", [2.0, True, "2"])
+def test_series_orders_are_ints(order):
+    # a float order leaked TypeError from the series builders, and True was taken as order 1
+    calls = [
+        lambda: zeta_series(bgl_class(1), order),
+        lambda: opposite_zeta(bgl_class(1), order),
+        lambda: sym_power(bgl_class(1), order),
+        lambda: hd_zeta(MultiPoly.one(2), order),
+        lambda: binomial_series(bgl_class(1), order, motivic_provider()),
+        lambda: parse_series("1 + T", order),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match="series order must be an int"):
+            call()

@@ -1,9 +1,11 @@
 """Value contracts of the package's record types.
 
-Records are subclasses of a ``collections.namedtuple`` with an empty
-``__slots__``, built that way because a ``typing.NamedTuple`` costs about
-twice as much to create at import; the verification-only modules ``oracles``
-and ``verify`` keep ``typing.NamedTuple``s.  The value types are
+Records are ``collections.namedtuple``s, because a ``typing.NamedTuple``
+costs about twice as much to create at import: a record that defines no
+method is the namedtuple itself, its docstring set as ``__doc__``, and one
+with methods is a subclass with an empty ``__slots__``.  The
+verification-only modules ``oracles`` and ``verify`` also keep
+``typing.NamedTuple``s.  The value types are
 ``__slots__`` classes that derive from ``stackzeta._frozen.Frozen``: the
 eight of them are ``IntLaurent``,
 ``MultiPoly``, ``DenomForm``, ``MotivicClass``, ``TruncatedSeries``,
@@ -113,6 +115,20 @@ def test_lambda_provider_is_equal_by_identity():
     assert_frozen(a, "psi")
 
 
+@pytest.mark.parametrize(
+    "one, x",
+    [
+        (IntLaurent.one(), IntLaurent.term(1)),
+        (MultiPoly.one(2), MultiPoly.variable(2, 0)),
+        (MotivicClass.one(), bgl_class(1)),
+    ],
+)
+def test_equality_with_an_int_never_raises(one, x):
+    # True is refused as a coefficient, and == once raised DomainError by coercing it
+    assert one == True and True == one and hash(one) == hash(True)  # noqa: E712
+    assert x != True and x != 1 and x in [True, x] and one in [True] and one != 2  # noqa: E712
+
+
 #: A class given in a shape that cancels; it is stored reduced, as 1 / (L * (L-1)).
 UNNORMALIZED = MotivicClass(IntLaurent({2: 1, 0: -1}), DenomForm(1, (1, 2)))
 
@@ -153,7 +169,7 @@ FROZEN_SAMPLES = {
     LambdaProvider: (
         hd_provider(),
         "LambdaProvider(name='hd-zeta', ring=Ring(name='int-poly-2', zero=MultiPoly(2, 0),"
-        " one=MultiPoly(2, 1)), psi=<function MultiPoly.adams at 0x...>)",
+        " one=MultiPoly(2, 1)), psi=<function _TermPoly.adams at 0x...>)",
     ),
     Partition: (Partition((0, 2)), "Partition(multiplicities=(0, 2))"),
 }

@@ -49,8 +49,10 @@ class _TermPoly(Frozen):
     result built from a zero-free dict, adopted as is), ``_monomial`` (the
     text of a key, empty for the unit monomial), ``_unit`` (the key of the
     unit monomial) and ``_stretch(r)`` (the term map with every key times r,
-    which is x -> x^r on every variable).  Products stay in the subclasses,
-    as their loop is the key arithmetic.
+    which is x -> x^r on every variable).  On them it writes sums, negation,
+    powers, int scaling, ``divide_exact_int``, ``adams``, ``as_int``, ``==``,
+    the hash and the text once for both types.  Products stay in the
+    subclasses, as their loop is the key arithmetic.
     """
 
     __slots__ = ("_terms",)
